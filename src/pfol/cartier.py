@@ -5,8 +5,9 @@ c * x^A dx_{i_1} /\\ ... /\\ dx_{i_q} survives exactly when A_{i_j} = -1 mod p
 for every wedge index and A_m = 0 mod p for every other variable, in which
 case it maps to c^(1/p) * x^{(A - (p-1) e_{i_1} - ...)/p} dx_{i_1} /\\ ...
 
-Rational closed forms are handled by clearing denominators with a p-th
-power: C(g^p a) = g C(a).
+The operator is p^-1-linear, C(g^p a) = g C(a), so a closed rational form
+never needs a rational Cartier operator: C(a / g) = C(g^(p-1) a) / g, and
+the foliation code applies the polynomial operator to g^(p-1) a directly.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def cartier_transform(form: DiffForm, check_closed: bool = True) -> DiffForm:
     if p == 0:
         raise ArithmeticError("the Cartier operator needs characteristic p")
     if not form.is_polynomial:
-        raise ValueError("use cartier_rational for forms with denominators")
+        raise ValueError("clear the denominators first: C(a / g) = C(g^(p-1) a) / g")
     if check_closed and form.d():
         raise NotClosedError("form is not closed")
     ring, n = form.chart.ring, form.chart.nvars
@@ -52,24 +53,6 @@ def cartier_transform(form: DiffForm, check_closed: bool = True) -> DiffForm:
         if acc:
             out[idx] = MultiPoly(ring, n, acc)
     return DiffForm(form.chart, form.q, out)
-
-
-def cartier_rational(form: DiffForm, check_closed: bool = True) -> DiffForm:
-    """Apply the Cartier operator to a closed form with rational coefficients.
-
-    Clears denominators with the p-th power of the least common denominator
-    q, applies the polynomial operator to q^p * form, and divides by q.  The
-    result does not depend on the choice of clearing factor.
-    """
-    p = form.chart.ring.characteristic
-    if p == 0:
-        raise ArithmeticError("the Cartier operator needs characteristic p")
-    den = form.common_denominator()
-    cleared = form * den**p
-    if not cleared.is_polynomial:
-        raise ValueError("could not clear denominators")
-    transformed = cartier_transform(cleared, check_closed=check_closed)
-    return transformed / den
 
 
 def classify_closedness(form: DiffForm) -> dict:

@@ -10,9 +10,10 @@ the n+1 standard charts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import json
 
-from .cartier import cartier_rational
+from .cartier import cartier_transform
 from .exterior import (
     Chart,
     DiffForm,
@@ -21,7 +22,6 @@ from .exterior import (
     cone_chart,
     euler_field,
     proj_chart,
-    pullback_form,
 )
 from .mpoly import (
     MultiPoly,
@@ -200,6 +200,43 @@ def divisor_difference_of_closed_form(form: DiffForm, ambient="affine") -> Divis
     return poles - zeros
 
 
+def glue_chart_divisors(ring, n: int, chart_fns: dict) -> Divisor:
+    """Glue the divisors of num/den on standard charts {x_j != 0} of P^n.
+
+    ``chart_fns`` maps a chart index j to a pair (num, den) of polynomials
+    in the chart coordinates.  Their squarefree components are homogenized
+    into a coprime basis, and every basis element must have one
+    multiplicity on all the charts that see it.
+    """
+    candidates = []
+    for j, (num, den) in chart_fns.items():
+        for poly in (num, den):
+            if poly.is_constant:
+                continue
+            for comp, _ in squarefree_decomposition(poly):
+                candidates.append(comp.homogenize(j))
+    items = []
+    for h in coprime_basis(candidates):
+        mults = set()
+        for j, (num, den) in chart_fns.items():
+            h_aff = h.set_var_one(j)
+            if h_aff.is_constant:
+                continue
+            m = multiplicity_along(num, h_aff)
+            if not den.is_constant:
+                m -= multiplicity_along(den, h_aff)
+            mults.add(m)
+        if len(mults) != 1:
+            raise AssertionError(
+                f"component {poly_str(h)} has chart multiplicities "
+                f"{sorted(mults)}, not exactly one"
+            )
+        m = mults.pop()
+        if m:
+            items.append((h, m))
+    return Divisor(ring, n + 1, items, "proj")
+
+
 # ---------------------------------------------------------------------------
 # foliations
 
@@ -248,6 +285,11 @@ class Foliation:
     def n(self) -> int:
         """Dimension of the ambient variety."""
         return self.chart.nvars - 1 if self.projective else self.chart.nvars
+
+    @cached_property
+    def pcurvature(self) -> "PCurvature":
+        """The p-curvature record, computed once per foliation."""
+        return PCurvature(self)
 
     def __repr__(self):
         kind = f"P^{self.n}" if self.projective else f"A^{self.n}"
@@ -376,8 +418,40 @@ def p_curvature(fol: Foliation, v: VectorField) -> RationalFunction:
     return fol.form.pair(v.pth_power())
 
 
+class PCurvature:
+    """The p-curvature data every invariant of a foliation is read from.
+
+    ``f`` is omega(v^p) for the first Koszul field v where it does not
+    vanish, or None when the foliation is p-closed.  ``eta`` is
+    C(f^(p-1) omega) = f C(omega / f): the Cartier transform of the closed
+    defining form omega / f, cleared of its denominator by C(g^p a) = g C(a).
+    Read it through ``Foliation.pcurvature``, which builds it once.
+    """
+
+    def __init__(self, fol: Foliation):
+        self.omega = fol.form
+        self.p = fol.p
+        self.f = None
+        for v in koszul_fields(fol.form):
+            val = p_curvature(fol, v)
+            if val:
+                self.f = val.as_poly()
+                break
+
+    @cached_property
+    def eta(self) -> DiffForm:
+        f, omega = self.f, self.omega
+        if f is None:
+            raise PClosedError("foliation is p-closed; no closed defining form")
+        # omega / f is closed exactly when f d(omega) = df /\ omega
+        df = DiffForm(omega.chart, 0, {(): f}).d()
+        if omega.d() * f != df.wedge(omega):
+            raise AssertionError("omega / omega(v^p) failed to be closed")
+        return cartier_transform(omega * f ** (self.p - 1), check_closed=False)
+
+
 def is_p_closed(fol: Foliation) -> bool:
-    return all(not p_curvature(fol, v) for v in koszul_fields(fol.form))
+    return fol.pcurvature.f is None
 
 
 def _affine_restriction(fol: Foliation, j: int) -> DiffForm | None:
@@ -412,8 +486,8 @@ def _chart_pcurvature_gcd(form: DiffForm) -> MultiPoly | None:
 def degeneracy_divisor(fol: Foliation) -> Divisor:
     """The degeneracy divisor: gcd over tangent generators of omega(v^p).
 
-    For projective foliations the divisor is assembled from all n+1
-    standard charts, matching components through homogenization.
+    For projective foliations the divisor is glued from all n+1 standard
+    charts.
     """
     if not fol.projective:
         g = _chart_pcurvature_gcd(fol.form)
@@ -421,45 +495,18 @@ def degeneracy_divisor(fol: Foliation) -> Divisor:
             raise PClosedError("foliation is p-closed; no degeneracy divisor")
         return Divisor.of_polynomial(g, "affine")
 
-    n = fol.n
-    ring = fol.ring
-    chart_gcds: dict[int, MultiPoly] = {}
-    candidates: list[MultiPoly] = []
-    any_dense = False
-    for j in range(n + 1):
+    one = MultiPoly.one(fol.ring, fol.n)
+    chart_fns = {}
+    for j in range(fol.n + 1):
         form_j = _affine_restriction(fol, j)
         if form_j is None:
             continue
         g = _chart_pcurvature_gcd(form_j)
-        if g is None:
-            continue
-        any_dense = True
-        chart_gcds[j] = g
-        for comp, _ in squarefree_decomposition(g):
-            if comp.is_constant:
-                continue
-            candidates.append(comp.homogenize(j))
-    if not any_dense:
+        if g is not None:
+            chart_fns[j] = (g, one)
+    if not chart_fns:
         raise PClosedError("foliation is p-closed; no degeneracy divisor")
-    basis = coprime_basis(candidates)
-    items = []
-    for h in basis:
-        mults = set()
-        for j, g in chart_gcds.items():
-            h_aff = h.set_var_one(j)
-            if h_aff.is_constant:
-                continue
-            mults.add(multiplicity_along(g, h_aff))
-        if not mults:
-            raise AssertionError("component invisible on every chart")
-        if len(mults) != 1:
-            raise AssertionError(
-                f"inconsistent chart multiplicities {mults} for {poly_str(h)}"
-            )
-        m = mults.pop()
-        if m:
-            items.append((h, m))
-    return Divisor(ring, n + 1, items, "proj")
+    return glue_chart_divisors(fol.ring, fol.n, chart_fns)
 
 
 def closed_defining_form(fol: Foliation) -> DiffForm:
@@ -468,16 +515,18 @@ def closed_defining_form(fol: Foliation) -> DiffForm:
     The result is a closed rational form defining the same foliation; its
     polar and zero divisors recover the degeneracy divisor modulo p.
     """
-    if fol.p == 0:
-        raise ArithmeticError("needs positive characteristic")
-    for v in koszul_fields(fol.form):
-        f = p_curvature(fol, v)
-        if f:
-            omega_prime = fol.form * (1 / f)
-            if omega_prime.d():
-                raise AssertionError("omega / omega(v^p) failed to be closed")
-            return omega_prime
-    raise PClosedError("foliation is p-closed; no closed defining form")
+    f = fol.pcurvature.f
+    if f is None:
+        raise PClosedError("foliation is p-closed; no closed defining form")
+    return fol.form / f
+
+
+def _saturate_over_lc(fol: Foliation, form: DiffForm) -> DiffForm:
+    """Saturate a form built from eta and scale it by 1/lc(f), the leading
+    coefficient of f: the scalar that clearing the same form built from
+    eta / f by its monic least common denominator leaves."""
+    _, lc = fol.pcurvature.f.leading()
+    return form.saturate() * fol.ring.inv(lc)
 
 
 @dataclass
@@ -491,18 +540,16 @@ class KernelResult:
 def p_kernel(fol: Foliation) -> KernelResult:
     """The codimension-two distribution annihilating the p-curvature.
 
-    Computed as the saturation of omega /\\ C(omega'), where omega' is the
-    closed defining form.
+    Computed as the saturation of omega /\\ eta, where eta = f C(omega / f)
+    comes from the p-curvature record, scaled by 1/lc(f) as in
+    ``cartier_transform_foliation``.
     """
     if fol.chart.nvars < 3:
         raise ValueError("the kernel distribution needs ambient dimension >= 3")
-    omega_prime = closed_defining_form(fol)
-    eta = cartier_rational(omega_prime)
-    theta = fol.form.wedge(eta)
+    theta = fol.form.wedge(fol.pcurvature.eta)
     if theta.is_zero:
         raise ArithmeticError("kernel 2-form vanishes identically")
-    theta, _ = theta.clear_denominators()
-    theta = theta.saturate()
+    theta = _saturate_over_lc(fol, theta)
     degree = None
     if fol.projective:
         if theta.contract(euler_field(fol.chart)):
@@ -512,35 +559,28 @@ def p_kernel(fol: Foliation) -> KernelResult:
 
 
 def cartier_transform_foliation(fol: Foliation) -> tuple[DiffForm, bool]:
-    """The saturated Cartier transform C(omega') and its integrability flag."""
-    omega_prime = closed_defining_form(fol)
-    eta = cartier_rational(omega_prime)
+    """The saturated Cartier transform of omega / f and its integrability flag.
+
+    C(omega / f) = eta / f, so it is eta saturated, up to a scalar.  The
+    result is scaled by 1/lc(f), the inverse leading coefficient of f: then
+    it equals C(omega / f) cleared by its monic least common denominator
+    and saturated, which fixes the scalar of the ``pfol cartier`` output.
+    """
+    eta = fol.pcurvature.eta
     if eta.is_zero:
         raise ArithmeticError("Cartier transform vanishes identically")
-    eta, _ = eta.clear_denominators()
-    eta = eta.saturate()
+    eta = _saturate_over_lc(fol, eta)
     integrable = True
     if fol.chart.nvars >= 3:
         integrable = not eta.wedge(eta.d())
     return eta, integrable
 
 
-def is_invariant_hypersurface(fol: Foliation, h: MultiPoly) -> bool:
-    """Whether {h = 0} is invariant: h divides every coefficient of
-    omega /\\ dh."""
-    chart = fol.chart
-    dh = DiffForm(chart, 1, {(i,): h.deriv(i) for i in range(chart.nvars)})
-    w = fol.form.wedge(dh)
-    return all(h.divides(c.as_poly()) for c in w.terms.values())
-
-
-def is_invariant_for_two_form(theta: DiffForm, h: MultiPoly) -> bool:
-    """Whether {h = 0} is invariant for the distribution cut out by a 2-form:
-    h divides every coefficient of dh /\\ theta."""
-    chart = theta.chart
-    dh = DiffForm(chart, 1, {(i,): h.deriv(i) for i in range(chart.nvars)})
-    w = dh.wedge(theta)
-    return all(h.divides(c.as_poly()) for c in w.terms.values())
+def is_invariant_hypersurface(form: DiffForm, h: MultiPoly) -> bool:
+    """Whether {h = 0} is invariant for the foliation or distribution cut
+    out by a form: h divides every coefficient of dh /\\ form."""
+    dh = DiffForm(form.chart, 0, {(): h}).d()
+    return all(h.divides(c.as_poly()) for c in dh.wedge(form).terms.values())
 
 
 def intersect_distributions(f1: Foliation, f2: Foliation):

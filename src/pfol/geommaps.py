@@ -14,18 +14,13 @@ from .exterior import Chart, DiffForm, cone_chart, proj_chart, pullback_form
 from .foliation import (
     Divisor,
     Foliation,
-    coprime_basis,
+    degeneracy_divisor,
     from_form,
-    is_invariant_for_two_form,
+    glue_chart_divisors,
     is_invariant_hypersurface,
     p_kernel,
 )
-from .mpoly import (
-    MultiPoly,
-    RationalFunction,
-    multiplicity_along,
-    squarefree_decomposition,
-)
+from .mpoly import MultiPoly, RationalFunction
 
 
 @dataclass
@@ -178,37 +173,6 @@ def _divisor_of_rational(fn: RationalFunction, ring, nvars, ambient) -> Divisor:
     return zeros - poles
 
 
-def _assemble_projective(ring, n, chart_fns: dict[int, RationalFunction]) -> Divisor:
-    """Glue per-chart divisors of rational functions into a projective divisor."""
-    candidates = []
-    for j, fn in chart_fns.items():
-        for poly in (fn.num, fn.den):
-            if poly.is_constant:
-                continue
-            for comp, _ in squarefree_decomposition(poly):
-                candidates.append(comp.homogenize(j))
-    basis = coprime_basis(candidates)
-    items = []
-    for h in basis:
-        mults = set()
-        for j, fn in chart_fns.items():
-            h_aff = h.set_var_one(j)
-            if h_aff.is_constant:
-                continue
-            m = multiplicity_along(fn.num, h_aff)
-            if not fn.den.is_constant:
-                m -= multiplicity_along(fn.den, h_aff)
-            mults.add(m)
-        if not mults:
-            raise AssertionError("component invisible on every chart")
-        if len(mults) != 1:
-            raise AssertionError(f"inconsistent chart multiplicities {mults}")
-        m = mults.pop()
-        if m:
-            items.append((h, m))
-    return Divisor(ring, n + 1, items, "proj")
-
-
 def ramification_divisor(phi: RationalMap) -> Divisor:
     """The ramification divisor of a generically finite separable map
     between spaces of equal dimension, via the Jacobian determinant."""
@@ -221,7 +185,7 @@ def ramification_divisor(phi: RationalMap) -> Divisor:
         return _divisor_of_rational(jac, ring, n, "affine")
     n = phi.source.nvars - 1
     comps = phi.poly_comps()
-    chart_fns: dict[int, RationalFunction] = {}
+    chart_fns = {}
     for j in range(n + 1):
         dehom = [c.set_var_one(j) for c in comps]
         t = j if not dehom[j].is_zero else next(
@@ -233,8 +197,8 @@ def ramification_divisor(phi: RationalMap) -> Divisor:
         jac = _jacobian_det(affine, n)
         if not jac:
             raise ValueError("Jacobian vanishes identically on a chart")
-        chart_fns[j] = jac
-    div = _assemble_projective(ring, n, chart_fns)
+        chart_fns[j] = (jac.num, jac.den)
+    div = glue_chart_divisors(ring, n, chart_fns)
     if not div.is_effective():
         raise AssertionError("assembled ramification divisor is not effective")
     return div
@@ -293,8 +257,6 @@ def verify_pullback_degeneracy(phi: RationalMap, fol: Foliation) -> dict:
     is invariant for its p-curvature kernel distribution, -p*r*H extra when
     it is not (the two generic contributions cancelling to zero).
     """
-    from .foliation import degeneracy_divisor
-
     pb = pullback_foliation(phi, fol)
     delta_g = degeneracy_divisor(fol)
     delta_f = degeneracy_divisor(pb)
@@ -309,9 +271,9 @@ def verify_pullback_degeneracy(phi: RationalMap, fol: Foliation) -> dict:
     correction = Divisor.zero(chart.ring, chart.nvars, ambient)
     components = []
     for h, r in ram.normalize():
-        f_inv = is_invariant_hypersurface(pb, h)
+        f_inv = is_invariant_hypersurface(pb.form, h)
         k_inv = (
-            is_invariant_for_two_form(theta, h) if theta is not None else None
+            is_invariant_hypersurface(theta, h) if theta is not None else None
         )
         term = Divisor(chart.ring, chart.nvars, [(h, r)], ambient)
         if f_inv:

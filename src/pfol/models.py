@@ -10,7 +10,6 @@ import io
 import json
 from dataclasses import dataclass, asdict
 
-from .cartier import cartier_rational  # noqa: F401  (re-exported convenience)
 from .exterior import Chart, DiffForm, affine_chart, cone_chart
 from .foliation import (
     Foliation,

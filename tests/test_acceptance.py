@@ -18,6 +18,7 @@ from pfol.exterior import (
 )
 from pfol.foliation import (
     Foliation,
+    analyze,
     closed_defining_form,
     cartier_transform_foliation,
     degeneracy_divisor,
@@ -233,6 +234,27 @@ def test_degree_two_degeneracy_has_degree_p_plus_four():
         assert delta.degree() == predicted_degeneracy_degree(p, 2, 0)
 
 
+def test_generic_degree_two_plane_foliation_over_f5():
+    # W1: each coefficient of a dx + b dy sums F.random(rng) x^i y^j over
+    # i + j <= 2 (a first, then b), homogenized to P^2
+    p = 5
+    F = GF(p)
+    rng = random.Random(1)
+    chart = affine_chart(F, 2)
+    x, y = chart.vars()
+    coeffs = []
+    for _ in range(2):
+        acc = MultiPoly.zero(F, 2)
+        for i in range(3):
+            for j in range(3 - i):
+                acc = acc + (x**i * y**j).scale(F.random(rng))
+        coeffs.append(acc)
+    fol = projectivize(DiffForm(chart, 1, {(0,): coeffs[0], (1,): coeffs[1]}))
+    report = analyze(fol)
+    assert report.deg_degeneracy == predicted_degeneracy_degree(p, 2, 0) == 9
+    assert report.cartier_integrable is True
+
+
 # 7. three pullback behaviors of the degeneracy divisor
 
 
@@ -409,13 +431,13 @@ def test_closed_form_divisor_congruence_and_invariance():
             assert all(m % p == 0 for _, m in residual.normalize())
         # known invariant hypersurfaces lie in the support of the divisor
         for h in invariant_hypersurfaces:
-            assert is_invariant_hypersurface(fol, h)
+            assert is_invariant_hypersurface(fol.form, h)
             # normalized components are squarefree but may factor further
             assert any(h.monic().divides(g) for g in support)
         # components with multiplicity not divisible by p are invariant
         for h, m in delta.normalize():
             if m % p != 0:
-                assert is_invariant_hypersurface(fol, h)
+                assert is_invariant_hypersurface(fol.form, h)
 
 
 # 12. restriction to a hyperplane and the different

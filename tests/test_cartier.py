@@ -4,11 +4,18 @@ import pytest
 
 from pfol.cartier import (
     NotClosedError,
-    cartier_rational,
     cartier_transform,
     classify_closedness,
 )
-from pfol.exterior import DiffForm, affine_chart
+from pfol.exterior import DiffForm, affine_chart, cone_chart
+from pfol.foliation import (
+    cartier_transform_foliation,
+    closed_defining_form,
+    is_p_closed,
+    log_foliation,
+    p_kernel,
+    projectivize,
+)
 from pfol.mpoly import MultiPoly, RationalFunction
 from pfol.rings import GF
 
@@ -88,6 +95,24 @@ def test_cartier_golden_value():
         assert not image.wedge(image.d()).is_zero
 
 
+def cartier_rational_reference(form):
+    """C on a closed rational form: clear the least common denominator q by
+    q^p, apply the polynomial operator, divide by q."""
+    den = form.common_denominator()
+    return cartier_transform(form * den ** form.chart.ring.characteristic) / den
+
+
+def rational_route(fol):
+    """The saturated Cartier transform and kernel 2-form of a foliation,
+    computed from the closed rational form omega / omega(v^p)."""
+    eta = cartier_rational_reference(closed_defining_form(fol))
+    out = []
+    for form in (eta, fol.form.wedge(eta)):
+        form, _ = form.clear_denominators()
+        out.append(form.saturate())
+    return out
+
+
 def test_cartier_rational_clearing_invariance():
     # the value of C on a rational closed form does not depend on how the
     # denominator is cleared
@@ -100,14 +125,72 @@ def test_cartier_rational_clearing_invariance():
         (0,): RationalFunction(one, x),
         (1,): RationalFunction(one, y),
     })
-    base = cartier_rational(form)
+    base = cartier_rational_reference(form)
     extra = RationalFunction.from_poly((x + y) ** p) / RationalFunction.from_poly(
         (x + y) ** p
     )
-    assert cartier_rational(form * extra) == base
+    assert cartier_rational_reference(form * extra) == base
     # dlog x is a fixed point
     dlogx = DiffForm(chart, 1, {(0,): RationalFunction(one, x)})
-    assert cartier_rational(dlogx) == dlogx
+    assert cartier_rational_reference(dlogx) == dlogx
+
+
+def w1_foliation(p, seed):
+    """A generic degree-two foliation on P^2 over F_p: each coefficient of
+    a dx + b dy sums F.random(rng) x^i y^j over i + j <= 2, a first."""
+    F = GF(p)
+    rng = random.Random(seed)
+    chart = affine_chart(F, 2)
+    x, y = chart.vars()
+    coeffs = []
+    for _ in range(2):
+        acc = MultiPoly.zero(F, 2)
+        for i in range(3):
+            for j in range(3 - i):
+                acc = acc + (x**i * y**j).scale(F.random(rng))
+        coeffs.append(acc)
+    return projectivize(DiffForm(chart, 1, {(0,): coeffs[0], (1,): coeffs[1]}))
+
+
+def log_foliations(p, rng):
+    """Two p-dense log foliations over GF(p^2) on A^3, with components x, y
+    and a random affine-linear one, and two on P^3, with components the
+    quadric x0 x1 - x2 x3 + x0^2 and x0, x1, x2."""
+    F = GF(p, 2)
+    chart = affine_chart(F, 3)
+    x, y, z = chart.vars()
+    cone = cone_chart(F, 3)
+    x0, x1, x2, x3 = cone.vars()
+    quadric = x0 * x1 - x2 * x3 + x0**2
+    affine, projective = [], []
+    while len(affine) < 2 or len(projective) < 2:
+        lin = MultiPoly.one(F, 3) + x.scale(F.random_nonzero(rng)) + z.scale(
+            F.random_nonzero(rng)
+        )
+        weights = [F.random_nonzero(rng) for _ in range(3)]
+        fol = log_foliation([x, y, lin], weights)
+        if len(affine) < 2 and not is_p_closed(fol):
+            affine.append(fol)
+        w = [F.random_nonzero(rng) for _ in range(3)]
+        last = -(w[0] * F.coerce(2) + w[1] + w[2])
+        if len(projective) < 2 and last:
+            fol = log_foliation([quadric, x0, x1, x2], w + [last], projective=True)
+            if not is_p_closed(fol):
+                projective.append(fol)
+    return affine + projective
+
+
+def test_polynomial_cartier_route_matches_rational_reference():
+    # C(f^(p-1) omega), saturated and scaled by 1/lc(f), is exactly the
+    # saturated C(omega / f) of the rational route, and so is the kernel
+    foliations = [w1_foliation(p, seed) for p in (2, 3) for seed in (1, 2, 3, 4)]
+    rng = random.Random(4)
+    for p in (3, 5):
+        foliations.extend(log_foliations(p, rng))
+    for fol in foliations:
+        eta, theta = rational_route(fol)
+        assert cartier_transform_foliation(fol)[0] == eta
+        assert p_kernel(fol).two_form == theta
 
 
 def test_classify_not_closed():

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from pfol.cartier import cartier_transform
 from pfol.exterior import DiffForm, VectorField, affine_chart, cone_chart, euler_field
 from pfol.foliation import (
     Divisor,
+    Foliation,
     PClosedError,
     ValidationError,
     analyze,
@@ -14,6 +16,7 @@ from pfol.foliation import (
     degeneracy_divisor,
     divisor_difference_of_closed_form,
     from_form,
+    glue_chart_divisors,
     is_invariant_hypersurface,
     is_p_closed,
     koszul_fields,
@@ -33,6 +36,20 @@ def test_coprime_basis():
     y = MultiPoly.var(F, 2, 1)
     basis = coprime_basis([x * y, y * (x + y)])
     assert sorted(map(str, basis)) == ["x", "x + y", "y"]
+
+
+def test_glue_chart_divisors():
+    # on P^1, (1 + t)^2 / t on {x0 != 0} and (1 + t)^2 on {x1 != 0} both give
+    # x0 + x1 twice; the pole along x1 lies on the first chart only
+    F = GF(5)
+    t = MultiPoly.var(F, 1, 0)
+    one = MultiPoly.one(F, 1)
+    x0 = MultiPoly.var(F, 2, 0)
+    x1 = MultiPoly.var(F, 2, 1)
+    div = glue_chart_divisors(F, 1, {0: ((one + t) ** 2, t), 1: ((one + t) ** 2, one)})
+    assert div.normalize() == [(x0 + x1, 2), (x1, -1)]
+    with pytest.raises(AssertionError, match="component x \\+ y"):
+        glue_chart_divisors(F, 1, {0: (one + t, one), 1: ((one + t) ** 2, one)})
 
 
 def test_divisor_arithmetic():
@@ -193,6 +210,9 @@ def test_p_kernel_properties():
     assert theta.wedge(fol.form).is_zero
     assert theta.content().is_constant
     assert kernel.degree == 1
+    # the coordinate hyperplanes stay invariant for the kernel distribution
+    assert all(is_invariant_hypersurface(theta, x) for x in xs)
+    assert not is_invariant_hypersurface(theta, xs[0] + xs[2])
 
 
 def test_cartier_transform_integrable_flag():
@@ -219,8 +239,43 @@ def test_invariant_hypersurfaces():
     })
     fol = from_form(form, projective=True)
     for h in (x0, x1, x2):
-        assert is_invariant_hypersurface(fol, h)
-    assert not is_invariant_hypersurface(fol, x0 + x1)
+        assert is_invariant_hypersurface(fol.form, h)
+    assert not is_invariant_hypersurface(fol.form, x0 + x1)
+
+
+def test_cartier_transform_rejects_non_closed_defining_form():
+    # y dx + z dy + x dz is not integrable, so omega / omega(v^p) cannot be
+    # closed
+    F = GF(3)
+    chart = affine_chart(F, 3)
+    x, y, z = chart.vars()
+    fol = Foliation(DiffForm(chart, 1, {(0,): y, (1,): z, (2,): x}), False, None)
+    assert not is_p_closed(fol)
+    with pytest.raises(AssertionError, match="failed to be closed"):
+        cartier_transform_foliation(fol)
+
+
+def test_analyze_runs_the_cartier_operator_once(monkeypatch):
+    # analyze on a W2 log foliation on P^3 reads the Cartier transform for
+    # both the integrability flag and the kernel from one computation
+    import pfol.foliation
+
+    calls = []
+
+    def counting(form, check_closed=True):
+        calls.append(form)
+        return cartier_transform(form, check_closed)
+
+    monkeypatch.setattr(pfol.foliation, "cartier_transform", counting)
+    F = GF(5, 2)
+    t = F.generator()
+    x0, x1, x2, x3 = cone_chart(F, 3).vars()
+    quadric = x0 * x1 - x2 * x3 + x0**2
+    weights = [F.one(), t, -t - F.one(), -F.one()]
+    fol = log_foliation([quadric, x0, x1, x2], weights, projective=True)
+    report = analyze(fol)
+    assert not report.p_closed and report.deg_kernel is not None
+    assert len(calls) == 1
 
 
 def test_analyze_report():
