@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--field", help="override the field line of the document")
     common.add_argument("--json", action="store_true", help="emit JSON")
     common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks")
+                        help="seed for the random span combinations of distmin2")
 
     parser = argparse.ArgumentParser(
         prog="pfol",

@@ -4,9 +4,10 @@ A candidate subdistribution of degree delta is encoded by a projective
 2-form Theta with polynomial coefficients of degree delta+1 subject to the
 exact linear constraints i_R Theta = 0 (radial contraction) and
 Theta /\\ omega = 0 (tangency to the foliation).  The search sweeps delta
-upward, rejecting solutions with nonunit content and verifying corank 2 at
-random points; witnesses are tested for integrability by bracket-closing
-their kernel fields over the rational function field.
+upward and accepts the first solution with unit content and rank 2, tested
+exactly by the vanishing of its 4x4 Pfaffians.  The integrability of the
+witness's kernel is the polynomial identity (i_{d/dx_k} Theta) /\\ dTheta = 0
+for every k, which characterises integrability for decomposable 2-forms.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from .exterior import DiffForm, VectorField, euler_field
 from .foliation import Foliation
-from .mpoly import MultiPoly, RationalFunction
+from .mpoly import MultiPoly
 from .rings import GF
 
 
@@ -163,91 +164,38 @@ def subdistribution_space(fol: Foliation, delta: int) -> SubdistributionSystem:
 # witness validation
 
 
-def _sampling_field(ring):
-    """A field with enough points for probabilistic rank checks, plus an
-    embedding of coefficients."""
-    if isinstance(ring, GF):
-        if ring.order < 30 and ring.k == 1:
-            ext = GF(ring.p, 3)
-            return ext, lambda c: ext.coerce(c.coeffs[0])
-        return ring, lambda c: c
-    return ring, lambda c: c  # Q: plenty of points
+def is_rank_two(theta: DiffForm) -> bool:
+    """Whether the 2-form theta has rank 2 over the rational function field.
 
-
-def _eval_embedded(poly: MultiPoly, pt, embed):
-    acc = None
-    for e, c in poly.terms.items():
-        t = embed(c)
-        for v, k in zip(pt, e):
-            for _ in range(k):
-                t = t * v
-        acc = t if acc is None else acc + t
-    return acc
-
-
-def _rank_at_point(theta: DiffForm, pt, sample_field, embed) -> int:
-    n1 = theta.chart.nvars
-    rows = []
-    for i in range(n1):
-        row = {}
-        for j in range(n1):
-            if i == j:
-                continue
-            c = theta.coeff((i, j))
-            if not c:
-                continue
-            val = _eval_embedded(c.as_poly(), pt, embed)
-            if val:
-                row[j] = val
-        rows.append(row)
-    return rank_of(rows)
-
-
-def _corank_two_at_random(theta: DiffForm, rng, tries: int = 5) -> bool:
-    ring = theta.chart.ring
-    sample_field, embed = _sampling_field(ring)
-    n1 = theta.chart.nvars
-    best = 0
-    for _ in range(tries):
-        if isinstance(sample_field, GF):
-            pt = [sample_field.random(rng) for _ in range(n1)]
-        else:
-            pt = [Fraction(rng.randint(-50, 50)) for _ in range(n1)]
-        best = max(best, _rank_at_point(theta, pt, sample_field, embed))
-        if best > 2:
+    True iff theta is nonzero and every 4x4 Pfaffian
+    theta_ij*theta_kl - theta_ik*theta_jl + theta_il*theta_jk vanishes
+    (i < j < k < l).  The Pfaffians are used rather than theta /\\ theta,
+    which vanishes identically in characteristic 2.
+    """
+    if theta.is_zero:
+        return False
+    c = theta.coeff
+    for i, j, k, l in itertools.combinations(range(theta.chart.nvars), 4):
+        if c((i, j)) * c((k, l)) - c((i, k)) * c((j, l)) + c((i, l)) * c((j, k)):
             return False
-    return best == 2
+    return True
 
 
 def witness_integrability(theta: DiffForm) -> bool:
-    """Bracket-closure test for the kernel distribution of a 2-form.
+    """Whether the kernel distribution of a decomposable 2-form is integrable.
 
-    Kernel fields are computed exactly over the rational function field;
-    the distribution is integrable iff the bracket of any two kernel fields
-    is again annihilated by the 2-form.
+    Precondition: theta is decomposable, theta = alpha /\\ beta (for
+    instance ``is_rank_two(theta)``).  Then the kernel is integrable iff
+    (i_{d/dx_k} theta) /\\ d(theta) = 0 for every coordinate field d/dx_k
+    (de Medeiros, Singular foliations and differential p-forms, 2000).
     """
     chart = theta.chart
     n1 = chart.nvars
-    zero_rf = RationalFunction.from_poly(MultiPoly.zero(chart.ring, n1))
-    one_rf = RationalFunction.from_poly(MultiPoly.one(chart.ring, n1))
-    rows = []
-    for j in range(n1):
-        row = {}
-        for i in range(n1):
-            c = theta.coeff((i, j))
-            if c:
-                row[i] = c
-        rows.append(row)
-    kernel = nullspace(rows, n1, one_rf)
-    fields = []
-    for vec in kernel:
-        comps = [vec.get(i, zero_rf) for i in range(n1)]
-        fields.append(VectorField(chart, comps))
-    for a in range(len(fields)):
-        for b in range(a + 1, len(fields)):
-            bracket = fields[a].lie_bracket(fields[b])
-            if theta.contract(bracket):
-                return False
+    dtheta = theta.d()
+    for k in range(n1):
+        field = VectorField(chart, [int(i == k) for i in range(n1)])
+        if theta.contract(field).wedge(dtheta):
+            return False
     return True
 
 
@@ -265,10 +213,15 @@ def distmin2(fol: Foliation, delta_max: int | None = None, seed: int = 0) -> Dis
 
     Sweeps delta from 0 to delta_max (default deg F, which always carries
     the obvious subdistributions omega /\\ dl).  A delta is accepted when
-    some solution has unit content and corank 2 at random points.
+    some solution has unit content and rank 2.  The candidates are the basis
+    of the solution space and, when it has more than one element, ten random
+    combinations of it drawn from ``random.Random(seed)``: a witness may
+    exist in the span when no basis vector qualifies.
     """
     if delta_max is None:
         delta_max = fol.degree
+    if delta_max < 0:
+        raise ValueError("delta_max must be nonnegative")
     rng = random.Random(seed)
     dims: list[int] = []
     checked = 0
@@ -297,7 +250,7 @@ def distmin2(fol: Foliation, delta_max: int | None = None, seed: int = 0) -> Dis
             checked += 1
             if not theta.content().is_constant:
                 continue
-            if not _corank_two_at_random(theta, rng):
+            if not is_rank_two(theta):
                 continue
             return DistminResult(
                 delta, theta, witness_integrability(theta), dims, checked

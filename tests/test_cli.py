@@ -140,6 +140,14 @@ def test_distmin2(tmp_path, capsys):
     assert data["dimensions"] == [0, 0, 4]
 
 
+def test_distmin2_negative_delta_max_is_input_error(tmp_path, capsys):
+    doc = write(tmp_path, "dm.txt", DISTMIN)
+    assert main(["distmin2", "--delta-max", "-1", doc]) == 2
+    captured = capsys.readouterr()
+    assert "delta_max must be nonnegative" in captured.err
+    assert captured.out == ""
+
+
 def test_defect(tmp_path, capsys):
     doc = write(tmp_path, "defect.txt", DEFECT_DOC)
     assert main(["defect", "--p", "3", doc]) == 0

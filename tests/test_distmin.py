@@ -4,15 +4,16 @@ import pytest
 
 from pfol.distmin import (
     distmin2,
+    is_rank_two,
     nullspace,
     rank_of,
     rref,
     subdistribution_space,
     witness_integrability,
 )
-from pfol.exterior import cone_chart, euler_field
+from pfol.exterior import VectorField, affine_chart, cone_chart, euler_field
 from pfol.foliation import log_foliation
-from pfol.mpoly import MultiPoly
+from pfol.mpoly import MultiPoly, RationalFunction
 from pfol.rings import GF, QQ
 
 
@@ -124,3 +125,94 @@ def test_seed_determinism():
     r2 = distmin2(fol, seed=5)
     assert r1.delta == r2.delta
     assert r1.witness == r2.witness
+
+
+# ---------------------------------------------------------------------------
+# reference routes for the exact witness tests
+
+
+def coefficient_rows(theta):
+    """The coefficient matrix of theta over the rational function field, as
+    rows j -> {i: theta_ij}; its kernel is the kernel of theta."""
+    n1 = theta.chart.nvars
+    rows = []
+    for j in range(n1):
+        row = {}
+        for i in range(n1):
+            c = theta.coeff((i, j))
+            if c:
+                row[i] = c
+        rows.append(row)
+    return rows
+
+
+def rank_reference(theta):
+    """The rank of theta, by elimination over the rational function field."""
+    return rank_of(coefficient_rows(theta))
+
+
+def bracket_closure_reference(theta):
+    """Integrability of the kernel of theta: the kernel fields are computed
+    over the rational function field, and the bracket of any two of them
+    must again be annihilated by theta."""
+    chart = theta.chart
+    n1 = chart.nvars
+    one_rf = RationalFunction.from_poly(MultiPoly.one(chart.ring, n1))
+    zero_rf = RationalFunction.from_poly(MultiPoly.zero(chart.ring, n1))
+    kernel = nullspace(coefficient_rows(theta), n1, one_rf)
+    fields = [
+        VectorField(chart, [vec.get(i, zero_rf) for i in range(n1)])
+        for vec in kernel
+    ]
+    for a in range(len(fields)):
+        for b in range(a + 1, len(fields)):
+            if theta.contract(fields[a].lie_bracket(fields[b])):
+                return False
+    return True
+
+
+REFERENCE_CASES = [
+    pytest.param(make, ring, id=f"{make.__name__}-{label}")
+    for make in (quadric_pencil, three_component, linear_pullback)
+    for ring, label in ((GF(101), "F101"), (QQ, "Q"), (GF(3), "F3"))
+] + [pytest.param(three_component, GF(2), id="three_component-F2")]
+
+
+@pytest.mark.parametrize("make,ring", REFERENCE_CASES)
+def test_exact_witness_tests_match_reference_routes(make, ring):
+    fol = make(ring)
+    rank_two_forms = 0
+    for delta in range(fol.degree + 1):
+        for theta in subdistribution_space(fol, delta).basis:
+            rank_two = rank_reference(theta) == 2
+            assert is_rank_two(theta) == rank_two
+            if rank_two:
+                rank_two_forms += 1
+                assert witness_integrability(theta) == bracket_closure_reference(theta)
+    assert rank_two_forms
+
+
+def a4_chart(ring):
+    return affine_chart(ring, 4, ("x", "y", "z", "w"))
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(3), QQ], ids=["F2", "F3", "Q"])
+def test_decomposable_non_integrable_form(ring):
+    chart = a4_chart(ring)
+    y = chart.var(1)
+    # alpha = dw, beta = dz - y dx: alpha /\ beta /\ dbeta = dw/\dz/\dx/\dy != 0
+    theta = chart.dx(3).wedge(chart.dx(2) - chart.dx(0) * y)
+    assert is_rank_two(theta)
+    assert rank_reference(theta) == 2
+    assert witness_integrability(theta) is False
+    assert bracket_closure_reference(theta) is False
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(3), QQ], ids=["F2", "F3", "Q"])
+def test_rank_four_and_zero_forms_are_not_rank_two(ring):
+    chart = a4_chart(ring)
+    # theta /\ theta = 2 dx/\dy/\dz/\dw vanishes over GF(2); the Pfaffian does not
+    theta = chart.dx(0).wedge(chart.dx(1)) + chart.dx(2).wedge(chart.dx(3))
+    assert not is_rank_two(theta)
+    assert rank_reference(theta) == 4
+    assert not is_rank_two(chart.zero_form(2))
