@@ -305,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", help="override the field line of the document")
     common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for the random span combinations of distmin2")
 
     parser = argparse.ArgumentParser(
         prog="pfol",
@@ -342,6 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
                "minimal degree of a codimension-two subdistribution")
     p_dm.add_argument("--delta-max", type=int, default=None,
                       help="largest degree to sweep (default: deg F)")
+    p_dm.add_argument("--seed", type=int, default=0,
+                      help="seed for the random span combinations")
     p_def = add("defect", cmd_defect,
                 "integrability defect of an integer 1-form in three variables")
     p_def.add_argument("--p", type=int, required=True,

@@ -408,14 +408,36 @@ class VectorField:
         )
 
     def pth_power(self) -> "VectorField":
-        """The p-fold iterated derivation v^p (again a derivation)."""
+        """The p-fold iterated derivation v^p (again a derivation).
+
+        Its components are v^p(x_i) = v^(p-1)(c_i) for the components c_i
+        of v, each step being g <- sum_j c_j dg/dx_j.  The loop runs on
+        ``MultiPoly`` values when every c_i is a polynomial, so no
+        rational function is normalised on the way, and on
+        ``RationalFunction`` values otherwise.
+        """
         p = self.chart.ring.characteristic
         if p == 0:
             raise ArithmeticError("p-th powers need positive characteristic")
-        comps = []
-        for i in range(self.chart.nvars):
-            comps.append(self.apply_iter(self.chart.var(i), p))
-        return VectorField(self.chart, comps)
+        if self.is_polynomial():
+            comps = [c.as_poly() for c in self.comps]
+            zero = MultiPoly.zero(self.chart.ring, self.chart.nvars)
+        else:
+            comps, zero = self.comps, _as_rf(self.chart, 0)
+        support = [(j, c) for j, c in enumerate(comps) if c]
+        out = []
+        for g in comps:
+            for _ in range(p - 1):
+                if not g:
+                    break
+                acc = zero
+                for j, c in support:
+                    dg = g.deriv(j)
+                    if dg:
+                        acc = acc + c * dg
+                g = acc
+            out.append(g)
+        return VectorField(self.chart, out)
 
     def is_polynomial(self) -> bool:
         return all(c.is_polynomial for c in self.comps)

@@ -418,13 +418,29 @@ def p_curvature(fol: Foliation, v: VectorField) -> RationalFunction:
     return fol.form.pair(v.pth_power())
 
 
+def _koszul_pcurvatures(form: DiffForm):
+    """Yield omega(v^p) = sum_i a_i (v^p)_i, a polynomial, for each Koszul
+    field v of omega = sum_i a_i dx_i, in the order of ``koszul_fields``."""
+    a = [form.coeff((i,)).as_poly() for i in range(form.chart.nvars)]
+    zero = MultiPoly.zero(form.chart.ring, form.chart.nvars)
+    for v in koszul_fields(form):
+        acc = zero
+        for a_i, c in zip(a, v.pth_power().comps):
+            if a_i and c:
+                acc = acc + a_i * c.as_poly()
+        yield acc
+
+
 class PCurvature:
     """The p-curvature data every invariant of a foliation is read from.
 
     ``f`` is omega(v^p) for the first Koszul field v where it does not
-    vanish, or None when the foliation is p-closed.  ``eta`` is
-    C(f^(p-1) omega) = f C(omega / f): the Cartier transform of the closed
-    defining form omega / f, cleared of its denominator by C(g^p a) = g C(a).
+    vanish, or None when the foliation is p-closed.  The values omega(v^p)
+    are polynomials, formed from the polynomial p-th powers v^p; the
+    construction stops at f, and ``values`` computes the remaining ones
+    once, for the degeneracy divisor.  ``eta`` is C(f^(p-1) omega) =
+    f C(omega / f): the Cartier transform of the closed defining form
+    omega / f, cleared of its denominator by C(g^p a) = g C(a).
     Read it through ``Foliation.pcurvature``, which builds it once.
     """
 
@@ -432,11 +448,18 @@ class PCurvature:
         self.omega = fol.form
         self.p = fol.p
         self.f = None
-        for v in koszul_fields(fol.form):
-            val = p_curvature(fol, v)
+        self._computed = []
+        self._rest = _koszul_pcurvatures(fol.form)
+        for val in self._rest:
+            self._computed.append(val)
             if val:
-                self.f = val.as_poly()
+                self.f = val
                 break
+
+    @cached_property
+    def values(self) -> list[MultiPoly]:
+        """omega(v^p) for every Koszul field v, in order."""
+        return self._computed + list(self._rest)
 
     @cached_property
     def eta(self) -> DiffForm:
@@ -471,13 +494,9 @@ def _affine_restriction(fol: Foliation, j: int) -> DiffForm | None:
     return form.saturate()
 
 
-def _chart_pcurvature_gcd(form: DiffForm) -> MultiPoly | None:
-    """gcd of omega(v^p) over the Koszul generators; None if all vanish."""
-    vals = []
-    for v in koszul_fields(form):
-        val = form.pair(v.pth_power())
-        if val:
-            vals.append(val.as_poly())
+def _pcurvature_gcd(vals) -> MultiPoly | None:
+    """gcd of the values omega(v^p) over the Koszul fields; None if all vanish."""
+    vals = [val for val in vals if val]
     if not vals:
         return None
     return gcd_list(vals).monic()
@@ -490,7 +509,7 @@ def degeneracy_divisor(fol: Foliation) -> Divisor:
     charts.
     """
     if not fol.projective:
-        g = _chart_pcurvature_gcd(fol.form)
+        g = _pcurvature_gcd(fol.pcurvature.values)
         if g is None:
             raise PClosedError("foliation is p-closed; no degeneracy divisor")
         return Divisor.of_polynomial(g, "affine")
@@ -501,7 +520,7 @@ def degeneracy_divisor(fol: Foliation) -> Divisor:
         form_j = _affine_restriction(fol, j)
         if form_j is None:
             continue
-        g = _chart_pcurvature_gcd(form_j)
+        g = _pcurvature_gcd(_koszul_pcurvatures(form_j))
         if g is not None:
             chart_fns[j] = (g, one)
     if not chart_fns:

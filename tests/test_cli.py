@@ -148,6 +148,16 @@ def test_distmin2_negative_delta_max_is_input_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_seed_is_a_distmin2_option_only(monkeypatch, capsys):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(DEG1))
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--seed", "5", "-"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
 def test_defect(tmp_path, capsys):
     doc = write(tmp_path, "defect.txt", DEFECT_DOC)
     assert main(["defect", "--p", "3", doc]) == 0

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from pfol.exterior import (
     DiffForm,
     VectorField,
@@ -11,7 +13,7 @@ from pfol.exterior import (
     pullback_form,
 )
 from pfol.mpoly import MultiPoly, RationalFunction
-from pfol.rings import GF
+from pfol.rings import GF, QQ
 
 
 def random_poly(ring, nvars, rng, deg=2, nterms=3):
@@ -104,6 +106,52 @@ def test_pth_power_is_derivation():
         g = RationalFunction.from_poly(random_poly(GF(3), 2, rng))
         vp = v.pth_power()
         assert vp.apply(f * g) == vp.apply(f) * g + f * vp.apply(g)
+
+
+def pth_power_reference(v):
+    """v^p by iterating v p times on each coordinate over RationalFunction."""
+    p = v.chart.ring.characteristic
+    return VectorField(
+        v.chart, [v.apply_iter(v.chart.var(i), p) for i in range(v.chart.nvars)]
+    )
+
+
+def test_pth_power_matches_iterated_reference():
+    rng = random.Random(11)
+    for F in (GF(2), GF(3), GF(5), GF(7), GF(3, 2), GF(5, 2)):
+        for nvars in (2, 3, 4):
+            chart = affine_chart(F, nvars)
+            # multilinear components in three or four variables keep the
+            # reference fast
+            deg = 2 if nvars == 2 else 1
+            for trial in range(3):
+                comps = [random_poly(F, nvars, rng, deg) for _ in range(nvars)]
+                if trial == 0:
+                    # a field with zero components
+                    comps[rng.randrange(nvars)] = MultiPoly.zero(F, nvars)
+                    comps[0] = MultiPoly.zero(F, nvars)
+                v = VectorField(chart, comps)
+                assert v.pth_power() == pth_power_reference(v)
+
+
+def test_pth_power_of_rational_field():
+    # (x/y d/dx)^p = x/y^p d/dx: v^k(x) = x/y^k
+    for F in (GF(2), GF(3), GF(5, 2)):
+        p = F.characteristic
+        chart = affine_chart(F, 2)
+        x, y = chart.vars()
+        v = VectorField(chart, [RationalFunction(x, y), MultiPoly.zero(F, 2)])
+        expected = VectorField(
+            chart, [RationalFunction(x, y**p), MultiPoly.zero(F, 2)]
+        )
+        assert v.pth_power() == expected == pth_power_reference(v)
+
+
+def test_pth_power_needs_positive_characteristic():
+    chart = affine_chart(QQ, 2)
+    x, y = chart.vars()
+    with pytest.raises(ArithmeticError):
+        VectorField(chart, [y, x]).pth_power()
 
 
 def test_pth_power_additive_on_commuting_fields():

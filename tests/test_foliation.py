@@ -278,6 +278,28 @@ def test_analyze_runs_the_cartier_operator_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_analyze_takes_one_pth_power_per_koszul_field(monkeypatch):
+    # is_p_closed stops at the first nonzero omega(v^p); the affine
+    # degeneracy divisor reads those values and computes only the rest
+    calls = []
+    pth_power = VectorField.pth_power
+
+    def counting(self):
+        calls.append(self)
+        return pth_power(self)
+
+    monkeypatch.setattr(VectorField, "pth_power", counting)
+    F = GF(5, 2)
+    t = F.generator()
+    x, y, z = affine_chart(F, 3).vars()
+    fol = log_foliation([x, y, x * 2 + z * t + 1], [F.one(), t, F.one()])
+    report = analyze(fol)
+    assert not report.p_closed and report.degeneracy
+    fields = koszul_fields(fol.form)
+    assert len(fields) == 3
+    assert calls == fields
+
+
 def test_analyze_report():
     p = 5
     F = GF(p, 2)
