@@ -13,7 +13,7 @@ the foliation code applies the polynomial operator to g^(p-1) a directly.
 from __future__ import annotations
 
 from .exterior import DiffForm
-from .mpoly import MultiPoly, pth_root_poly
+from .mpoly import MultiPoly
 
 
 class NotClosedError(ValueError):

@@ -19,7 +19,6 @@ import json
 import sys
 
 from . import distmin, models
-from .exterior import DiffForm
 from .foliation import (
     Divisor,
     Foliation,

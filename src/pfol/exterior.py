@@ -4,10 +4,9 @@ Forms are stored sparsely: a q-form is a dict from strictly increasing
 index q-tuples to rational-function coefficients.  A polynomial form is one
 whose coefficients all have denominator one.
 
-The same machinery is used for honest affine charts, for the cone over a
-projective space (homogeneous coordinates), and for the standard charts of
-projective space; the :class:`Chart` object records which of these a form
-lives on so transfers can be checked.
+The same machinery is used for honest affine charts and for the cone over
+a projective space (homogeneous coordinates); the :class:`Chart` object
+records which of the two a form lives on.
 """
 
 from __future__ import annotations
@@ -28,17 +27,13 @@ from .mpoly import (
 class Chart:
     """An affine coordinate patch.
 
-    ``kind`` is "affine" for a plain affine space, "cone" for the space of
-    homogeneous coordinates of a projective space, or "proj_chart" for the
-    standard chart {x_index != 0} of a projective space (with coordinates
-    x_k / x_index in their natural order).
+    ``kind`` is "affine" for a plain affine space or "cone" for the space
+    of homogeneous coordinates of a projective space.
     """
 
     ring: object
     names: tuple
     kind: str = "affine"
-    proj_dim: int | None = None
-    chart_index: int | None = None
 
     @property
     def nvars(self) -> int:
@@ -67,7 +62,7 @@ def affine_chart(ring, nvars: int, names=None) -> Chart:
 
 def cone_chart(ring, proj_dim: int, names=None) -> Chart:
     names = tuple(names) if names else tuple(f"x{i}" for i in range(proj_dim + 1))
-    return Chart(ring, names, kind="cone", proj_dim=proj_dim)
+    return Chart(ring, names, kind="cone")
 
 
 def _sort_sign(idx):
@@ -121,11 +116,6 @@ class DiffForm:
             else:
                 clean.pop(sidx, None)
         self.terms = clean
-
-    @classmethod
-    def one_form(cls, chart: Chart, coeffs) -> "DiffForm":
-        """Build a 1-form from a list of per-variable coefficients."""
-        return cls(chart, 1, {(i,): c for i, c in enumerate(coeffs)})
 
     def coeff(self, idx) -> RationalFunction:
         srt = _sort_sign(tuple(idx))
@@ -327,10 +317,6 @@ class DiffForm:
         """Substitute values for the variables in every coefficient."""
         return {idx: c.subs(vals) for idx, c in self.terms.items()}
 
-    def map_coeffs(self, fn, chart: Chart | None = None) -> "DiffForm":
-        chart = chart or self.chart
-        return DiffForm(chart, self.q, {i: fn(c) for i, c in self.terms.items()})
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -477,37 +463,3 @@ def pullback_form(form: DiffForm, comps, target: Chart) -> DiffForm:
         result = result + piece * c.subs(comps)
     return result
 
-
-def proj_chart(ring, proj_dim: int, index: int, names=None) -> Chart:
-    """The standard chart {x_index != 0} of P^proj_dim."""
-    if names is None:
-        names = tuple(f"u{k}" for k in range(proj_dim + 1) if k != index)
-    return Chart(ring, tuple(names), kind="proj_chart",
-                 proj_dim=proj_dim, chart_index=index)
-
-
-def chart_transfer(form: DiffForm, target_index: int) -> DiffForm:
-    """Transfer a form between two standard charts of projective space."""
-    chart = form.chart
-    if chart.kind != "proj_chart":
-        raise ValueError("chart transfer needs a projective chart")
-    n = chart.proj_dim
-    i = chart.chart_index
-    if target_index == i:
-        return form
-    target = proj_chart(chart.ring, n, target_index)
-    # global indices carried by each chart, in order
-    src_globals = [k for k in range(n + 1) if k != i]
-    tgt_globals = [k for k in range(n + 1) if k != target_index]
-    tgt_pos = {g: pos for pos, g in enumerate(tgt_globals)}
-    one = MultiPoly.one(chart.ring, n)
-    w_i = MultiPoly.var(chart.ring, n, tgt_pos[i])
-    comps = []
-    for g in src_globals:
-        if g == target_index:
-            comps.append(RationalFunction(one, w_i))
-        else:
-            comps.append(
-                RationalFunction(MultiPoly.var(chart.ring, n, tgt_pos[g]), w_i)
-            )
-    return pullback_form(form, comps, target)

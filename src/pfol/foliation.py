@@ -3,8 +3,10 @@
 A foliation is stored by a saturated integrable polynomial 1-form.  Affine
 foliations live on an affine chart; projective ones are stored by a
 homogeneous form on the cone (homogeneous coordinates x_0..x_n) that is
-annihilated by the radial field, with divisor computations assembled from
-the n+1 standard charts.
+annihilated by the radial field.  Every invariant is read from one set of
+p-curvature values omega(v^p) over the Koszul fields of that form; the
+projective degeneracy divisor is glued from the n+1 standard charts, whose
+values are the cone values with x_j set to 1.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .exterior import (
     affine_chart,
     cone_chart,
     euler_field,
-    proj_chart,
 )
 from .mpoly import (
     MultiPoly,
@@ -160,9 +161,6 @@ class Divisor:
         self._check(other)
         return (self - other).is_zero()
 
-    def reduce_mults_mod(self, p: int) -> list[tuple[MultiPoly, int]]:
-        return [(f, m % p) for f, m in self.normalize() if m % p]
-
     def to_json(self, names=None) -> list[dict]:
         return [
             {
@@ -241,23 +239,24 @@ def glue_chart_divisors(ring, n: int, chart_fns: dict) -> Divisor:
 # foliations
 
 
-def koszul_fields(form: DiffForm) -> list[VectorField]:
-    """The tangent fields a_j d_i - a_i d_j attached to a polynomial 1-form."""
+def koszul_fields(form: DiffForm) -> dict[tuple[int, int], VectorField]:
+    """The nonzero tangent fields a_j d_i - a_i d_j, i < j, attached to a
+    polynomial 1-form, keyed by the pair (i, j)."""
     if form.q != 1:
         raise ValueError("Koszul fields need a 1-form")
     chart = form.chart
     n = chart.nvars
     a = [form.coeff((i,)) for i in range(n)]
-    out = []
+    zero = RationalFunction.from_poly(MultiPoly.zero(chart.ring, n))
+    out = {}
     for i in range(n):
         for j in range(i + 1, n):
-            comps = [RationalFunction.from_poly(MultiPoly.zero(chart.ring, n))] * n
-            comps = list(comps)
+            comps = [zero] * n
             comps[i] = a[j]
             comps[j] = -a[i]
             v = VectorField(chart, comps)
             if v:
-                out.append(v)
+                out[(i, j)] = v
     return out
 
 
@@ -331,34 +330,28 @@ def from_form(
     return Foliation(form, projective, degree)
 
 
-def projectivize(form: DiffForm, proj_dim: int | None = None,
-                 chart_index: int = 0) -> Foliation:
+def projectivize(form: DiffForm) -> Foliation:
     """Homogenize an affine 1-form into a projective foliation.
 
-    The affine chart is taken to be the standard chart {x_j != 0}; the
+    The affine chart is taken to be the standard chart {x_0 != 0}; the
     missing coefficient is recovered from the radial relation and the
-    result is saturated (dropping a spurious power of x_j when the top
+    result is saturated (dropping a spurious power of x_0 when the top
     graded piece of the affine form is radial)."""
     if form.q != 1:
         raise ValidationError("projectivization needs a 1-form")
     if not form.is_polynomial:
         raise ValidationError("clear denominators before projectivizing")
-    n = proj_dim if proj_dim is not None else form.chart.nvars
-    if form.chart.nvars != n:
-        raise ValidationError("chart dimension mismatch")
-    j = chart_index
+    n = form.chart.nvars
     ring = form.chart.ring
     cone = cone_chart(ring, n)
     m = form.max_coeff_degree()
     coeffs_h: dict[int, MultiPoly] = {}
     for (i,), c in form.poly_terms().items():
-        glob = i if i < j else i + 1
-        coeffs_h[glob] = c.homogenize(j, m + 1)
+        coeffs_h[i + 1] = c.homogenize(0, m + 1)
     acc = MultiPoly.zero(ring, n + 1)
     for glob, a in coeffs_h.items():
         acc = acc + MultiPoly.var(ring, n + 1, glob) * a
-    xj = MultiPoly.var(ring, n + 1, j)
-    coeffs_h[j] = -acc.exact_div(xj)
+    coeffs_h[0] = -acc.exact_div(MultiPoly.var(ring, n + 1, 0))
     hom = DiffForm(cone, 1, {(g,): c for g, c in coeffs_h.items()})
     return from_form(hom, projective=True, auto_saturate=True)
 
@@ -419,16 +412,17 @@ def p_curvature(fol: Foliation, v: VectorField) -> RationalFunction:
 
 
 def _koszul_pcurvatures(form: DiffForm):
-    """Yield omega(v^p) = sum_i a_i (v^p)_i, a polynomial, for each Koszul
-    field v of omega = sum_i a_i dx_i, in the order of ``koszul_fields``."""
+    """Yield (pair, omega(v^p)) for each Koszul field v of omega =
+    sum_i a_i dx_i, in the order of ``koszul_fields``; omega(v^p) =
+    sum_i a_i (v^p)_i is formed as a polynomial."""
     a = [form.coeff((i,)).as_poly() for i in range(form.chart.nvars)]
     zero = MultiPoly.zero(form.chart.ring, form.chart.nvars)
-    for v in koszul_fields(form):
+    for pair, v in koszul_fields(form).items():
         acc = zero
         for a_i, c in zip(a, v.pth_power().comps):
             if a_i and c:
                 acc = acc + a_i * c.as_poly()
-        yield acc
+        yield pair, acc
 
 
 class PCurvature:
@@ -438,7 +432,12 @@ class PCurvature:
     vanish, or None when the foliation is p-closed.  The values omega(v^p)
     are polynomials, formed from the polynomial p-th powers v^p; the
     construction stops at f, and ``values`` computes the remaining ones
-    once, for the degeneracy divisor.  ``eta`` is C(f^(p-1) omega) =
+    once, for the degeneracy divisor, keyed by the Koszul pair (i, k) of
+    v = a_k d_i - a_i d_k.  For a projective foliation these are the
+    values on the cone, and they serve every standard chart {x_j != 0}:
+    the chart's Koszul fields are the v with j not in (i, k), which have
+    no d_j part, so v^p commutes with setting x_j = 1 and the chart value
+    is omega(v^p) with x_j = 1.  ``eta`` is C(f^(p-1) omega) =
     f C(omega / f): the Cartier transform of the closed defining form
     omega / f, cleared of its denominator by C(g^p a) = g C(a).
     Read it through ``Foliation.pcurvature``, which builds it once.
@@ -448,18 +447,19 @@ class PCurvature:
         self.omega = fol.form
         self.p = fol.p
         self.f = None
-        self._computed = []
+        self._computed = {}
         self._rest = _koszul_pcurvatures(fol.form)
-        for val in self._rest:
-            self._computed.append(val)
+        for pair, val in self._rest:
+            self._computed[pair] = val
             if val:
                 self.f = val
                 break
 
     @cached_property
-    def values(self) -> list[MultiPoly]:
-        """omega(v^p) for every Koszul field v, in order."""
-        return self._computed + list(self._rest)
+    def values(self) -> dict[tuple[int, int], MultiPoly]:
+        """omega(v^p) for every Koszul field v, keyed by its pair, in order."""
+        self._computed.update(self._rest)
+        return self._computed
 
     @cached_property
     def eta(self) -> DiffForm:
@@ -477,23 +477,6 @@ def is_p_closed(fol: Foliation) -> bool:
     return fol.pcurvature.f is None
 
 
-def _affine_restriction(fol: Foliation, j: int) -> DiffForm | None:
-    """The saturated chart form on the standard chart {x_j != 0}."""
-    if not fol.projective:
-        raise ValueError("chart restrictions need a projective foliation")
-    chart = proj_chart(fol.ring, fol.n, j)
-    terms = {}
-    for (i,), c in fol.form.poly_terms().items():
-        if i == j:
-            continue
-        pos = i if i < j else i - 1
-        terms[(pos,)] = c.set_var_one(j)
-    form = DiffForm(chart, 1, terms)
-    if form.is_zero:
-        return None
-    return form.saturate()
-
-
 def _pcurvature_gcd(vals) -> MultiPoly | None:
     """gcd of the values omega(v^p) over the Koszul fields; None if all vanish."""
     vals = [val for val in vals if val]
@@ -506,10 +489,15 @@ def degeneracy_divisor(fol: Foliation) -> Divisor:
     """The degeneracy divisor: gcd over tangent generators of omega(v^p).
 
     For projective foliations the divisor is glued from all n+1 standard
-    charts.
+    charts {x_j != 0}, each read from the cone values (see ``PCurvature``):
+    the gcd of omega(v^p) with x_j = 1 over the Koszul pairs without j.
+    The chart form omega with x_j = 1 and dx_j dropped needs no
+    saturation: i_R omega = 0 and omega is saturated, so the gcd of the
+    a_i, i != j, is a power of x_j, which becomes 1 on the chart.
     """
+    values = fol.pcurvature.values
     if not fol.projective:
-        g = _pcurvature_gcd(fol.pcurvature.values)
+        g = _pcurvature_gcd(values.values())
         if g is None:
             raise PClosedError("foliation is p-closed; no degeneracy divisor")
         return Divisor.of_polynomial(g, "affine")
@@ -517,10 +505,9 @@ def degeneracy_divisor(fol: Foliation) -> Divisor:
     one = MultiPoly.one(fol.ring, fol.n)
     chart_fns = {}
     for j in range(fol.n + 1):
-        form_j = _affine_restriction(fol, j)
-        if form_j is None:
-            continue
-        g = _pcurvature_gcd(_koszul_pcurvatures(form_j))
+        g = _pcurvature_gcd(
+            val.set_var_one(j) for pair, val in values.items() if j not in pair
+        )
         if g is not None:
             chart_fns[j] = (g, one)
     if not chart_fns:
@@ -600,26 +587,6 @@ def is_invariant_hypersurface(form: DiffForm, h: MultiPoly) -> bool:
     out by a form: h divides every coefficient of dh /\\ form."""
     dh = DiffForm(form.chart, 0, {(): h}).d()
     return all(h.divides(c.as_poly()) for c in dh.wedge(form).terms.values())
-
-
-def intersect_distributions(f1: Foliation, f2: Foliation):
-    """Intersect two distinct foliations into a codimension-two distribution.
-
-    Returns (saturated 2-form, excess divisor of the removed content).
-    """
-    if f1.chart != f2.chart or f1.projective != f2.projective:
-        raise ValueError("foliations on different ambient spaces")
-    theta = f1.form.wedge(f2.form)
-    if theta.is_zero:
-        raise ValueError("the two foliations coincide")
-    cont = theta.content()
-    ambient = "proj" if f1.projective else "affine"
-    ring, n = f1.ring, f1.chart.nvars
-    if cont.is_constant:
-        excess = Divisor.zero(ring, n, ambient)
-    else:
-        excess = Divisor.of_polynomial(cont, ambient)
-    return theta.saturate(), excess
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exterior import Chart, DiffForm, cone_chart, proj_chart, pullback_form
+from .exterior import Chart, DiffForm, cone_chart, pullback_form
 from .foliation import (
     Divisor,
     Foliation,

@@ -13,7 +13,6 @@ from dataclasses import dataclass, asdict
 from .exterior import Chart, DiffForm, affine_chart, cone_chart
 from .foliation import (
     Foliation,
-    PClosedError,
     ValidationError,
     cartier_transform_foliation,
     degeneracy_divisor,

@@ -13,9 +13,7 @@ multiplicity along a known divisor by trial division.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .rings import GFElem, NRElem, ZZ
+from .rings import GFElem, NRElem
 
 
 def _grlex_key(e):
@@ -339,14 +337,6 @@ class MultiPoly:
             terms[e[:pos] + (0,) + e[pos:]] = c
         return MultiPoly(self.ring, self.nvars + 1, terms)
 
-    def drop_var(self, pos: int) -> "MultiPoly":
-        terms = {}
-        for e, c in self.terms.items():
-            if e[pos] != 0:
-                raise ValueError("variable occurs, cannot drop")
-            terms[e[:pos] + e[pos + 1:]] = c
-        return MultiPoly(self.ring, self.nvars - 1, terms)
-
     def set_var_one(self, pos: int) -> "MultiPoly":
         """Substitute 1 for one variable, returning a polynomial in nvars-1."""
         terms: dict = {}
@@ -440,13 +430,6 @@ def _univar_view(f: MultiPoly, v: int) -> dict[int, MultiPoly]:
         mono = MultiPoly(f.ring, f.nvars, {tuple(ne): c})
         out[d] = mono if coeff is None else coeff + mono
     return {d: c for d, c in out.items() if not c.is_zero}
-
-def _from_univar(view: dict[int, MultiPoly], v: int, ring, nvars) -> MultiPoly:
-    acc = MultiPoly.zero(ring, nvars)
-    xv = MultiPoly.var(ring, nvars, v)
-    for d, c in view.items():
-        acc = acc + c * xv**d
-    return acc
 
 
 def _content_in(f: MultiPoly, v: int) -> MultiPoly:
@@ -612,15 +595,14 @@ class RationalFunction:
             den = MultiPoly.one(ring, num.nvars)
         elif den.is_constant:
             c = den.constant_value()
-            if ring.is_field:
-                num = num.scale(ring.inv(c))
-            elif c == ring.one():
-                pass
-            elif c == -ring.one():
-                num = -num
-            else:
-                raise ArithmeticError("non-unit denominator over a non-field")
-            den = MultiPoly.one(ring, num.nvars)
+            if c != ring.one():
+                if ring.is_field:
+                    num = num.scale(ring.inv(c))
+                elif c == -ring.one():
+                    num = -num
+                else:
+                    raise ArithmeticError("non-unit denominator over a non-field")
+                den = MultiPoly.one(ring, num.nvars)
         else:
             if not ring.is_field:
                 raise ArithmeticError("rational functions need a coefficient field")

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .exterior import Chart, DiffForm, affine_chart, cone_chart
 from .mpoly import MultiPoly, RationalFunction
-from .rings import GF, NumberRing, QQ, ZZ, parse_descriptor
+from .rings import GF, NumberRing, parse_descriptor
 
 
 class ParseError(ValueError):

@@ -69,15 +69,6 @@ def up_trim(a: list[int]) -> list[int]:
     return a
 
 
-def up_add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        c = (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-        out[i] = c % p
-    return up_trim(out)
-
-
 def up_sub(a, b, p):
     n = max(len(a), len(b))
     out = [0] * n
@@ -813,10 +804,6 @@ def reduce_coefficient(c: NRElem, p: int, g) -> GFElem:
         acc = acc + field.coerce(coef) * power
         power = power * t
     return acc
-
-
-def reduce_int(c: int, p: int) -> GFElem:
-    return GF(p, 1).coerce(c)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,8 @@ from pfol.exterior import (
     DiffForm,
     VectorField,
     affine_chart,
-    chart_transfer,
     cone_chart,
     euler_field,
-    proj_chart,
     pullback_form,
 )
 from pfol.mpoly import MultiPoly, RationalFunction
@@ -222,16 +220,3 @@ def test_pullback_functorial():
     assert pull(alpha.wedge(beta)) == pull(alpha).wedge(pull(beta))
     assert pull(alpha.d()) == pull(alpha).d()
 
-
-def test_chart_transfer_roundtrip():
-    rng = random.Random(8)
-    F = GF(5)
-    c0 = proj_chart(F, 2, 0)
-    for _ in range(5):
-        form = DiffForm(c0, 1, {
-            (0,): random_poly(F, 2, rng),
-            (1,): random_poly(F, 2, rng),
-        })
-        moved = chart_transfer(form, 1)
-        back = chart_transfer(moved, 0)
-        assert back == form

@@ -26,7 +26,7 @@ from pfol.foliation import (
     predicted_degeneracy_degree,
     projectivize,
 )
-from pfol.mpoly import MultiPoly
+from pfol.mpoly import MultiPoly, gcd_list
 from pfol.rings import GF
 
 
@@ -297,7 +297,112 @@ def test_analyze_takes_one_pth_power_per_koszul_field(monkeypatch):
     assert not report.p_closed and report.degeneracy
     fields = koszul_fields(fol.form)
     assert len(fields) == 3
+    assert calls == list(fields.values())
+
+
+def test_analyze_takes_one_pth_power_per_cone_koszul_field(monkeypatch):
+    # the projective degeneracy divisor reads every chart from the cone
+    # values, so no chart takes p-th powers of its own
+    calls = []
+    pth_power = VectorField.pth_power
+
+    def counting(self):
+        calls.append(self)
+        return pth_power(self)
+
+    monkeypatch.setattr(VectorField, "pth_power", counting)
+    F = GF(5, 2)
+    t = F.generator()
+    x0, x1, x2, x3 = cone_chart(F, 3).vars()
+    quadric = x0 * x1 - x2 * x3 + x0**2
+    weights = [F.one(), t, -t - F.one(), -F.one()]
+    fol = log_foliation([quadric, x0, x1, x2], weights, projective=True)
+    report = analyze(fol)
+    assert not report.p_closed and report.degeneracy
+    fields = list(koszul_fields(fol.form).values())
+    assert len(calls) == len(fields) == 6
     assert calls == fields
+
+
+def chart_degeneracy_reference(fol):
+    """The projective degeneracy divisor by the per-chart route: on each
+    standard chart {x_j != 0}, restrict omega to x_j = 1 (dropping dx_j),
+    saturate, and take the gcd of omega_j(v^p) over the chart's own Koszul
+    fields v; then glue the charts."""
+    ring, n = fol.ring, fol.n
+    chart = affine_chart(ring, n)
+    one = MultiPoly.one(ring, n)
+    chart_fns = {}
+    for j in range(n + 1):
+        terms = {
+            (i if i < j else i - 1,): c.set_var_one(j)
+            for (i,), c in fol.form.poly_terms().items()
+            if i != j
+        }
+        form = DiffForm(chart, 1, terms)
+        if form.is_zero:
+            continue
+        form = form.saturate()
+        vals = [form.pair(v.pth_power()).as_poly() for v in koszul_fields(form).values()]
+        vals = [val for val in vals if val]
+        if vals:
+            chart_fns[j] = (gcd_list(vals).monic(), one)
+    if not chart_fns:
+        raise PClosedError("foliation is p-closed; no degeneracy divisor")
+    return glue_chart_divisors(ring, n, chart_fns)
+
+
+def w1_foliation(p, seed):
+    """W1: each coefficient of a dx + b dy sums F.random(rng) x^i y^j over
+    i + j <= 2 (a first, then b), homogenized to P^2 over F_p."""
+    F = GF(p)
+    rng = random.Random(seed)
+    chart = affine_chart(F, 2)
+    x, y = chart.vars()
+    coeffs = []
+    for _ in range(2):
+        acc = MultiPoly.zero(F, 2)
+        for i in range(3):
+            for j in range(3 - i):
+                acc = acc + (x**i * y**j).scale(F.random(rng))
+        coeffs.append(acc)
+    return projectivize(DiffForm(chart, 1, {(0,): coeffs[0], (1,): coeffs[1]}))
+
+
+def w2_foliations(p, rng, count):
+    """Log foliations on P^3 over GF(p^2) with components the quadric
+    x0 x1 - x2 x3 + x0^2 and x0, x1, x2, and random weights."""
+    F = GF(p, 2)
+    x0, x1, x2, x3 = cone_chart(F, 3).vars()
+    quadric = x0 * x1 - x2 * x3 + x0**2
+    out = []
+    while len(out) < count:
+        w = [F.random_nonzero(rng) for _ in range(3)]
+        last = -(w[0] * F.coerce(2) + w[1] + w[2])
+        if last:
+            out.append(log_foliation([quadric, x0, x1, x2], w + [last], projective=True))
+    return out
+
+
+def test_degeneracy_from_cone_values_matches_chart_reference():
+    # the chart values read off the cone give the same divisor, component
+    # by component, as the chart forms' own p-th powers; p-closed inputs
+    # (W1 seeds 7 and 8 over F_2) are refused by both
+    foliations = [w1_foliation(p, seed) for p in (2, 3) for seed in range(1, 9)]
+    rng = random.Random(5)
+    for p in (2, 3, 5):
+        foliations.extend(w2_foliations(p, rng, 3))
+    closed = 0
+    for fol in foliations:
+        try:
+            expected = repr(chart_degeneracy_reference(fol))
+        except PClosedError:
+            closed += 1
+            with pytest.raises(PClosedError):
+                degeneracy_divisor(fol)
+            continue
+        assert repr(degeneracy_divisor(fol)) == expected
+    assert closed == 2
 
 
 def test_analyze_report():
