@@ -4,9 +4,10 @@ A foliation is stored by a saturated integrable polynomial 1-form.  Affine
 foliations live on an affine chart; projective ones are stored by a
 homogeneous form on the cone (homogeneous coordinates x_0..x_n) that is
 annihilated by the radial field.  Every invariant is read from one set of
-p-curvature values omega(v^p) over the Koszul fields of that form; the
-projective degeneracy divisor is glued from the n+1 standard charts, whose
-values are the cone values with x_j set to 1.
+p-curvature values omega(v^p) over the Koszul fields of that form.  The
+degeneracy divisor is their gcd, on the cone as on an affine chart: by
+p-linearity and the Euler field, the cone gcd serves every standard chart
+(see ``degeneracy_divisor``), so no chart is built.
 """
 
 from __future__ import annotations
@@ -91,17 +92,28 @@ class Divisor:
         self.nvars = nvars
         self.ambient = ambient
         self.items = [(f, int(m)) for f, m in items if m != 0 and not f.is_constant]
+        self._normal = None
 
     @classmethod
     def zero(cls, ring, nvars, ambient="affine") -> "Divisor":
         return cls(ring, nvars, [], ambient)
 
     @classmethod
+    def _normalized(cls, ring, nvars: int, items, ambient: str) -> "Divisor":
+        """A divisor whose components are already pairwise coprime, monic
+        and squarefree; they are kept as its normal form."""
+        div = cls(ring, nvars, items, ambient)
+        div._normal = sorted(
+            div.items, key=lambda fm: (fm[0].total_degree(), poly_str(fm[0]))
+        )
+        return div
+
+    @classmethod
     def of_polynomial(cls, f: MultiPoly, ambient="affine") -> "Divisor":
-        """The divisor of zeros of f, with multiplicities."""
+        """The divisor of zeros of f, with multiplicities (zero for a unit)."""
         if f.is_zero:
             raise ValueError("divisor of the zero polynomial")
-        return cls(f.ring, f.nvars, squarefree_decomposition(f), ambient)
+        return cls._normalized(f.ring, f.nvars, squarefree_decomposition(f), ambient)
 
     def _check(self, other: "Divisor"):
         if (other.ring, other.nvars, other.ambient) != (
@@ -131,20 +143,17 @@ class Divisor:
     __mul__ = __rmul__
 
     def normalize(self) -> list[tuple[MultiPoly, int]]:
-        """Pairwise coprime monic squarefree components with multiplicities."""
-        expanded: list[tuple[MultiPoly, int]] = []
-        for f, m in self.items:
-            for g, k in squarefree_decomposition(f):
-                expanded.append((g, k * m))
-        basis = coprime_basis([g for g, _ in expanded])
-        mults = {i: 0 for i in range(len(basis))}
-        for g, m in expanded:
-            for i, b in enumerate(basis):
-                if b.divides(g):
-                    mults[i] += m
-        out = [(b, mults[i]) for i, b in enumerate(basis) if mults[i] != 0]
-        out.sort(key=lambda fm: (fm[0].total_degree(), poly_str(fm[0])))
-        return out
+        """Pairwise coprime monic squarefree components with multiplicities,
+        computed on first use and kept."""
+        if self._normal is None:
+            expanded = [
+                (g, k * m) for f, m in self.items for g, k in squarefree_decomposition(f)
+            ]
+            # coprime_basis sorts its output as the normal form is sorted
+            basis = coprime_basis([g for g, _ in expanded])
+            mults = [sum(m for g, m in expanded if b.divides(g)) for b in basis]
+            self._normal = [(b, m) for b, m in zip(basis, mults) if m]
+        return list(self._normal)
 
     def is_effective(self) -> bool:
         return all(m > 0 for _, m in self.normalize())
@@ -184,18 +193,7 @@ def divisor_difference_of_closed_form(form: DiffForm, ambient="affine") -> Divis
     if not numerator.is_polynomial:
         raise ValueError("could not split the form into numerator and denominator")
     cont = numerator.content()
-    ring, n = form.chart.ring, form.chart.nvars
-    poles = (
-        Divisor.of_polynomial(den, ambient)
-        if not den.is_constant
-        else Divisor.zero(ring, n, ambient)
-    )
-    zeros = (
-        Divisor.of_polynomial(cont, ambient)
-        if not cont.is_constant
-        else Divisor.zero(ring, n, ambient)
-    )
-    return poles - zeros
+    return Divisor.of_polynomial(den, ambient) - Divisor.of_polynomial(cont, ambient)
 
 
 def glue_chart_divisors(ring, n: int, chart_fns: dict) -> Divisor:
@@ -204,13 +202,13 @@ def glue_chart_divisors(ring, n: int, chart_fns: dict) -> Divisor:
     ``chart_fns`` maps a chart index j to a pair (num, den) of polynomials
     in the chart coordinates.  Their squarefree components are homogenized
     into a coprime basis, and every basis element must have one
-    multiplicity on all the charts that see it.
+    multiplicity on all the charts that see it.  That basis is the normal
+    form of the result.  The one caller is ``geommaps.ramification_divisor``,
+    whose Jacobians are only defined chart by chart.
     """
     candidates = []
     for j, (num, den) in chart_fns.items():
         for poly in (num, den):
-            if poly.is_constant:
-                continue
             for comp, _ in squarefree_decomposition(poly):
                 candidates.append(comp.homogenize(j))
     items = []
@@ -232,23 +230,23 @@ def glue_chart_divisors(ring, n: int, chart_fns: dict) -> Divisor:
         m = mults.pop()
         if m:
             items.append((h, m))
-    return Divisor(ring, n + 1, items, "proj")
+    return Divisor._normalized(ring, n + 1, items, "proj")
 
 
 # ---------------------------------------------------------------------------
 # foliations
 
 
-def koszul_fields(form: DiffForm) -> dict[tuple[int, int], VectorField]:
+def koszul_fields(form: DiffForm) -> list[VectorField]:
     """The nonzero tangent fields a_j d_i - a_i d_j, i < j, attached to a
-    polynomial 1-form, keyed by the pair (i, j)."""
+    polynomial 1-form."""
     if form.q != 1:
         raise ValueError("Koszul fields need a 1-form")
     chart = form.chart
     n = chart.nvars
     a = [form.coeff((i,)) for i in range(n)]
     zero = RationalFunction.from_poly(MultiPoly.zero(chart.ring, n))
-    out = {}
+    out = []
     for i in range(n):
         for j in range(i + 1, n):
             comps = [zero] * n
@@ -256,7 +254,7 @@ def koszul_fields(form: DiffForm) -> dict[tuple[int, int], VectorField]:
             comps[j] = -a[i]
             v = VectorField(chart, comps)
             if v:
-                out[(i, j)] = v
+                out.append(v)
     return out
 
 
@@ -412,17 +410,17 @@ def p_curvature(fol: Foliation, v: VectorField) -> RationalFunction:
 
 
 def _koszul_pcurvatures(form: DiffForm):
-    """Yield (pair, omega(v^p)) for each Koszul field v of omega =
-    sum_i a_i dx_i, in the order of ``koszul_fields``; omega(v^p) =
-    sum_i a_i (v^p)_i is formed as a polynomial."""
+    """Yield omega(v^p) for each Koszul field v of omega = sum_i a_i dx_i,
+    in the order of ``koszul_fields``; omega(v^p) = sum_i a_i (v^p)_i is
+    formed as a polynomial."""
     a = [form.coeff((i,)).as_poly() for i in range(form.chart.nvars)]
     zero = MultiPoly.zero(form.chart.ring, form.chart.nvars)
-    for pair, v in koszul_fields(form).items():
+    for v in koszul_fields(form):
         acc = zero
         for a_i, c in zip(a, v.pth_power().comps):
             if a_i and c:
                 acc = acc + a_i * c.as_poly()
-        yield pair, acc
+        yield acc
 
 
 class PCurvature:
@@ -432,12 +430,10 @@ class PCurvature:
     vanish, or None when the foliation is p-closed.  The values omega(v^p)
     are polynomials, formed from the polynomial p-th powers v^p; the
     construction stops at f, and ``values`` computes the remaining ones
-    once, for the degeneracy divisor, keyed by the Koszul pair (i, k) of
-    v = a_k d_i - a_i d_k.  For a projective foliation these are the
-    values on the cone, and they serve every standard chart {x_j != 0}:
-    the chart's Koszul fields are the v with j not in (i, k), which have
-    no d_j part, so v^p commutes with setting x_j = 1 and the chart value
-    is omega(v^p) with x_j = 1.  ``eta`` is C(f^(p-1) omega) =
+    once, for the degeneracy divisor.  For a projective foliation these
+    are the values on the cone, and their gcd is the degeneracy divisor on
+    every standard chart as well (see ``degeneracy_divisor``).
+    ``eta`` is C(f^(p-1) omega) =
     f C(omega / f): the Cartier transform of the closed defining form
     omega / f, cleared of its denominator by C(g^p a) = g C(a).
     Read it through ``Foliation.pcurvature``, which builds it once.
@@ -447,18 +443,18 @@ class PCurvature:
         self.omega = fol.form
         self.p = fol.p
         self.f = None
-        self._computed = {}
+        self._computed = []
         self._rest = _koszul_pcurvatures(fol.form)
-        for pair, val in self._rest:
-            self._computed[pair] = val
+        for val in self._rest:
+            self._computed.append(val)
             if val:
                 self.f = val
                 break
 
     @cached_property
-    def values(self) -> dict[tuple[int, int], MultiPoly]:
-        """omega(v^p) for every Koszul field v, keyed by its pair, in order."""
-        self._computed.update(self._rest)
+    def values(self) -> list[MultiPoly]:
+        """omega(v^p) for every Koszul field v, in order."""
+        self._computed.extend(self._rest)
         return self._computed
 
     @cached_property
@@ -477,42 +473,34 @@ def is_p_closed(fol: Foliation) -> bool:
     return fol.pcurvature.f is None
 
 
-def _pcurvature_gcd(vals) -> MultiPoly | None:
-    """gcd of the values omega(v^p) over the Koszul fields; None if all vanish."""
-    vals = [val for val in vals if val]
-    if not vals:
-        return None
-    return gcd_list(vals).monic()
-
-
 def degeneracy_divisor(fol: Foliation) -> Divisor:
     """The degeneracy divisor: gcd over tangent generators of omega(v^p).
 
-    For projective foliations the divisor is glued from all n+1 standard
-    charts {x_j != 0}, each read from the cone values (see ``PCurvature``):
-    the gcd of omega(v^p) with x_j = 1 over the Koszul pairs without j.
-    The chart form omega with x_j = 1 and dx_j dropped needs no
-    saturation: i_R omega = 0 and omega is saturated, so the gcd of the
-    a_i, i != j, is a power of x_j, which becomes 1 on the chart.
+    One path for both ambients: the divisor of G, the gcd of the values
+    omega(v^p) over the Koszul fields.  On the cone this is also every
+    standard chart's divisor.  On {x_j != 0}, away from codimension two,
+    a chart tangent field is g v + h R with v a cone Koszul field and R
+    the Euler field; p-curvature is p-linear, omega((g v)^p) =
+    g^p omega(v^p) (Katz 1970), and R^p = R with omega(R) = 0, so the
+    chart gcd is G up to a power of x_j.  A hyperplane x_j is seen only
+    from the other charts, so in the divisor glued from the charts it is a
+    component of its own: it is split off the squarefree parts of G to
+    give that divisor component by component.
     """
-    values = fol.pcurvature.values
-    if not fol.projective:
-        g = _pcurvature_gcd(values.values())
-        if g is None:
-            raise PClosedError("foliation is p-closed; no degeneracy divisor")
-        return Divisor.of_polynomial(g, "affine")
-
-    one = MultiPoly.one(fol.ring, fol.n)
-    chart_fns = {}
-    for j in range(fol.n + 1):
-        g = _pcurvature_gcd(
-            val.set_var_one(j) for pair, val in values.items() if j not in pair
-        )
-        if g is not None:
-            chart_fns[j] = (g, one)
-    if not chart_fns:
+    vals = [val for val in fol.pcurvature.values if val]
+    if not vals:
         raise PClosedError("foliation is p-closed; no degeneracy divisor")
-    return glue_chart_divisors(fol.ring, fol.n, chart_fns)
+    g = gcd_list(vals).monic()
+    if not fol.projective:
+        return Divisor.of_polynomial(g, "affine")
+    items = []
+    for comp, m in squarefree_decomposition(g):
+        for x_j in fol.chart.vars():
+            if x_j.divides(comp):
+                items.append((x_j, m))
+                comp = comp.exact_div(x_j)
+        items.append((comp, m))
+    return Divisor._normalized(fol.ring, fol.n + 1, items, "proj")
 
 
 def closed_defining_form(fol: Foliation) -> DiffForm:

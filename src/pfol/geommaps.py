@@ -162,17 +162,6 @@ def _jacobian_det(comps, nvars: int) -> RationalFunction:
     return _det(rows)
 
 
-def _divisor_of_rational(fn: RationalFunction, ring, nvars, ambient) -> Divisor:
-    zero = Divisor.zero(ring, nvars, ambient)
-    zeros = (
-        Divisor.of_polynomial(fn.num, ambient) if not fn.num.is_constant else zero
-    )
-    poles = (
-        Divisor.of_polynomial(fn.den, ambient) if not fn.den.is_constant else zero
-    )
-    return zeros - poles
-
-
 def ramification_divisor(phi: RationalMap) -> Divisor:
     """The ramification divisor of a generically finite separable map
     between spaces of equal dimension, via the Jacobian determinant."""
@@ -182,7 +171,7 @@ def ramification_divisor(phi: RationalMap) -> Divisor:
         jac = _jacobian_det(phi.comps, n)
         if not jac:
             raise ValueError("Jacobian vanishes identically (inseparable or degenerate)")
-        return _divisor_of_rational(jac, ring, n, "affine")
+        return Divisor.of_polynomial(jac.num) - Divisor.of_polynomial(jac.den)
     n = phi.source.nvars - 1
     comps = phi.poly_comps()
     chart_fns = {}
@@ -216,13 +205,8 @@ def restrict_form(embedding: RationalMap, form: DiffForm):
         raise ValueError("the subvariety is invariant; restriction vanishes")
     restricted, _ = restricted.clear_denominators()
     cont = restricted.content()
-    ring, m = embedding.source.ring, embedding.source.nvars
     ambient = "proj" if embedding.source.kind == "cone" else "affine"
-    if cont.is_constant:
-        different = Divisor.zero(ring, m, ambient)
-    else:
-        different = Divisor.of_polynomial(cont, ambient)
-    return restricted.saturate(), different
+    return restricted.saturate(), Divisor.of_polynomial(cont, ambient)
 
 
 def restrict_foliation(fol: Foliation, embedding: RationalMap):

@@ -188,8 +188,9 @@ class MultiPoly:
         while e > 0:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other):

@@ -277,8 +277,9 @@ class GFElem:
         while e > 0:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -576,8 +577,9 @@ class NRElem:
         while e > 0:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other):

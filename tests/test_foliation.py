@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import pfol.foliation
 from pfol.cartier import cartier_transform
 from pfol.exterior import DiffForm, VectorField, affine_chart, cone_chart, euler_field
 from pfol.foliation import (
@@ -48,8 +49,14 @@ def test_glue_chart_divisors():
     x1 = MultiPoly.var(F, 2, 1)
     div = glue_chart_divisors(F, 1, {0: ((one + t) ** 2, t), 1: ((one + t) ** 2, one)})
     assert div.normalize() == [(x0 + x1, 2), (x1, -1)]
+    assert_normal_form_kept(div)
     with pytest.raises(AssertionError, match="component x \\+ y"):
         glue_chart_divisors(F, 1, {0: (one + t, one), 1: ((one + t) ** 2, one)})
+
+
+def assert_normal_form_kept(d):
+    """The normal form a divisor keeps equals one computed afresh."""
+    assert d.normalize() == Divisor(d.ring, d.nvars, d.items, d.ambient).normalize()
 
 
 def test_divisor_arithmetic():
@@ -297,7 +304,7 @@ def test_analyze_takes_one_pth_power_per_koszul_field(monkeypatch):
     assert not report.p_closed and report.degeneracy
     fields = koszul_fields(fol.form)
     assert len(fields) == 3
-    assert calls == list(fields.values())
+    assert calls == fields
 
 
 def test_analyze_takes_one_pth_power_per_cone_koszul_field(monkeypatch):
@@ -319,7 +326,7 @@ def test_analyze_takes_one_pth_power_per_cone_koszul_field(monkeypatch):
     fol = log_foliation([quadric, x0, x1, x2], weights, projective=True)
     report = analyze(fol)
     assert not report.p_closed and report.degeneracy
-    fields = list(koszul_fields(fol.form).values())
+    fields = koszul_fields(fol.form)
     assert len(calls) == len(fields) == 6
     assert calls == fields
 
@@ -343,7 +350,7 @@ def chart_degeneracy_reference(fol):
         if form.is_zero:
             continue
         form = form.saturate()
-        vals = [form.pair(v.pth_power()).as_poly() for v in koszul_fields(form).values()]
+        vals = [form.pair(v.pth_power()).as_poly() for v in koszul_fields(form)]
         vals = [val for val in vals if val]
         if vals:
             chart_fns[j] = (gcd_list(vals).monic(), one)
@@ -401,8 +408,46 @@ def test_degeneracy_from_cone_values_matches_chart_reference():
             with pytest.raises(PClosedError):
                 degeneracy_divisor(fol)
             continue
-        assert repr(degeneracy_divisor(fol)) == expected
+        delta = degeneracy_divisor(fol)
+        assert repr(delta) == expected
+        assert_normal_form_kept(delta)
     assert closed == 2
+
+
+def test_affine_degeneracy_keeps_its_normal_form():
+    rng = random.Random(7)
+    cases = 0
+    for p in (2, 3, 5):
+        F = GF(p, 2)
+        t = F.generator()
+        x, y, z = affine_chart(F, 3).vars()
+        for _ in range(2):
+            w = [F.random_nonzero(rng) for _ in range(3)]
+            fol = log_foliation([x, y * y + x, x * 2 + z * t + 1], w)
+            if is_p_closed(fol):
+                continue
+            delta = degeneracy_divisor(fol)
+            assert delta.ambient == "affine" and not delta.is_zero()
+            assert_normal_form_kept(delta)
+            cases += 1
+    assert cases >= 4
+
+
+def test_analyze_builds_no_coprime_basis(monkeypatch):
+    # the degeneracy divisor and Divisor.of_polynomial hand over their
+    # normal form, so the report's degree and components reuse it
+    calls = []
+    basis = pfol.foliation.coprime_basis
+
+    def counting(polys):
+        calls.append(polys)
+        return basis(polys)
+
+    monkeypatch.setattr(pfol.foliation, "coprime_basis", counting)
+    for fol in (w1_foliation(3, 1), w2_foliations(5, random.Random(5), 1)[0]):
+        report = analyze(fol)
+        assert not report.p_closed and report.degeneracy
+    assert calls == []
 
 
 def test_analyze_report():

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private module-level function or class is used in the package."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,57 @@ def test_unused_imports_finds_dead_names():
         "os.getcwd()\n"
     )
     assert unused_imports(source) == ["osp (line 2)", "compile (line 3)"]
+
+
+def dead_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes named ``_name`` (not dunders)
+    that no module of ``sources`` refers to outside their own definition.
+
+    ``sources`` maps a module name to its source.  A reference is an
+    identifier or an attribute name, so ``mod._helper`` counts; a call of a
+    function from its own body does not.
+    """
+    defined: list[tuple[str, str, int]] = []
+    used: set[str] = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if own.startswith("_") and not own.endswith("__"):
+                    defined.append((module, own, stmt.lineno))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return [f"{module}:{name} (line {line})" for module, name, line in defined
+            if name not in used]
+
+
+def test_package_has_no_dead_private_definitions():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert dead_private_definitions(sources) == []
+
+
+def test_dead_private_definitions_finds_unreferenced_helpers():
+    helpers = (
+        "def _used():\n    return 1\n"
+        "def _dead():\n    return 2\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class _Helper:\n    def __init__(self):\n        pass\n"
+        "def _by_attribute():\n    return 3\n"
+    )
+    user = (
+        "from . import helpers\n"
+        "def public():\n    return helpers._used(), helpers._Helper()\n"
+        "VALUE = helpers._by_attribute()\n"
+    )
+    assert dead_private_definitions({"helpers": helpers, "user": user}) == [
+        "helpers:_dead (line 3)",
+        "helpers:_recursive (line 5)",
+    ]

@@ -155,6 +155,27 @@ def test_homogenize_dehomogenize():
     assert h.set_var_one(2) == f.insert_var(2)
 
 
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    F = GF(5)
+    x = MultiPoly.var(F, 2, 0)
+    y = MultiPoly.var(F, 2, 1)
+    f = x + y.scale(F.coerce(2)) + MultiPoly.one(F, 2)
+    powers = [MultiPoly.one(F, 2)]
+    for _ in range(6):
+        powers.append(powers[-1] * f)
+    calls = []
+    mul = MultiPoly.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    assert f**4 == powers[4]
+    assert len(calls) <= 3
+    assert [f**e for e in range(7)] == powers
+
+
 def test_rational_function_reduction():
     F = GF(5)
     x = MultiPoly.var(F, 2, 0)

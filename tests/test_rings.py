@@ -117,6 +117,19 @@ def test_number_ring():
     assert img.coeffs == (3,)
 
 
+def test_powers_match_repeated_products():
+    p = 5
+    F = GF(p, 2)
+    rng = random.Random(3)
+    R = NumberRing([1, 0, 1])
+    cases = [(a, F.one()) for a in (F.generator(), F.random_nonzero(rng), F.zero())]
+    cases.append((R.generator() + 2, R.one()))
+    for a, acc in cases:
+        for e in range(2 * p + 1):
+            assert a**e == acc
+            acc = acc * a
+
+
 def test_format_parse_roundtrip():
     for coeffs in [[1, 0, 1], [2, 1], [0, 0, 3], [5], [1, 2, 3, 4]]:
         assert parse_up(format_up(coeffs, "t"), "t") == coeffs
