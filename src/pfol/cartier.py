@@ -31,7 +31,7 @@ def cartier_transform(form: DiffForm, check_closed: bool = True) -> DiffForm:
         raise NotClosedError("form is not closed")
     ring, n = form.chart.ring, form.chart.nvars
     out: dict = {}
-    for idx, c in form.poly_terms().items():
+    for idx, c in form.terms.items():
         acc: dict = {}
         for e, coef in c.terms.items():
             ok = True

@@ -139,11 +139,11 @@ def subdistribution_space(fol: Foliation, delta: int) -> SubdistributionSystem:
         basis_form = DiffForm(chart, 2, {pair: MultiPoly.monomial(ring, n1, m)})
         contracted = basis_form.contract(radial)
         for idx, c in contracted.terms.items():
-            for e, v in c.as_poly().terms.items():
+            for e, v in c.terms.items():
                 add(("r", idx, e), u_idx, v)
         wedged = basis_form.wedge(fol.form)
         for idx, c in wedged.terms.items():
-            for e, v in c.as_poly().terms.items():
+            for e, v in c.terms.items():
                 add(("w", idx, e), u_idx, v)
 
     rows = [constraints[k] for k in sorted(constraints, key=repr)]

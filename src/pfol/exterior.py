@@ -1,8 +1,15 @@
 """Differential forms and vector fields on affine charts.
 
 Forms are stored sparsely: a q-form is a dict from strictly increasing
-index q-tuples to rational-function coefficients.  A polynomial form is one
-whose coefficients all have denominator one.
+index q-tuples to nonzero coefficients.  The coefficient rule, applied by
+:meth:`Chart.coerce` to every coefficient of a ``DiffForm``, a
+``VectorField`` and a ``geommaps.RationalMap``: a coefficient is a
+``MultiPoly`` unless its denominator is nonconstant, and only then a
+``RationalFunction``.  A polynomial form is one whose coefficients are all
+``MultiPoly``.  A ``RationalFunction`` appears only where a denominator
+really exists: scalars read by the parser, ``DiffForm.__truediv__``,
+pullbacks along rational components, and the Jacobians of
+``geommaps.ramification_divisor``.
 
 The same machinery is used for honest affine charts and for the cone over
 a projective space (homogeneous coordinates); the :class:`Chart` object
@@ -52,8 +59,16 @@ class Chart:
         return DiffForm(self, q, {})
 
     def dx(self, i: int) -> "DiffForm":
-        one = RationalFunction.from_poly(MultiPoly.one(self.ring, self.nvars))
-        return DiffForm(self, 1, {(i,): one})
+        return DiffForm(self, 1, {(i,): 1})
+
+    def coerce(self, c) -> MultiPoly | RationalFunction:
+        """The stored form of a coefficient: a ``MultiPoly``, or a
+        ``RationalFunction`` when its denominator is nonconstant."""
+        if isinstance(c, MultiPoly):
+            return c
+        if isinstance(c, RationalFunction):
+            return c.num if c.is_polynomial else c
+        return MultiPoly.const(self.ring, self.nvars, c)
 
 
 def affine_chart(ring, nvars: int, names=None) -> Chart:
@@ -77,21 +92,15 @@ def _sort_sign(idx):
             j -= 1
         if j > 0 and idx[j - 1] == idx[j]:
             return None
-    if len(idx) >= 1 and len(set(idx)) != len(idx):
-        return None
     return tuple(idx), sign
 
 
-def _as_rf(chart: Chart, c) -> RationalFunction:
-    if isinstance(c, RationalFunction):
-        return c
-    if isinstance(c, MultiPoly):
-        return RationalFunction.from_poly(c)
-    return RationalFunction.from_poly(MultiPoly.const(chart.ring, chart.nvars, c))
-
-
 class DiffForm:
-    """A differential q-form with rational-function coefficients."""
+    """A differential q-form.
+
+    Each coefficient is a ``MultiPoly``, or a ``RationalFunction`` when its
+    denominator is nonconstant (see :meth:`Chart.coerce`).
+    """
 
     __slots__ = ("chart", "q", "terms")
 
@@ -106,25 +115,25 @@ class DiffForm:
             if srt is None:
                 continue
             sidx, sign = srt
-            c = _as_rf(chart, c)
+            c = chart.coerce(c)
             if sign < 0:
                 c = -c
             if sidx in clean:
-                c = clean[sidx] + c
+                c = chart.coerce(clean[sidx] + c)
             if c:
                 clean[sidx] = c
             else:
                 clean.pop(sidx, None)
         self.terms = clean
 
-    def coeff(self, idx) -> RationalFunction:
+    def coeff(self, idx) -> MultiPoly | RationalFunction:
         srt = _sort_sign(tuple(idx))
         if srt is None:
-            return _as_rf(self.chart, 0)
+            return self.chart.coerce(0)
         sidx, sign = srt
         c = self.terms.get(sidx)
         if c is None:
-            return _as_rf(self.chart, 0)
+            return self.chart.coerce(0)
         return c if sign > 0 else -c
 
     def __bool__(self):
@@ -161,13 +170,15 @@ class DiffForm:
     def __mul__(self, scalar):
         if isinstance(scalar, DiffForm):
             raise TypeError("use wedge() for products of forms")
-        c = _as_rf(self.chart, scalar)
+        c = self.chart.coerce(scalar)
         return DiffForm(self.chart, self.q, {i: v * c for i, v in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        c = _as_rf(self.chart, scalar)
+        c = self.chart.coerce(scalar)
+        if isinstance(c, MultiPoly):
+            c = RationalFunction.from_poly(c)
         return DiffForm(self.chart, self.q, {i: v / c for i, v in self.terms.items()})
 
     def __eq__(self, other):
@@ -250,33 +261,33 @@ class DiffForm:
                     terms.pop(nidx, None)
         return DiffForm(self.chart, self.q - 1, terms)
 
-    def pair(self, v: "VectorField") -> RationalFunction:
-        """omega(v) for a 1-form."""
+    def pair(self, v: "VectorField") -> MultiPoly | RationalFunction:
+        """omega(v) for a 1-form; a ``MultiPoly`` when both are polynomial."""
         if self.q != 1:
             raise ValueError("pairing needs a 1-form")
-        acc = _as_rf(self.chart, 0)
+        acc = self.chart.coerce(0)
         for (i,), c in self.terms.items():
             acc = acc + c * v.comps[i]
-        return acc
+        return self.chart.coerce(acc)
 
     # -- polynomial structure -------------------------------------------------
 
     @property
     def is_polynomial(self) -> bool:
-        return all(c.is_polynomial for c in self.terms.values())
+        return not any(isinstance(c, RationalFunction) for c in self.terms.values())
 
     def poly_terms(self) -> dict:
         if not self.is_polynomial:
             raise ValueError("form has non-trivial denominators")
-        return {idx: c.as_poly() for idx, c in self.terms.items()}
+        return dict(self.terms)
 
     def common_denominator(self) -> MultiPoly:
         """The least common denominator of all coefficients."""
         ring, n = self.chart.ring, self.chart.nvars
         den = MultiPoly.one(ring, n)
         for c in self.terms.values():
-            g = gcd_multi(den, c.den)
-            den = den.exact_div(g) * c.den
+            if isinstance(c, RationalFunction):
+                den = den.exact_div(gcd_multi(den, c.den)) * c.den
         return den.monic() if ring.is_field else den
 
     def clear_denominators(self) -> tuple["DiffForm", MultiPoly]:
@@ -286,10 +297,9 @@ class DiffForm:
 
     def content(self) -> MultiPoly:
         """The gcd of the coefficients of a polynomial form."""
-        polys = [c.as_poly() for c in self.terms.values()]
-        if not polys:
+        if self.is_zero:
             raise ValueError("content of the zero form")
-        return gcd_list(polys)
+        return gcd_list(self.poly_terms().values())
 
     def saturate(self) -> "DiffForm":
         """Divide a polynomial form by the gcd of its coefficients."""
@@ -299,18 +309,17 @@ class DiffForm:
         return DiffForm(
             self.chart,
             self.q,
-            {idx: c.as_poly().exact_div(cont) for idx, c in self.terms.items()},
+            {idx: c.exact_div(cont) for idx, c in self.terms.items()},
         )
 
     def max_coeff_degree(self) -> int:
         if self.is_zero:
             return -1
-        return max(c.as_poly().total_degree() for c in self.terms.values())
+        return max(c.total_degree() for c in self.terms.values())
 
     def is_homogeneous_of(self, d: int) -> bool:
         return all(
-            c.as_poly().is_homogeneous and c.as_poly().total_degree() == d
-            for c in self.terms.values()
+            c.is_homogeneous() and c.total_degree() == d for c in self.terms.values()
         )
 
     def subs(self, vals) -> dict:
@@ -334,13 +343,17 @@ class DiffForm:
 
 
 class VectorField:
-    """A derivation sum_i c_i d/dx_i with rational-function components."""
+    """A derivation sum_i c_i d/dx_i.
+
+    Each component is a ``MultiPoly``, or a ``RationalFunction`` when its
+    denominator is nonconstant (see :meth:`Chart.coerce`).
+    """
 
     __slots__ = ("chart", "comps")
 
     def __init__(self, chart: Chart, comps):
         self.chart = chart
-        self.comps = [_as_rf(chart, c) for c in comps]
+        self.comps = [chart.coerce(c) for c in comps]
         if len(self.comps) != chart.nvars:
             raise ValueError("wrong number of components")
 
@@ -359,7 +372,7 @@ class VectorField:
         return self + (-other)
 
     def __mul__(self, scalar):
-        c = _as_rf(self.chart, scalar)
+        c = self.chart.coerce(scalar)
         return VectorField(self.chart, [a * c for a in self.comps])
 
     __rmul__ = __mul__
@@ -371,16 +384,16 @@ class VectorField:
             and other.comps == self.comps
         )
 
-    def apply(self, f) -> RationalFunction:
-        f = _as_rf(self.chart, f)
-        acc = _as_rf(self.chart, 0)
+    def apply(self, f) -> MultiPoly | RationalFunction:
+        f = self.chart.coerce(f)
+        acc = self.chart.coerce(0)
         for i, c in enumerate(self.comps):
             if c:
                 acc = acc + c * f.deriv(i)
-        return acc
+        return self.chart.coerce(acc)
 
-    def apply_iter(self, f, m: int) -> RationalFunction:
-        f = _as_rf(self.chart, f)
+    def apply_iter(self, f, m: int) -> MultiPoly | RationalFunction:
+        f = self.chart.coerce(f)
         for _ in range(m):
             f = self.apply(f)
         return f
@@ -397,22 +410,19 @@ class VectorField:
         """The p-fold iterated derivation v^p (again a derivation).
 
         Its components are v^p(x_i) = v^(p-1)(c_i) for the components c_i
-        of v, each step being g <- sum_j c_j dg/dx_j.  The loop runs on
-        ``MultiPoly`` values when every c_i is a polynomial, so no
-        rational function is normalised on the way, and on
-        ``RationalFunction`` values otherwise.
+        of v, each step being g <- sum_j c_j dg/dx_j.  The components follow
+        the coefficient rule: a polynomial field stays on ``MultiPoly``
+        values throughout, so no rational function is normalised on the
+        way, and only a field with a nonconstant denominator carries
+        ``RationalFunction`` values.
         """
         p = self.chart.ring.characteristic
         if p == 0:
             raise ArithmeticError("p-th powers need positive characteristic")
-        if self.is_polynomial():
-            comps = [c.as_poly() for c in self.comps]
-            zero = MultiPoly.zero(self.chart.ring, self.chart.nvars)
-        else:
-            comps, zero = self.comps, _as_rf(self.chart, 0)
-        support = [(j, c) for j, c in enumerate(comps) if c]
+        zero = self.chart.coerce(0)
+        support = [(j, c) for j, c in enumerate(self.comps) if c]
         out = []
-        for g in comps:
+        for g in self.comps:
             for _ in range(p - 1):
                 if not g:
                     break
@@ -424,9 +434,6 @@ class VectorField:
                 g = acc
             out.append(g)
         return VectorField(self.chart, out)
-
-    def is_polynomial(self) -> bool:
-        return all(c.is_polynomial for c in self.comps)
 
     def __repr__(self):
         names = self.chart.names
@@ -449,13 +456,13 @@ def pullback_form(form: DiffForm, comps, target: Chart) -> DiffForm:
     """
     if len(comps) != form.chart.nvars:
         raise ValueError("one component per source variable is required")
-    comps = [_as_rf(target, c) for c in comps]
+    comps = [target.coerce(c) for c in comps]
     dcomps = [
         DiffForm(target, 1, {(j,): c.deriv(j) for j in range(target.nvars)})
         for c in comps
     ]
     result = target.zero_form(form.q)
-    unit = DiffForm(target, 0, {(): _as_rf(target, 1)})
+    unit = DiffForm(target, 0, {(): 1})
     for idx, c in form.terms.items():
         piece = unit
         for i in idx:

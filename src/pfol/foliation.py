@@ -245,11 +245,10 @@ def koszul_fields(form: DiffForm) -> list[VectorField]:
     chart = form.chart
     n = chart.nvars
     a = [form.coeff((i,)) for i in range(n)]
-    zero = RationalFunction.from_poly(MultiPoly.zero(chart.ring, n))
     out = []
     for i in range(n):
         for j in range(i + 1, n):
-            comps = [zero] * n
+            comps = [0] * n
             comps[i] = a[j]
             comps[j] = -a[i]
             v = VectorField(chart, comps)
@@ -402,7 +401,7 @@ def log_foliation(components, weights, projective: bool = False) -> Foliation:
 # p-curvature and the degeneracy divisor
 
 
-def p_curvature(fol: Foliation, v: VectorField) -> RationalFunction:
+def p_curvature(fol: Foliation, v: VectorField) -> MultiPoly | RationalFunction:
     """psi(v) = omega(v^p): the obstruction to v^p staying tangent."""
     if fol.p == 0:
         raise ArithmeticError("p-curvature needs positive characteristic")
@@ -410,17 +409,10 @@ def p_curvature(fol: Foliation, v: VectorField) -> RationalFunction:
 
 
 def _koszul_pcurvatures(form: DiffForm):
-    """Yield omega(v^p) for each Koszul field v of omega = sum_i a_i dx_i,
-    in the order of ``koszul_fields``; omega(v^p) = sum_i a_i (v^p)_i is
-    formed as a polynomial."""
-    a = [form.coeff((i,)).as_poly() for i in range(form.chart.nvars)]
-    zero = MultiPoly.zero(form.chart.ring, form.chart.nvars)
+    """Yield the polynomial omega(v^p) for each Koszul field v of the
+    polynomial form omega, in the order of ``koszul_fields``."""
     for v in koszul_fields(form):
-        acc = zero
-        for a_i, c in zip(a, v.pth_power().comps):
-            if a_i and c:
-                acc = acc + a_i * c.as_poly()
-        yield acc
+        yield form.pair(v.pth_power())
 
 
 class PCurvature:
@@ -574,7 +566,7 @@ def is_invariant_hypersurface(form: DiffForm, h: MultiPoly) -> bool:
     """Whether {h = 0} is invariant for the foliation or distribution cut
     out by a form: h divides every coefficient of dh /\\ form."""
     dh = DiffForm(form.chart, 0, {(): h}).d()
-    return all(h.divides(c.as_poly()) for c in dh.wedge(form).terms.values())
+    return all(h.divides(c) for c in dh.wedge(form).terms.values())
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 A :class:`RationalMap` stores, for each coordinate of the target, its
 expression in the coordinates of the source.  Affine maps have rational
 components on an affine chart; projective maps have homogeneous polynomial
-components of a common degree on the cone.
+components of a common degree on the cone.  Components follow the
+coefficient rule of :mod:`pfol.exterior`: a ``MultiPoly`` unless the
+denominator is nonconstant.
 """
 
 from __future__ import annotations
@@ -32,10 +34,7 @@ class RationalMap:
     comps: list
 
     def __post_init__(self):
-        self.comps = [
-            c if isinstance(c, RationalFunction) else RationalFunction.from_poly(c)
-            for c in self.comps
-        ]
+        self.comps = [self.source.coerce(c) for c in self.comps]
         if len(self.comps) != self.target.nvars:
             raise ValueError("need one component per target coordinate")
         for c in self.comps:
@@ -43,10 +42,7 @@ class RationalMap:
                 raise ValueError("components must live on the source chart")
         if self.is_projective:
             degs = set()
-            for c in self.comps:
-                if not c.is_polynomial:
-                    raise ValueError("projective maps need polynomial components")
-                f = c.as_poly()
+            for f in self.poly_comps():
                 if f.is_zero:
                     continue
                 if not f.is_homogeneous():
@@ -60,7 +56,9 @@ class RationalMap:
         return self.source.kind == "cone" and self.target.kind == "cone"
 
     def poly_comps(self) -> list[MultiPoly]:
-        return [c.as_poly() for c in self.comps]
+        if any(isinstance(c, RationalFunction) for c in self.comps):
+            raise ValueError("the map needs polynomial components")
+        return self.comps
 
     def __repr__(self):
         return f"[{', '.join(map(repr, self.comps))}]"
@@ -127,15 +125,13 @@ def pullback_divisor(phi: RationalMap, div: Divisor) -> Divisor:
     items = []
     for f, m in div.normalize():
         g = f.subs(comps)
-        if isinstance(g, RationalFunction):
-            g = g.as_poly()
         if g.is_zero:
             raise ValueError("a component pulls back to zero (image inside it)")
         items.append((g.monic() if g.ring.is_field else g, m))
     return Divisor(phi.source.ring, phi.source.nvars, items, div.ambient)
 
 
-def _det(rows) -> RationalFunction:
+def _det(rows) -> MultiPoly | RationalFunction:
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -155,7 +151,7 @@ def _det(rows) -> RationalFunction:
     return acc
 
 
-def _jacobian_det(comps, nvars: int) -> RationalFunction:
+def _jacobian_det(comps, nvars: int) -> MultiPoly | RationalFunction:
     if len(comps) != nvars:
         raise ValueError("ramification needs an equal-dimensional map")
     rows = [[c.deriv(j) for j in range(nvars)] for c in comps]
@@ -171,7 +167,9 @@ def ramification_divisor(phi: RationalMap) -> Divisor:
         jac = _jacobian_det(phi.comps, n)
         if not jac:
             raise ValueError("Jacobian vanishes identically (inseparable or degenerate)")
-        return Divisor.of_polynomial(jac.num) - Divisor.of_polynomial(jac.den)
+        if isinstance(jac, RationalFunction):
+            return Divisor.of_polynomial(jac.num) - Divisor.of_polynomial(jac.den)
+        return Divisor.of_polynomial(jac)
     n = phi.source.nvars - 1
     comps = phi.poly_comps()
     chart_fns = {}

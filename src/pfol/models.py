@@ -103,7 +103,7 @@ def reduce_model(model: IntegralModel, p: int, g=None) -> Foliation:
     else:
         chart = Chart(field, src.chart.names)
     terms = {}
-    for idx, c in src.poly_terms().items():
+    for idx, c in src.terms.items():
         reduced = MultiPoly(
             field, n, {e: embed(v) for e, v in c.terms.items()}
         )
@@ -239,7 +239,7 @@ def classify_integer_defect(defect: DiffForm, p: int) -> dict:
     """Whether the defect is +-p * m * (monomial 3-form); reports p-content."""
     if defect.is_zero:
         return {"zero": True}
-    coeff = defect.coeff((0, 1, 2)).as_poly()
+    coeff = defect.coeff((0, 1, 2))
     import math
 
     content = 0

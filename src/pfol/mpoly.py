@@ -736,7 +736,9 @@ class RationalFunction:
         return rat_str(self)
 
 
-def rat_str(fn: "RationalFunction", names=None) -> str:
+def rat_str(fn: MultiPoly | RationalFunction, names=None) -> str:
+    if isinstance(fn, MultiPoly):
+        return poly_str(fn, names)
     if fn.is_polynomial:
         return poly_str(fn.num, names)
     return f"({poly_str(fn.num, names)})/({poly_str(fn.den, names)})"

@@ -148,7 +148,7 @@ class _ExprParser:
             if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.term()
-                val = self._add(val, rhs if text == "+" else self._neg(rhs))
+                val = self._add(val, rhs if text == "+" else -rhs)
             else:
                 return val
 
@@ -161,12 +161,12 @@ class _ExprParser:
                 val = self._wedge(val, self.unary())
             elif kind == "op" and text == "*":
                 self.advance()
-                val = self._mul(val, self.unary(), explicit=True)
+                val = self._mul(val, self.unary())
             elif kind == "op" and text == "/":
                 self.advance()
                 val = self._div(val, self.unary())
             elif kind in ("num", "name") or (kind == "op" and text == "("):
-                val = self._mul(val, self.unary(), explicit=False)
+                val = self._mul(val, self.unary())
             else:
                 return val
 
@@ -174,7 +174,7 @@ class _ExprParser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return self._neg(self.unary())
+            return -self.unary()
         return self.power()
 
     def power(self):
@@ -273,33 +273,20 @@ class _ExprParser:
 
     # -- typed operations -------------------------------------------------
 
-    def _neg(self, v):
-        return -v
-
     def _add(self, x, y):
         if isinstance(x, DiffForm) != isinstance(y, DiffForm):
             self.error("cannot add a scalar and a form")
         return x + y
 
-    def _mul(self, x, y, explicit: bool):
-        xf, yf = isinstance(x, DiffForm), isinstance(y, DiffForm)
-        if xf and yf:
+    def _mul(self, x, y):
+        if isinstance(x, DiffForm) and isinstance(y, DiffForm):
             self.error("use /\\ between forms")
-        if xf:
-            return x * y
-        if yf:
-            return y * x
-        return x * y
+        return self._wedge(x, y)
 
     def _wedge(self, x, y):
-        xf, yf = isinstance(x, DiffForm), isinstance(y, DiffForm)
-        if xf and yf:
+        if isinstance(x, DiffForm) and isinstance(y, DiffForm):
             return x.wedge(y)
-        if xf:
-            return x * y
-        if yf:
-            return y * x
-        return x * y
+        return y * x if isinstance(y, DiffForm) else x * y
 
     def _div(self, x, y):
         if isinstance(y, DiffForm):

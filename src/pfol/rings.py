@@ -785,29 +785,6 @@ def factor_mod_p(coeffs, p: int) -> list[tuple[list[int], int]]:
     return [(list(k), m) for k, m in items]
 
 
-def reduce_coefficient(c: NRElem, p: int, g) -> GFElem:
-    """Map c in Z[a]/(f) to F_p[t]/(g) by a |-> t, where g | f mod p."""
-    ring = c.ring
-    f_mod = [x % p for x in ring.full_minpoly]
-    g = up_trim([x % p for x in list(g)])
-    _, r = up_divmod(f_mod, g, p)
-    if up_trim(r):
-        raise ValueError("modulus does not divide the minimal polynomial mod p")
-    field = GF(p, len(g) - 1, g if len(g) > 2 else None)
-    if len(g) == 2:
-        # degree-1 factor t + g0: a maps to -g0 in F_p
-        field = GF(p, 1)
-        t = field.coerce(-g[0])
-    else:
-        t = field.generator()
-    acc = field.zero()
-    power = field.one()
-    for coef in c.coeffs:
-        acc = acc + field.coerce(coef) * power
-        power = power * t
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # descriptors
 

@@ -141,7 +141,7 @@ def coefficient_rows(theta):
         for i in range(n1):
             c = theta.coeff((i, j))
             if c:
-                row[i] = c
+                row[i] = RationalFunction.from_poly(c)
         rows.append(row)
     return rows
 

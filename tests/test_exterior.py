@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,11 +6,13 @@ import pytest
 from pfol.exterior import (
     DiffForm,
     VectorField,
+    _sort_sign,
     affine_chart,
     cone_chart,
     euler_field,
     pullback_form,
 )
+from pfol.geommaps import RationalMap
 from pfol.mpoly import MultiPoly, RationalFunction
 from pfol.rings import GF, QQ
 
@@ -37,6 +40,64 @@ def random_field(chart, rng):
         chart,
         [random_poly(chart.ring, chart.nvars, rng) for _ in range(chart.nvars)],
     )
+
+
+def test_sort_sign_matches_inversion_count():
+    def reference(idx):
+        if len(set(idx)) != len(idx):
+            return None
+        inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+        return tuple(sorted(idx)), (-1) ** inversions
+
+    tuples = [
+        idx for q in range(6) for idx in itertools.product(range(5), repeat=q)
+    ]
+    assert len(tuples) == 3906
+    for idx in tuples:
+        assert _sort_sign(idx) == reference(idx)
+
+
+def test_coefficients_are_polynomials_unless_a_denominator_remains():
+    chart = affine_chart(GF(5), 2)
+    x, y = chart.vars()
+    rx, ry = RationalFunction.from_poly(x), RationalFunction.from_poly(y)
+    # each object built from MultiPolys and from fractions that cancel
+    builds = [
+        (
+            DiffForm(chart, 1, {(0,): y, (1,): x * y}),
+            chart.dx(0) * (rx * ry / rx) + chart.dx(1) * (ry / rx * x * x),
+            lambda form: list(form.terms.values()),
+        ),
+        (
+            VectorField(chart, [x, y]),
+            VectorField(chart, [rx * rx / rx, 0]) + VectorField(chart, [0, ry / rx]) * x,
+            lambda v: v.comps,
+        ),
+        (
+            RationalMap(chart, chart, [x, y**2]),
+            RationalMap(chart, chart, [rx * ry / ry, ry / rx * ry * x]),
+            lambda phi: phi.comps,
+        ),
+    ]
+    for from_polys, from_fractions, coeffs in builds:
+        for c in coeffs(from_polys) + coeffs(from_fractions):
+            assert type(c) is MultiPoly
+        assert from_polys == from_fractions
+        assert hash(tuple(coeffs(from_polys))) == hash(tuple(coeffs(from_fractions)))
+    form, field = builds[0][1], builds[1][1]
+    assert hash(builds[0][0]) == hash(form)
+    assert type(form.pair(field)) is MultiPoly
+    assert all(type(c) is MultiPoly for c in form.d().terms.values())
+    assert type(field.pth_power().comps[1]) is MultiPoly
+    # a real denominator stays a RationalFunction, until it cancels
+    polar = chart.dx(0) * (1 / rx)
+    assert type(polar.coeff((0,))) is RationalFunction
+    assert not polar.is_polynomial
+    assert polar.common_denominator() == x
+    assert type((form / x).coeff((0,))) is RationalFunction
+    assert (form / x).coeff((1,)) == y and type((form / x).coeff((1,))) is MultiPoly
+    assert (form / x) * x == form
+    assert type(RationalMap(chart, chart, [x, ry / rx]).comps[1]) is RationalFunction
 
 
 def test_d_squared_zero():
@@ -181,7 +242,7 @@ def test_euler_field_pairs_degree():
     x0, x1, x2 = chart.vars()
     f = x0 * x1**2 + x2**3
     df = DiffForm(chart, 1, {(i,): f.deriv(i) for i in range(3)})
-    assert df.pair(euler_field(chart)).as_poly() == f.scale(GF(5).coerce(3))
+    assert df.pair(euler_field(chart)) == f.scale(GF(5).coerce(3))
 
 
 def test_saturate_and_content():
@@ -191,7 +252,7 @@ def test_saturate_and_content():
     assert form.content() == x
     sat = form.saturate()
     assert sat.content().is_constant
-    assert sat.coeff((0,)).as_poly() == y
+    assert sat.coeff((0,)) == y
 
 
 def test_clear_denominators():
@@ -204,7 +265,7 @@ def test_clear_denominators():
     cleared, den = form.clear_denominators()
     assert cleared.is_polynomial
     assert den == x * y
-    assert cleared.coeff((0,)).as_poly() == y
+    assert cleared.coeff((0,)) == y
 
 
 def test_pullback_functorial():

@@ -121,7 +121,7 @@ def test_p_curvature_log_identity():
                 assert not fol.form.pair(v)
                 val = p_curvature(fol, v)
                 expected = xyz.scale(lam[j] ** p * lam[0] - lam[0] ** p * lam[j])
-                assert val.as_poly() == expected
+                assert val == expected
 
 
 def test_from_form_validation():
@@ -140,6 +140,22 @@ def test_from_form_validation():
         from_form(unsat)
     fol = from_form(unsat, auto_saturate=True)
     assert fol.form.content().is_constant
+
+
+def test_projective_form_needs_homogeneous_coefficients():
+    # annihilated by the radial field, saturated, every coefficient of
+    # total degree 2, but not homogeneous
+    cone = cone_chart(GF(5), 2)
+    x0, x1, x2 = cone.vars()
+    form = DiffForm(cone, 1, {
+        (0,): x1 + x2**2,
+        (1,): -x0 + x1 * x2,
+        (2,): -x0 * x2 - x1**2,
+    })
+    assert not form.pair(euler_field(cone))
+    assert form.content().is_constant
+    with pytest.raises(ValidationError, match="homogeneous"):
+        from_form(form, projective=True, check_integrable=False)
 
 
 def test_degree_one_projective_degeneracy():
@@ -350,7 +366,7 @@ def chart_degeneracy_reference(fol):
         if form.is_zero:
             continue
         form = form.saturate()
-        vals = [form.pair(v.pth_power()).as_poly() for v in koszul_fields(form)]
+        vals = [form.pair(v.pth_power()) for v in koszul_fields(form)]
         vals = [val for val in vals if val]
         if vals:
             chart_fns[j] = (gcd_list(vals).monic(), one)

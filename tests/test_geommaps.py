@@ -18,7 +18,7 @@ from pfol.geommaps import (
     restrict_foliation,
     verify_pullback_degeneracy,
 )
-from pfol.mpoly import MultiPoly
+from pfol.mpoly import MultiPoly, RationalFunction
 from pfol.rings import GF
 
 
@@ -107,6 +107,20 @@ def test_behavior_invariant_noninvariant_rows():
         assert (res3["delta_pullback"] - res3["pullback_of_delta"]).is_zero()
 
 
+def test_affine_ramification_of_polynomial_and_rational_maps():
+    F = GF(5)
+    chart = affine_chart(F, 2)
+    x, y = chart.vars()
+    div_x, div_y = Divisor.of_polynomial(x), Divisor.of_polynomial(y)
+    # (x, y^3): Jacobian 3 y^2, a polynomial
+    assert ramification_divisor(RationalMap(chart, chart, [x, y**3])) == 2 * div_y
+    # (x, y^2 / x): Jacobian 2 y / x, a rational function
+    rational = RationalMap(chart, chart, [x, RationalFunction(y**2, x)])
+    ram = ramification_divisor(rational)
+    assert ram == div_y - div_x
+    assert ram.normalize() == [(x, -1), (y, 1)]
+
+
 def test_linear_embedding_lands_in_hyperplane():
     F = GF(7, 2)
     coeffs = [F.coerce(c) for c in (1, 2, 3, 1)]
@@ -167,4 +181,4 @@ def test_pullback_form_matches_substitution():
     pb = pullback(phi, form)
     # phi^*(x dz) = x d(z^2) = 2xz dz
     zz = phi.source.var(2)
-    assert pb.coeff((2,)).as_poly() == phi.source.var(0) * zz.scale(F.coerce(2))
+    assert pb.coeff((2,)) == phi.source.var(0) * zz.scale(F.coerce(2))

@@ -14,7 +14,6 @@ from pfol.rings import (
     parse_descriptor,
     parse_up,
     primes_upto,
-    reduce_coefficient,
     up_is_irreducible,
     up_mul,
 )
@@ -111,10 +110,6 @@ def test_number_ring():
     a = R.generator()
     assert a * a == R.coerce(-1)
     assert (a + 1) * (a - 1) == R.coerce(-2)
-    F5 = GF(5)
-    # reduce a at the factor a+2 (a -> -2 = 3)
-    img = reduce_coefficient(a, 5, [2, 1])
-    assert img.coeffs == (3,)
 
 
 def test_powers_match_repeated_products():
