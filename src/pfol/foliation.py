@@ -93,10 +93,11 @@ class Divisor:
         self.ambient = ambient
         self.items = [(f, int(m)) for f, m in items if m != 0 and not f.is_constant]
         self._normal = None
+        self._squarefree = False  # items known monic and squarefree
 
     @classmethod
     def zero(cls, ring, nvars, ambient="affine") -> "Divisor":
-        return cls(ring, nvars, [], ambient)
+        return cls._normalized(ring, nvars, [], ambient)
 
     @classmethod
     def _normalized(cls, ring, nvars: int, items, ambient: str) -> "Divisor":
@@ -123,30 +124,50 @@ class Divisor:
         ):
             raise ValueError("divisors on different ambient spaces")
 
+    def _parts(self):
+        """(items, whether they are known monic and squarefree), read off
+        the normal form when there is one."""
+        if self._normal is not None:
+            return self._normal, True
+        return self.items, self._squarefree
+
+    def _with(self, items, squarefree: bool) -> "Divisor":
+        div = Divisor(self.ring, self.nvars, items, self.ambient)
+        div._squarefree = squarefree
+        return div
+
     def __add__(self, other: "Divisor") -> "Divisor":
         self._check(other)
-        return Divisor(self.ring, self.nvars, self.items + other.items, self.ambient)
+        (a, sa), (b, sb) = self._parts(), other._parts()
+        return self._with(a + b, sa and sb)
 
     def __neg__(self) -> "Divisor":
-        return Divisor(
-            self.ring, self.nvars, [(f, -m) for f, m in self.items], self.ambient
-        )
+        return -1 * self
 
     def __sub__(self, other: "Divisor") -> "Divisor":
         return self + (-other)
 
     def __rmul__(self, k: int) -> "Divisor":
-        return Divisor(
-            self.ring, self.nvars, [(f, k * m) for f, m in self.items], self.ambient
-        )
+        if self._normal is not None:
+            return Divisor._normalized(
+                self.ring, self.nvars, [(f, k * m) for f, m in self._normal], self.ambient
+            )
+        return self._with([(f, k * m) for f, m in self.items], self._squarefree)
 
     __mul__ = __rmul__
 
     def normalize(self) -> list[tuple[MultiPoly, int]]:
         """Pairwise coprime monic squarefree components with multiplicities,
-        computed on first use and kept."""
+        computed on first use and kept.
+
+        The components form a coprime basis of the squarefree parts of the
+        items, not a factorization into irreducibles: a component may be
+        reducible, so one divisor can print differently when it is reached
+        by different routes (``(x*y*z)`` beside ``(x)`` and ``(y*z)``).
+        A sum of normalized divisors starts from their normal forms.
+        """
         if self._normal is None:
-            expanded = [
+            expanded = self.items if self._squarefree else [
                 (g, k * m) for f, m in self.items for g, k in squarefree_decomposition(f)
             ]
             # coprime_basis sorts its output as the normal form is sorted

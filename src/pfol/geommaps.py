@@ -257,7 +257,7 @@ def verify_pullback_degeneracy(phi: RationalMap, fol: Foliation) -> dict:
         k_inv = (
             is_invariant_hypersurface(theta, h) if theta is not None else None
         )
-        term = Divisor(chart.ring, chart.nvars, [(h, r)], ambient)
+        term = Divisor._normalized(chart.ring, chart.nvars, [(h, r)], ambient)
         if f_inv:
             correction = correction - term
             if k_inv is False:

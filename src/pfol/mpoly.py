@@ -6,9 +6,12 @@ terms, printing and division is graded lexicographic (total degree first,
 then lex with the first variable largest).
 
 No general factorization is attempted: the only decompositions provided are
-multivariate gcd (over a field, by a primitive pseudo-remainder sequence),
-squarefree decomposition (with the characteristic-p p-th power branch) and
-multiplicity along a known divisor by trial division.
+multivariate gcd over a field, squarefree decomposition (with the
+characteristic-p p-th power branch) and multiplicity along a known divisor
+by trial division.  The gcd dehomogenizes two forms at x_0, runs Euclid on
+dense coefficient lists when the inputs use one variable, and keeps a
+primitive pseudo-remainder sequence only for inhomogeneous inputs in two or
+more variables.
 """
 
 from __future__ import annotations
@@ -458,8 +461,47 @@ def _prem(a: MultiPoly, b: MultiPoly, v: int) -> MultiPoly:
     return r
 
 
+def _univariate_gcd(f: MultiPoly, g: MultiPoly, v: int) -> MultiPoly:
+    """Monic gcd of two nonzero polynomials in the one variable v, by Euclid
+    on dense coefficient lists (constant term first) of ring elements."""
+    ring = f.ring
+    dense = []
+    for h in (f, g):
+        coeffs = [ring.zero()] * (h.degree_in(v) + 1)
+        for e, c in h.terms.items():
+            coeffs[e[v]] = c
+        dense.append(coeffs)
+    a, b = dense
+    while b:
+        inv = ring.inv(b[-1])
+        while len(a) >= len(b):
+            q = a[-1] * inv
+            shift = len(a) - len(b)
+            for i in range(len(b) - 1):
+                a[shift + i] = a[shift + i] - q * b[i]
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    exps = [0] * f.nvars
+    terms = {}
+    for d, c in enumerate(a):
+        exps[v] = d
+        terms[tuple(exps)] = c
+    return MultiPoly(ring, f.nvars, terms).monic()
+
+
 def gcd_multi(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Monic gcd over a coefficient field."""
+    """Monic gcd over a coefficient field.
+
+    Two forms in two or more variables are dehomogenized at x_0: their gcd
+    is x_0^min(ord f, ord g) times the homogenized gcd of f|_{x_0=1} and
+    g|_{x_0=1}.  Inputs that together use one variable go to Euclid on
+    dense coefficient lists.  The rest, inhomogeneous in two or more
+    variables, take a primitive pseudo-remainder sequence in the last
+    variable used, whose content gcds recurse.  A monic gcd is unique, so
+    every route gives the same polynomial.
+    """
     if f.ring != g.ring or f.nvars != g.nvars:
         raise ValueError("polynomials over different contexts")
     if not f.ring.is_field:
@@ -470,8 +512,16 @@ def gcd_multi(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return f.monic()
     if f.is_constant or g.is_constant:
         return MultiPoly.one(f.ring, f.nvars)
+    if f.nvars >= 2 and f.is_homogeneous() and g.is_homogeneous():
+        # set_var_one cannot cancel terms of a form, so this is exact
+        k = min(min(e[0] for e in f.terms), min(e[0] for e in g.terms))
+        h = gcd_multi(f.set_var_one(0), g.set_var_one(0)).homogenize(0)
+        terms = {(e[0] + k,) + e[1:]: c for e, c in h.terms.items()}
+        return MultiPoly(f.ring, f.nvars, terms).monic()
     used = sorted(set(f.variables_used()) | set(g.variables_used()))
     v = used[-1]
+    if len(used) == 1:
+        return _univariate_gcd(f, g, v)
     df, dg = f.degree_in(v), g.degree_in(v)
     if df == 0:
         return gcd_multi(f, _content_in(g, v))
@@ -706,6 +756,9 @@ class RationalFunction:
         return self.num * o.den == o.num * self.den
 
     def __hash__(self):
+        # a polynomial value equals its numerator, so it hashes as one
+        if self.den.is_constant:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __bool__(self):

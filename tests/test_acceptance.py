@@ -255,6 +255,26 @@ def test_generic_degree_two_plane_foliation_over_f5():
     assert report.cartier_integrable is True
 
 
+def test_generic_degree_two_plane_foliation_over_f7():
+    # W1 at p = 7, built as the p = 5 case above
+    p = 7
+    F = GF(p)
+    rng = random.Random(1)
+    chart = affine_chart(F, 2)
+    x, y = chart.vars()
+    coeffs = []
+    for _ in range(2):
+        acc = MultiPoly.zero(F, 2)
+        for i in range(3):
+            for j in range(3 - i):
+                acc = acc + (x**i * y**j).scale(F.random(rng))
+        coeffs.append(acc)
+    fol = projectivize(DiffForm(chart, 1, {(0,): coeffs[0], (1,): coeffs[1]}))
+    report = analyze(fol)
+    assert report.deg_degeneracy == predicted_degeneracy_degree(p, 2, 0) == 11
+    assert report.cartier_integrable is True
+
+
 # 7. three pullback behaviors of the degeneracy divisor
 
 

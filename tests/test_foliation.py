@@ -73,6 +73,40 @@ def test_divisor_arithmetic():
     assert (d1 - 3 * d2).normalize() == [(x.monic(), -1), (y.monic(), 1)]
 
 
+def test_divisor_sums_start_from_kept_normal_forms(monkeypatch):
+    F = GF(5)
+    x = MultiPoly.var(F, 3, 0)
+    y = MultiPoly.var(F, 3, 1)
+    z = MultiPoly.var(F, 3, 2)
+    d1 = Divisor.of_polynomial(x**2 * y * (x + y * z), "proj")
+    d2 = Divisor.of_polynomial(x * (x + y * z) * x * y, "proj")
+    d3 = Divisor.of_polynomial(x * y * z, "proj")
+    combos = [d1 - d2, d1 + 2 * d3 - d2, -d3 + d1, 3 * d3]
+    # the same sums from bare items, which are decomposed afresh
+    fresh = [
+        Divisor(F, 3, d.items, "proj").normalize()
+        for d in (
+            Divisor(F, 3, d1.items + [(f, -m) for f, m in d2.items], "proj"),
+            Divisor(F, 3, d1.items + [(f, 2 * m) for f, m in d3.items]
+                    + [(f, -m) for f, m in d2.items], "proj"),
+            Divisor(F, 3, [(f, -m) for f, m in d3.items] + d1.items, "proj"),
+            Divisor(F, 3, [(f, 3 * m) for f, m in d3.items], "proj"),
+        )
+    ]
+    calls = []
+    decompose = pfol.foliation.squarefree_decomposition
+
+    def counting(f):
+        calls.append(f)
+        return decompose(f)
+
+    monkeypatch.setattr(pfol.foliation, "squarefree_decomposition", counting)
+    assert d1 == d2
+    assert d1 != d3
+    assert [d.normalize() for d in combos] == fresh
+    assert calls == []
+
+
 def test_log_foliation_p_closed_iff_ratios_in_fp():
     # sum lambda_i dlog x_i is p-closed iff the weight ratios are in F_p
     p = 3

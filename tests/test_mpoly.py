@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import pfol.mpoly as mpoly
 from pfol.mpoly import (
     MultiPoly,
     RationalFunction,
@@ -210,3 +211,160 @@ def test_nonfield_denominators_rejected():
     x = MultiPoly.var(ZZ, 1, 0)
     with pytest.raises(Exception):
         RationalFunction(MultiPoly.one(ZZ, 1), x)
+
+
+def test_polynomial_rational_function_hashes_as_its_numerator():
+    F = GF(5)
+    x = MultiPoly.var(F, 2, 0)
+    y = MultiPoly.var(F, 2, 1)
+    r = RationalFunction.from_poly(x)
+    assert r == x and hash(r) == hash(x)
+    assert len({r, x}) == 1
+    assert len({RationalFunction(x**2 - y**2, x + y), x - y}) == 1
+    assert len({RationalFunction(x, y), x}) == 2
+
+
+# ---------------------------------------------------------------------------
+# the gcd routes against the primitive pseudo-remainder sequence they replace
+
+
+def _prs_univar_view(f, v):
+    out = {}
+    for e, c in f.terms.items():
+        ne = list(e)
+        ne[v] = 0
+        mono = MultiPoly(f.ring, f.nvars, {tuple(ne): c})
+        out[e[v]] = mono if e[v] not in out else out[e[v]] + mono
+    return {d: c for d, c in out.items() if not c.is_zero}
+
+
+def _prs_content_in(f, v):
+    acc = MultiPoly.zero(f.ring, f.nvars)
+    for c in _prs_univar_view(f, v).values():
+        acc = gcd_prs_reference(acc, c)
+    return acc
+
+
+def _prs_lead_in(f, v):
+    view = _prs_univar_view(f, v)
+    d = max(view)
+    return d, view[d]
+
+
+def _prs_prem(a, b, v):
+    db, lb = _prs_lead_in(b, v)
+    r = a
+    xv = MultiPoly.var(a.ring, a.nvars, v)
+    while not r.is_zero and r.degree_in(v) >= db:
+        dr, lr = _prs_lead_in(r, v)
+        r = r * lb - b * lr * xv ** (dr - db)
+    return r
+
+
+def gcd_prs_reference(f, g):
+    """Monic gcd by a recursive primitive pseudo-remainder sequence in the
+    last variable used, with a content gcd at every step, for all inputs."""
+    if f.is_zero:
+        return g.monic() if not g.is_zero else g
+    if g.is_zero:
+        return f.monic()
+    if f.is_constant or g.is_constant:
+        return MultiPoly.one(f.ring, f.nvars)
+    v = sorted(set(f.variables_used()) | set(g.variables_used()))[-1]
+    if f.degree_in(v) == 0:
+        return gcd_prs_reference(f, _prs_content_in(g, v))
+    if g.degree_in(v) == 0:
+        return gcd_prs_reference(_prs_content_in(f, v), g)
+    cf, cg = _prs_content_in(f, v), _prs_content_in(g, v)
+    c = gcd_prs_reference(cf, cg)
+    a = f.exact_div(cf)
+    b = g.exact_div(cg)
+    if a.degree_in(v) < b.degree_in(v):
+        a, b = b, a
+    while not b.is_zero:
+        r = _prs_prem(a, b, v)
+        a = b
+        if r.is_zero:
+            b = r
+        elif r.degree_in(v) == 0:
+            return c.monic()
+        else:
+            b = r.exact_div(_prs_content_in(r, v))
+    return (c * a.exact_div(_prs_content_in(a, v))).monic()
+
+
+REFERENCE_RINGS = [GF(2), GF(3), GF(5), GF(3, 2), GF(5, 2), QQ]
+
+
+def random_form(ring, nvars, deg, nterms, rng, first=0):
+    """A nonzero form of degree deg in the variables first..nvars-1."""
+    while True:
+        terms = {}
+        for _ in range(nterms):
+            e = [0] * nvars
+            for _ in range(deg):
+                e[rng.randrange(first, nvars)] += 1
+            terms[tuple(e)] = ring.random(rng)
+        f = MultiPoly(ring, nvars, terms)
+        if not f.is_zero:
+            return f
+
+
+def assert_matches_reference(f, g, monkeypatch):
+    assert gcd_multi(f, g) == gcd_prs_reference(f, g)
+    assert gcd_multi(g, f) == gcd_prs_reference(f, g)
+    for h in (f, g):
+        fast = squarefree_decomposition(h)
+        with monkeypatch.context() as m:
+            m.setattr(mpoly, "gcd_multi", gcd_prs_reference)
+            assert fast == squarefree_decomposition(h)
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=repr)
+def test_homogeneous_gcd_matches_reference(ring, monkeypatch):
+    rng = random.Random(11)
+    q = ring.characteristic or 2
+    for nvars in (2, 3, 4):
+        x0 = MultiPoly.var(ring, nvars, 0)
+        for case in range(4):
+            # common factor; x_0^k factors; repeated and p-th-power factors;
+            # forms that do not involve x_0
+            first = 1 if case == 3 and nvars > 2 else 0
+            a, b, c = (random_form(ring, nvars, d, 3, rng, first) for d in (1, 2, 1))
+            if case == 0:
+                f, g = a * c, b * c
+            elif case == 1:
+                f, g = x0**2 * a * c, x0 * b * c**2
+            elif case == 2:
+                f, g = a**2 * c**q * b, c ** (q + 1) * a
+            else:
+                f, g = a * b * c, b * c**2
+            assert_matches_reference(f, g, monkeypatch)
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=repr)
+def test_inhomogeneous_gcd_matches_reference(ring, monkeypatch):
+    rng = random.Random(12)
+    for _ in range(4):
+        a, b, c = (random_poly(ring, 2, rng, deg=2, nterms=3) for _ in range(3))
+        if a.is_zero or b.is_zero or c.is_zero:
+            continue
+        assert_matches_reference(a * c, b * c * c, monkeypatch)
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=repr)
+def test_univariate_gcd_matches_reference(ring, monkeypatch):
+    rng = random.Random(13)
+    q = ring.characteristic or 2
+    nvars = 3
+    for v in range(nvars):
+        t = MultiPoly.var(ring, nvars, v)
+        one = MultiPoly.one(ring, nvars)
+
+        def rand(deg):
+            return sum((t**d).scale(ring.random(rng)) for d in range(deg)) + t**deg
+
+        a, b, c = rand(2), rand(3), rand(1)
+        assert_matches_reference(a * c * c, b * c**q * (t + one), monkeypatch)
+        unit = next(c for c in iter(lambda: ring.random(rng), None) if c)
+        assert_matches_reference(a * t, (b * t).scale(unit), monkeypatch)
