@@ -211,13 +211,14 @@ def kronecker_probe(minpoly, pmax: int) -> dict:
         diff = up_sub(xp, [0, 1], p)
         if len(up_gcd(diff, f, p)) > 1:
             with_root += 1
-    density = with_root / good if good else 0.0
+    if not good:
+        raise ValueError("no good prime up to pmax")
     return {
         "pmax": pmax,
         "good_primes": good,
         "primes_with_root": with_root,
-        "density": density,
-        "verdict": "rational-like" if good and with_root == good else "irrational-like",
+        "density": with_root / good,
+        "verdict": "rational-like" if with_root == good else "irrational-like",
     }
 
 

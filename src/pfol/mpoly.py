@@ -72,7 +72,9 @@ class MultiPoly:
 
     def _coerce_operand(self, other):
         if isinstance(other, MultiPoly):
-            if other.nvars != self.nvars or other.ring != self.ring:
+            if other.nvars != self.nvars or (
+                other.ring is not self.ring and other.ring != self.ring
+            ):
                 raise ValueError("polynomials over different contexts")
             return other
         if isinstance(other, RationalFunction):

@@ -12,11 +12,19 @@ All rings expose a small common protocol used by the polynomial layer:
 Elements are plain ``int`` (for Z), ``fractions.Fraction`` (for Q), or the
 wrapper classes :class:`GFElem` / :class:`NRElem`, all of which support the
 usual arithmetic operators and are falsy exactly when zero.
+
+A :class:`GFElem` holds one int, its code c_0 + c_1 p + ... + c_{k-1} p^{k-1}.
+A field of q <= ``TABLE_LIMIT`` elements creates its q elements once and
+returns them from every operation; a prime field computes with ints mod p,
+an extension field looks products, sums, inverses and powers up in the
+log/antilog (Zech) tables it builds at construction.  A larger extension
+field multiplies the digits of two codes in F_p[t] and inverts as a^(q-2).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 import re
 
 # ---------------------------------------------------------------------------
@@ -185,22 +193,42 @@ def canonical_irreducible(p: int, k: int) -> list[int]:
     raise ArithmeticError("no irreducible polynomial found")  # pragma: no cover
 
 
+def _power(base, e: int, result):
+    """result * base**e by binary powering, for e >= 0."""
+    while e > 0:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
 # ---------------------------------------------------------------------------
 # GF(p^k)
 
+# Fields with at most this many elements build their element objects and
+# tables once, at construction; larger fields compute every result afresh.
+TABLE_LIMIT = 1 << 16
+
 
 class GFElem:
-    """An element of GF(p^k), stored as a coefficient tuple in the generator t."""
+    """An element of GF(p^k), held as one int, its code.
 
-    __slots__ = ("field", "coeffs")
+    The element c_0 + c_1 t + ... + c_{k-1} t^{k-1} has the code
+    c_0 + c_1 p + ... + c_{k-1} p^{k-1}.  In an extension field with tables
+    (see :class:`GF`) ``log`` is its discrete logarithm, 2q - 2 for zero.
+    """
 
-    def __init__(self, field: "GF", coeffs):
+    __slots__ = ("field", "code", "log")
+
+    def __init__(self, field: "GF", code: int):
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.code = code
 
     def _co(self, other):
         if isinstance(other, GFElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
         if isinstance(other, int):
@@ -208,11 +236,20 @@ class GFElem:
         return NotImplemented
 
     def __add__(self, other):
-        o = self._co(other)
+        f = self.field
+        o = other if other.__class__ is GFElem and other.field is f else self._co(other)
         if o is NotImplemented:
             return NotImplemented
-        p = self.field.p
-        return GFElem(self.field, [(a + b) % p for a, b in zip(self.coeffs, o.coeffs)])
+        if f.k == 1:
+            return f._make((self.code + o.code) % f.p)
+        if f._exp is None:
+            digits = zip(f._digits(self.code), f._digits(o.code))
+            return f._make(f._code([x + y for x, y in digits]))
+        if not self.code:
+            return o
+        if not o.code:
+            return self
+        return f._exp[self.log + f._zech[o.log - self.log]]
 
     __radd__ = __add__
 
@@ -220,26 +257,30 @@ class GFElem:
         o = self._co(other)
         if o is NotImplemented:
             return NotImplemented
-        p = self.field.p
-        return GFElem(self.field, [(a - b) % p for a, b in zip(self.coeffs, o.coeffs)])
+        return self + (-o)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __neg__(self):
-        p = self.field.p
-        return GFElem(self.field, [(-a) % p for a in self.coeffs])
-
-    def __mul__(self, other):
-        o = self._co(other)
-        if o is NotImplemented:
-            return NotImplemented
         f = self.field
         if f.k == 1:
-            return GFElem(f, (self.coeffs[0] * o.coeffs[0] % f.p,))
-        prod = up_mod(up_mul(list(self.coeffs), list(o.coeffs), f.p), f.modulus, f.p)
-        prod += [0] * (f.k - len(prod))
-        return GFElem(f, prod)
+            return f._make(-self.code % f.p)
+        if f._exp is None:
+            return f._make(f._code([-x for x in f._digits(self.code)]))
+        return f._exp[self.log + f._half]
+
+    def __mul__(self, other):
+        f = self.field
+        o = other if other.__class__ is GFElem and other.field is f else self._co(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if f._exp is not None:
+            return f._exp[self.log + o.log]
+        if f.k == 1:
+            return f._make(self.code * o.code % f.p)
+        prod = up_mod(up_mul(f._digits(self.code), f._digits(o.code), f.p), f.modulus, f.p)
+        return f._make(f._code(prod))
 
     __rmul__ = __mul__
 
@@ -254,68 +295,57 @@ class GFElem:
 
     def inverse(self) -> "GFElem":
         f = self.field
-        if not self:
+        if not self.code:
             raise ZeroDivisionError("inverse of zero")
+        if f._exp is not None:
+            return f._exp[f.order - 1 - self.log]
         if f.k == 1:
-            return GFElem(f, (pow(self.coeffs[0], f.p - 2, f.p),))
-        # extended Euclid on (self, modulus)
-        r0, r1 = list(f.modulus), up_trim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = up_divmod(r0, r1, f.p)
-            r0, r1 = r1, r
-            s0, s1 = s1, up_sub(s0, up_mul(q, s1, f.p), f.p)
-        inv = up_scale(s0, pow(r0[0], f.p - 2, f.p), f.p)
-        inv += [0] * (f.k - len(inv))
-        return GFElem(f, inv)
+            return f._make(pow(self.code, f.p - 2, f.p))
+        return self ** (f.order - 2)
 
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.coerce(other)
-        return (
-            isinstance(other, GFElem)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.k, self.coeffs))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __repr__(self):
         f = self.field
         if f.k == 1:
-            return str(self.coeffs[0])
-        parts = []
-        for i in range(f.k - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                t = "t" if i == 1 else f"t^{i}"
-                parts.append(t if c == 1 else f"{c}*{t}")
-        return "+".join(parts) if parts else "0"
+            return f._make(pow(self.code, e, f.p))
+        if not self.code:
+            return self if e else f.one()
+        if f._exp is not None:
+            return f._exp[self.log * e % (f.order - 1)]
+        return _power(self, e, f.one())
+
+    def __eq__(self, other):
+        if isinstance(other, GFElem):
+            return other.code == self.code and (
+                other.field is self.field or other.field == self.field
+            )
+        if isinstance(other, int):
+            return other % self.field.p == self.code
+        return False
+
+    def __hash__(self):
+        return hash(self.code)
+
+    def __bool__(self):
+        return self.code != 0
+
+    def __repr__(self):
+        return format_up(self.field._digits(self.code), "t")
 
 
 class GF:
-    """The finite field GF(p^k) = F_p[t]/(g), g monic irreducible of degree k."""
+    """The finite field GF(p^k) = F_p[t]/(g), g monic irreducible of degree k.
+
+    ``_make(code)`` gives the element of a code: for q <= ``TABLE_LIMIT``
+    one of the q elements created here, otherwise a new one.  An extension
+    field within the limit has ``_exp``, the q - 1 powers of its primitive
+    element g twice over and then zeros, so that it is indexed by a sum of
+    two logs, the log of zero being 2q - 2; and ``_zech``, log(1 + g^n)
+    twice over, so that it is indexed by a difference of two logs.  Then
+    ``*``, ``+``, ``-``, ``inverse`` and ``**`` are lookups.  ``_exp`` is
+    None in every other field.
+    """
 
     is_field = True
 
@@ -324,9 +354,12 @@ class GF:
             raise ValueError(f"{p} is not prime")
         if k < 1:
             raise ValueError("extension degree must be positive")
+        if k == 1 and modulus is not None:
+            raise ValueError(f"a modulus needs k >= 2; write Fp:{p} for the prime field")
         self.p = p
         self.k = k
         self.characteristic = p
+        self.order = q = p**k
         if k == 1:
             self.modulus = [0, 1]
         else:
@@ -338,9 +371,72 @@ class GF:
             if not up_is_irreducible(list(modulus), p):
                 raise ValueError("modulus is reducible")
             self.modulus = list(modulus)
+        self._exp = None
+        if q > TABLE_LIMIT:
+            self._make = partial(GFElem, self)
+            return
+        elems = [GFElem(self, c) for c in range(q)]
+        self._make = elems.__getitem__
+        if k == 1:
+            return
+        self._tables(elems)
+
+    def _tables(self, elems) -> None:
+        """Give every element its log and build ``_exp`` and ``_zech``.
+
+        The powers of g, the primitive element of least code, are stepped
+        through as codes.  A step adds the products with g of the code's low
+        and high digits, read from tables as ints with b bits per digit, and
+        reduces every digit mod p at once, so it costs the same for every k.
+        """
+        p, k, q, m = self.p, self.k, self.order, self.modulus
+        # g is primitive when no g^((q-1)/r) is 1, r a prime factor of q - 1
+        primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+        for code in range(p, q):
+            g = up_trim(self._digits(code))
+            if all(up_pow_mod(g, (q - 1) // r, m, p) != [1] for r in primes):
+                break
+        # spread[c]: the digits of code c in slots of b bits, wide enough
+        # for the sum of two digits plus the bias below
+        b = p.bit_length() + 1
+        spread = list(range(q))
+        for c in range(p, q):
+            spread[c] = spread[c // p] << b | c % p
+        unspread = dict(zip(spread, range(q)))
+        low = p ** (k // 2)
+        tab = [spread[self._code(up_mod(up_mul(self._digits(c), g, p), m, p))]
+               for c in [*range(low), *range(0, q, low)]]
+        low_tab, high_tab = tab[:low], tab[low:]
+        # adding bias sets the top bit of exactly the slots holding p or more
+        flags = ((1 << b * k) - 1) // ((1 << b) - 1) << (b - 1)
+        bias = (flags >> (b - 1)) * ((1 << (b - 1)) - p)
+        cycle, c = [], 1
+        for n in range(q - 1):
+            x = elems[c]
+            x.log = n
+            cycle.append(x)
+            s = low_tab[c % low] + high_tab[c // low]
+            c = unspread[s - (((s + bias) & flags) >> (b - 1)) * p]
+        elems[0].log = 2 * q - 2
+        self._exp = cycle * 2 + [elems[0]] * (2 * q)
+        self._half = 0 if p == 2 else (q - 1) // 2
+        self._zech = [elems[x.code + 1 - p * (x.code % p == p - 1)].log for x in cycle] * 2
+
+    def _digits(self, code: int) -> list[int]:
+        out = []
+        for _ in range(self.k):
+            code, c = divmod(code, self.p)
+            out.append(c)
+        return out
+
+    def _code(self, digits) -> int:
+        code = 0
+        for c in reversed(digits):
+            code = code * self.p + c % self.p
+        return code
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, GF)
             and other.p == self.p
             and other.k == self.k
@@ -350,36 +446,23 @@ class GF:
     def __hash__(self):
         return hash(("GF", self.p, self.k, tuple(self.modulus)))
 
-    @property
-    def order(self) -> int:
-        return self.p**self.k
-
     def zero(self) -> GFElem:
-        return GFElem(self, (0,) * self.k)
+        return self._make(0)
 
     def one(self) -> GFElem:
-        return GFElem(self, (1,) + (0,) * (self.k - 1))
+        return self._make(1)
 
     def generator(self) -> GFElem:
         """The class of t (for k = 1 this is just 1)."""
-        if self.k == 1:
-            return self.one()
-        return GFElem(self, (0, 1) + (0,) * (self.k - 2))
-
-    def elem(self, coeffs) -> GFElem:
-        coeffs = [c % self.p for c in coeffs]
-        if len(coeffs) > self.k:
-            raise ValueError("too many coefficients")
-        coeffs += [0] * (self.k - len(coeffs))
-        return GFElem(self, coeffs)
+        return self._make(self.p if self.k > 1 else 1)
 
     def coerce(self, x) -> GFElem:
         if isinstance(x, GFElem):
-            if x.field != self:
+            if x.field is not self and x.field != self:
                 raise ValueError("element of a different field")
             return x
         if isinstance(x, int):
-            return GFElem(self, (x % self.p,) + (0,) * (self.k - 1))
+            return self._make(x % self.p)
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError("denominator divisible by p")
@@ -397,16 +480,11 @@ class GF:
         return self.coerce(c) ** (self.p ** (self.k - 1))
 
     def elements(self):
-        for code in range(self.order):
-            coeffs = []
-            c = code
-            for _ in range(self.k):
-                coeffs.append(c % self.p)
-                c //= self.p
-            yield GFElem(self, coeffs)
+        """All elements, in the order of their codes."""
+        return map(self._make, range(self.order))
 
     def random(self, rng) -> GFElem:
-        return GFElem(self, [rng.randrange(self.p) for _ in range(self.k)])
+        return self._make(self._code([rng.randrange(self.p) for _ in range(self.k)]))
 
     def random_nonzero(self, rng) -> GFElem:
         while True:
@@ -572,15 +650,7 @@ class NRElem:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers are not defined in a ring")
-        result = self.ring.one()
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e, self.ring.one())
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -598,27 +668,7 @@ class NRElem:
         return any(self.coeffs)
 
     def __repr__(self):
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                t = "a" if i == 1 else f"a^{i}"
-                if c == 1:
-                    parts.append(t)
-                elif c == -1:
-                    parts.append(f"-{t}")
-                else:
-                    parts.append(f"{c}*{t}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for s in parts[1:]:
-            out += s if s.startswith("-") else "+" + s
-        return out
+        return format_up(self.coeffs, "a")
 
 
 class NumberRing:
@@ -651,13 +701,6 @@ class NumberRing:
         if self.degree == 1:
             return NRElem(self, (-self.minpoly[0],))
         return NRElem(self, (0, 1) + (0,) * (self.degree - 2))
-
-    def elem(self, coeffs) -> NRElem:
-        coeffs = list(coeffs)
-        if len(coeffs) > self.degree:
-            raise ValueError("too many coefficients")
-        coeffs += [0] * (self.degree - len(coeffs))
-        return NRElem(self, coeffs)
 
     def coerce(self, x):
         if isinstance(x, NRElem):

@@ -131,6 +131,23 @@ def test_scan_minpoly_probe(capsys):
     assert data["verdict"] == "irrational-like"
 
 
+def test_scan_minpoly_probe_without_good_primes_is_input_error(capsys):
+    # 2 and 3 divide the leading coefficient: no good prime up to 3
+    for pmax in ("3", "1"):
+        assert main(["scan", "--pmax", pmax, "--minpoly", "6*a^2+1"]) == 2
+        captured = capsys.readouterr()
+        assert "no good prime up to pmax" in captured.err
+        assert captured.out == ""
+
+
+def test_prime_field_with_modulus_is_input_error(tmp_path, capsys):
+    doc = write(tmp_path, "deg1.txt", DEG1)
+    assert main(["analyze", "--field", "Fq:5^1:t+2", doc]) == 2
+    captured = capsys.readouterr()
+    assert "write Fp:5" in captured.err
+    assert captured.out == ""
+
+
 def test_distmin2(tmp_path, capsys):
     doc = write(tmp_path, "dm.txt", DISTMIN)
     assert main(["distmin2", "--json", doc]) == 0

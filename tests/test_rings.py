@@ -4,6 +4,7 @@ import pytest
 
 from pfol.rings import (
     GF,
+    TABLE_LIMIT,
     NumberRing,
     QQ,
     ZZ,
@@ -15,6 +16,7 @@ from pfol.rings import (
     parse_up,
     primes_upto,
     up_is_irreducible,
+    up_mod,
     up_mul,
 )
 
@@ -110,6 +112,10 @@ def test_number_ring():
     a = R.generator()
     assert a * a == R.coerce(-1)
     assert (a + 1) * (a - 1) == R.coerce(-2)
+    assert [repr(x) for x in (R.zero(), a, -a + 3, 2 * a - 1, a * a * a)] == [
+        "0", "a", "-a+3", "2*a-1", "-a"]
+    b = NumberRing([1, 0, 0, 1]).generator()
+    assert repr(3 * b * b - b + 1) == "3*a^2-a+1"
 
 
 def test_powers_match_repeated_products():
@@ -149,3 +155,163 @@ def test_descriptor_roundtrip():
     for text in ["Fp:5", "Fq:3^2:t^2+1", "Z", "Q"]:
         ring = parse_descriptor(text)
         assert parse_descriptor(ring.descriptor()) == ring
+
+
+# ---------------------------------------------------------------------------
+# table-driven GF(q) against the F_p[t] route it replaces
+
+
+def code_digits(x):
+    """The digits c_0, ..., c_{k-1} of an element's code."""
+    F = x.field
+    return [x.code // F.p**i % F.p for i in range(F.k)]
+
+
+def ref_mul(F, a, b):
+    prod = up_mod(up_mul(a, b, F.p), F.modulus, F.p)
+    return prod + [0] * (F.k - len(prod))
+
+
+def ref_pow(F, a, e):
+    result = [1] + [0] * (F.k - 1)
+    while e:
+        if e & 1:
+            result = ref_mul(F, result, a)
+        a = ref_mul(F, a, a)
+        e >>= 1
+    return result
+
+
+def ref_repr(F, a):
+    """The element printer of the coefficient-tuple representation."""
+    if F.k == 1:
+        return str(a[0])
+    parts = []
+    for i in range(F.k - 1, -1, -1):
+        c = a[i]
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            t = "t" if i == 1 else f"t^{i}"
+            parts.append(t if c == 1 else f"{c}*{t}")
+    return "+".join(parts) if parts else "0"
+
+
+def check_against_reference(F, elems, pairs):
+    p, q = F.p, F.order
+    # a field within the limit returns its interned elements
+    by_code = list(F.elements()) if q <= TABLE_LIMIT else None
+    ref_inv = {}
+    for a in elems:
+        da = code_digits(a)
+        assert repr(a) == ref_repr(F, da)
+        assert code_digits(-a) == [(-c) % p for c in da]
+        assert code_digits(F.frobenius(a)) == ref_pow(F, da, p)
+        assert code_digits(F.pth_root(a)) == ref_pow(F, da, p ** (F.k - 1))
+        for e in (0, 1, 2, 3, p, q - 2, q - 1, q, 2 * q + 5):
+            assert code_digits(a**e) == ref_pow(F, da, e)
+        if not a:
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+            with pytest.raises(ZeroDivisionError):
+                a ** -1
+            continue
+        inv = ref_pow(F, da, q - 2)
+        assert ref_mul(F, da, inv) == [1] + [0] * (F.k - 1)
+        ref_inv[a.code] = inv
+        assert code_digits(a.inverse()) == inv
+        for e in (1, 2, 3, q):
+            assert code_digits(a**-e) == ref_pow(F, inv, e)
+    for a, b in pairs:
+        da, db = code_digits(a), code_digits(b)
+        results = [
+            (a + b, [(x + y) % p for x, y in zip(da, db)]),
+            (a - b, [(x - y) % p for x, y in zip(da, db)]),
+            (a * b, ref_mul(F, da, db)),
+        ]
+        if b:
+            binv = ref_inv.get(b.code) or ref_pow(F, db, q - 2)
+            results.append((a / b, ref_mul(F, da, binv)))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        for got, want in results:
+            assert code_digits(got) == want
+            if by_code is not None:
+                assert got is by_code[got.code]
+
+
+SMALL_FIELDS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2), (5, 1)]
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_table_arithmetic_matches_reference_on_all_pairs(p, k):
+    F = GF(p, k)
+    elems = list(F.elements())
+    check_against_reference(F, elems, [(a, b) for a in elems for b in elems])
+
+
+@pytest.mark.parametrize("p,k", [(251, 2), (257, 2), (65537, 1)])
+def test_arithmetic_matches_reference_at_and_above_the_table_limit(p, k):
+    F = GF(p, k)
+    # only a field within the limit interns its elements
+    assert (F.order <= TABLE_LIMIT) == (p == 251) == (F.one() is F.one())
+    rng = random.Random(p)
+    elems = [F.random(rng) for _ in range(30)] + [F.zero(), F.one(), F.generator()]
+    pairs = [(F.random(rng), F.random(rng)) for _ in range(300)]
+    pairs += [(a, F.zero()) for a in elems[:3]] + [(F.zero(), a) for a in elems[:3]]
+    check_against_reference(F, elems, pairs)
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS + [(257, 2)])
+def test_element_order_and_random_draws_unchanged(p, k):
+    F = GF(p, k)
+    q = min(F.order, 700)
+    for code, x in zip(range(q), F.elements()):
+        digits = [code // p**i % p for i in range(k)]
+        assert code_digits(x) == digits
+        assert repr(x) == ref_repr(F, digits)
+    rng, ref_rng = random.Random(7), random.Random(7)
+    for _ in range(100):
+        x = F.random(rng)
+        assert code_digits(x) == [ref_rng.randrange(p) for _ in range(k)]
+    assert code_digits(F.generator()) == ([0, 1] + [0] * (k - 2) if k > 1 else [1])
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (2, 4), (7, 1), (257, 2)])
+def test_equal_elements_hash_equal_and_compare_with_ints(p, k):
+    F, G = GF(p, k), GF(p, k)  # equal fields, built twice
+    rng, other_rng = random.Random(11), random.Random(11)
+    for _ in range(50):
+        x, y = F.random(rng), G.random(other_rng)
+        assert x == y and hash(x) == hash(y)
+        assert x - y == 0 and y * x == x * x
+        assert x * 1 == x and hash(x * 1) == hash(x)
+    for n in range(-2 * p, 2 * p):
+        assert F.coerce(n) == n and F.coerce(n) == n + p
+        assert hash(F.coerce(n)) == hash(G.coerce(n))
+        assert (F.coerce(n) == n + 1) is False
+    assert (F.one() == "1") is False
+
+
+def test_mixing_fields_raises():
+    for F, G in [(GF(3, 2), GF(5, 2)), (GF(3), GF(3, 2)), (GF(3, 2), GF(3, 2, [2, 2, 1])),
+                 (GF(257, 2), GF(3))]:
+        a, b = F.generator(), G.one()
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+            with pytest.raises(ValueError):
+                getattr(a, op)(b)
+        with pytest.raises(ValueError):
+            F.coerce(b)
+        assert a != b
+
+
+def test_modulus_needs_an_extension_degree():
+    with pytest.raises(ValueError, match="Fp:5"):
+        GF(5, 1, [2, 1])
+    with pytest.raises(ValueError, match="Fp:5"):
+        parse_descriptor("Fq:5^1:t+2")
+    assert parse_descriptor("Fq:5^1") == GF(5)
+    assert parse_descriptor("Fq:5^1").generator() == 1
