@@ -240,9 +240,8 @@ def cmd_scan(args) -> int:
     if args.minpoly:
         probe = models.kronecker_probe(parse_up(args.minpoly, "a"), args.pmax)
         out.append(json.dumps(probe, indent=2))
-    path = args.model_file or args.doc
-    if path:
-        text = _read_text(path)
+    if args.doc:
+        text = _read_text(args.doc)
         doc = parse_document(text, field_override=args.field)
         if not isinstance(doc.ring, (NumberRing, type(ZZ))):
             raise ParseError("scans need a model over Z or NR:<minpoly>")
@@ -312,10 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, doc_required=True):
+    def add(name, fn, help_text):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        if doc_required:
-            p.add_argument("doc", help="input document (- for stdin)")
+        p.add_argument("doc", help="input document (- for stdin)")
         p.set_defaults(fn=fn)
         return p
 
@@ -333,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scan primes up to this bound")
     p_scan.add_argument("--minpoly",
                         help="probe this minimal polynomial for roots mod p")
-    p_scan.add_argument("--model-file", help="read the model from this file")
     p_scan.set_defaults(fn=cmd_scan)
     p_dm = add("distmin2", cmd_distmin2,
                "minimal degree of a codimension-two subdistribution")

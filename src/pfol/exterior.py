@@ -7,9 +7,8 @@ index q-tuples to nonzero coefficients.  The coefficient rule, applied by
 ``MultiPoly`` unless its denominator is nonconstant, and only then a
 ``RationalFunction``.  A polynomial form is one whose coefficients are all
 ``MultiPoly``.  A ``RationalFunction`` appears only where a denominator
-really exists: scalars read by the parser, ``DiffForm.__truediv__``,
-pullbacks along rational components, and the Jacobians of
-``geommaps.ramification_divisor``.
+really exists: scalars read by the parser, ``DiffForm.__truediv__`` and
+pullbacks along rational components.
 
 The same machinery is used for honest affine charts and for the cone over
 a projective space (homogeneous coordinates); the :class:`Chart` object

@@ -7,7 +7,9 @@ annihilated by the radial field.  Every invariant is read from one set of
 p-curvature values omega(v^p) over the Koszul fields of that form.  The
 degeneracy divisor is their gcd, on the cone as on an affine chart: by
 p-linearity and the Euler field, the cone gcd serves every standard chart
-(see ``degeneracy_divisor``), so no chart is built.
+(see ``degeneracy_divisor``), so no chart is built.  A projective divisor is
+read off one form on the cone by ``Divisor.of_homogeneous``, which splits
+off the coordinate hyperplanes as the charts would glue them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .mpoly import (
     RationalFunction,
     gcd_list,
     gcd_multi,
-    multiplicity_along,
     poly_str,
     squarefree_decomposition,
 )
@@ -115,6 +116,24 @@ class Divisor:
         if f.is_zero:
             raise ValueError("divisor of the zero polynomial")
         return cls._normalized(f.ring, f.nvars, squarefree_decomposition(f), ambient)
+
+    @classmethod
+    def of_homogeneous(cls, f: MultiPoly) -> "Divisor":
+        """The divisor of zeros of a nonzero form f on P^n, as the standard
+        charts {x_j != 0} glue it.  A coordinate hyperplane x_j is seen only
+        from the other charts, so it is split off the squarefree parts of f
+        as a component of its own."""
+        if f.is_zero:
+            raise ValueError("divisor of the zero polynomial")
+        coords = [MultiPoly.var(f.ring, f.nvars, j) for j in range(f.nvars)]
+        items = []
+        for comp, m in squarefree_decomposition(f):
+            for x_j in coords:
+                if x_j.divides(comp):
+                    items.append((x_j, m))
+                    comp = comp.exact_div(x_j)
+            items.append((comp, m))
+        return cls._normalized(f.ring, f.nvars, items, "proj")
 
     def _check(self, other: "Divisor"):
         if (other.ring, other.nvars, other.ambient) != (
@@ -215,43 +234,6 @@ def divisor_difference_of_closed_form(form: DiffForm, ambient="affine") -> Divis
         raise ValueError("could not split the form into numerator and denominator")
     cont = numerator.content()
     return Divisor.of_polynomial(den, ambient) - Divisor.of_polynomial(cont, ambient)
-
-
-def glue_chart_divisors(ring, n: int, chart_fns: dict) -> Divisor:
-    """Glue the divisors of num/den on standard charts {x_j != 0} of P^n.
-
-    ``chart_fns`` maps a chart index j to a pair (num, den) of polynomials
-    in the chart coordinates.  Their squarefree components are homogenized
-    into a coprime basis, and every basis element must have one
-    multiplicity on all the charts that see it.  That basis is the normal
-    form of the result.  The one caller is ``geommaps.ramification_divisor``,
-    whose Jacobians are only defined chart by chart.
-    """
-    candidates = []
-    for j, (num, den) in chart_fns.items():
-        for poly in (num, den):
-            for comp, _ in squarefree_decomposition(poly):
-                candidates.append(comp.homogenize(j))
-    items = []
-    for h in coprime_basis(candidates):
-        mults = set()
-        for j, (num, den) in chart_fns.items():
-            h_aff = h.set_var_one(j)
-            if h_aff.is_constant:
-                continue
-            m = multiplicity_along(num, h_aff)
-            if not den.is_constant:
-                m -= multiplicity_along(den, h_aff)
-            mults.add(m)
-        if len(mults) != 1:
-            raise AssertionError(
-                f"component {poly_str(h)} has chart multiplicities "
-                f"{sorted(mults)}, not exactly one"
-            )
-        m = mults.pop()
-        if m:
-            items.append((h, m))
-    return Divisor._normalized(ring, n + 1, items, "proj")
 
 
 # ---------------------------------------------------------------------------
@@ -495,25 +477,16 @@ def degeneracy_divisor(fol: Foliation) -> Divisor:
     a chart tangent field is g v + h R with v a cone Koszul field and R
     the Euler field; p-curvature is p-linear, omega((g v)^p) =
     g^p omega(v^p) (Katz 1970), and R^p = R with omega(R) = 0, so the
-    chart gcd is G up to a power of x_j.  A hyperplane x_j is seen only
-    from the other charts, so in the divisor glued from the charts it is a
-    component of its own: it is split off the squarefree parts of G to
-    give that divisor component by component.
+    chart gcd is G up to a power of x_j, and ``Divisor.of_homogeneous``
+    gives the divisor glued from the charts component by component.
     """
     vals = [val for val in fol.pcurvature.values if val]
     if not vals:
         raise PClosedError("foliation is p-closed; no degeneracy divisor")
     g = gcd_list(vals).monic()
-    if not fol.projective:
-        return Divisor.of_polynomial(g, "affine")
-    items = []
-    for comp, m in squarefree_decomposition(g):
-        for x_j in fol.chart.vars():
-            if x_j.divides(comp):
-                items.append((x_j, m))
-                comp = comp.exact_div(x_j)
-        items.append((comp, m))
-    return Divisor._normalized(fol.ring, fol.n + 1, items, "proj")
+    if fol.projective:
+        return Divisor.of_homogeneous(g)
+    return Divisor.of_polynomial(g, "affine")
 
 
 def closed_defining_form(fol: Foliation) -> DiffForm:

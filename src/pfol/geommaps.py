@@ -3,9 +3,12 @@
 A :class:`RationalMap` stores, for each coordinate of the target, its
 expression in the coordinates of the source.  Affine maps have rational
 components on an affine chart; projective maps have homogeneous polynomial
-components of a common degree on the cone.  Components follow the
-coefficient rule of :mod:`pfol.exterior`: a ``MultiPoly`` unless the
-denominator is nonconstant.
+components of a common degree, without a common factor, on the cone.
+Components follow the coefficient rule of :mod:`pfol.exterior`: a
+``MultiPoly`` unless the denominator is nonconstant.  The ramification
+divisor is the divisor of one polynomial determinant, on the cone for a map
+of P^n and on the chart for an affine map, so no chart is built and no
+Jacobian is a rational function (see ``ramification_divisor``).
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ from .foliation import (
     Foliation,
     degeneracy_divisor,
     from_form,
-    glue_chart_divisors,
     is_invariant_hypersurface,
     p_kernel,
 )
-from .mpoly import MultiPoly, RationalFunction
+from .mpoly import MultiPoly, RationalFunction, gcd_list
 
 
 @dataclass
@@ -50,6 +52,8 @@ class RationalMap:
                 degs.add(f.total_degree())
             if len(degs) != 1:
                 raise ValueError("components must share a common degree")
+            if not gcd_list(self.comps).is_constant:
+                raise ValueError("components must have no common factor")
 
     @property
     def is_projective(self) -> bool:
@@ -131,64 +135,63 @@ def pullback_divisor(phi: RationalMap, div: Divisor) -> Divisor:
     return Divisor(phi.source.ring, phi.source.nvars, items, div.ambient)
 
 
-def _det(rows) -> MultiPoly | RationalFunction:
-    n = len(rows)
-    if n == 1:
+def _det(rows: list[list[MultiPoly]]) -> MultiPoly:
+    """The determinant, by Laplace expansion along the first row."""
+    if len(rows) == 1:
         return rows[0][0]
-    acc = None
-    for j in range(n):
-        entry = rows[0][j]
-        if not entry:
-            continue
-        minor = [[r[k] for k in range(n) if k != j] for r in rows[1:]]
-        term = entry * _det(minor)
-        if j % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        zero = rows[0][0] - rows[0][0]
-        return zero
+    acc = MultiPoly.zero(rows[0][0].ring, rows[0][0].nvars)
+    for j, entry in enumerate(rows[0]):
+        if entry:
+            term = entry * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+            acc = acc - term if j % 2 else acc + term
     return acc
 
 
-def _jacobian_det(comps, nvars: int) -> MultiPoly | RationalFunction:
-    if len(comps) != nvars:
-        raise ValueError("ramification needs an equal-dimensional map")
-    rows = [[c.deriv(j) for j in range(nvars)] for c in comps]
-    return _det(rows)
-
-
 def ramification_divisor(phi: RationalMap) -> Divisor:
-    """The ramification divisor of a generically finite separable map
-    between spaces of equal dimension, via the Jacobian determinant."""
-    ring = phi.source.ring
-    if not phi.is_projective:
-        n = phi.source.nvars
-        jac = _jacobian_det(phi.comps, n)
-        if not jac:
-            raise ValueError("Jacobian vanishes identically (inseparable or degenerate)")
-        if isinstance(jac, RationalFunction):
-            return Divisor.of_polynomial(jac.num) - Divisor.of_polynomial(jac.den)
-        return Divisor.of_polynomial(jac)
-    n = phi.source.nvars - 1
-    comps = phi.poly_comps()
-    chart_fns = {}
-    for j in range(n + 1):
-        dehom = [c.set_var_one(j) for c in comps]
-        t = j if not dehom[j].is_zero else next(
-            k for k, c in enumerate(dehom) if not c.is_zero
-        )
-        affine = [
-            RationalFunction(dehom[k], dehom[t]) for k in range(n + 1) if k != t
+    """The ramification divisor R of a generically finite separable map
+    between spaces of equal dimension n, as the divisor of one polynomial
+    determinant.
+
+    Projective maps: for components F = (F_0, ..., F_n) of degree d without
+    a common factor, let M_j be the matrix [F | d_0 F | ... | d_n F] without
+    the column d_j F, and H = det M_0 / x_0, a form of degree (n+1)(d-1).
+    x_0 divides det M_0 by Euler's relation sum_j x_j d_j F = d F: if p does
+    not divide d, x_0 det(d_j F_i) = d det M_0; if p | d, the Euler sum is 0
+    and x_1 det M_0 = -x_0 det M_1.  Where x_0 != 0 and F_t != 0, the
+    Jacobian of the chart map (F_k / F_t)_{k != t} is +-det M_0 / F_t^(n+1)
+    at x_0 = 1, so R is div(H) on that chart, and by symmetry on every
+    chart.  A coordinate hyperplane x_j | H is a component of its own, as
+    the charts glue it.
+
+    Affine maps (f_1, ..., f_n): with b the product of the component
+    denominators, the same matrix with rows b, b f_1, ..., b f_n has
+    determinant D = +-b^(n+1) det(d_j f_i), so R = div(D) - (n+1) div(b).
+    For a polynomial map b = 1 and D is the Jacobian determinant.
+    """
+    source = phi.source
+    if source.nvars != phi.target.nvars:
+        raise ValueError("ramification needs an equal-dimensional map")
+    if phi.is_projective:
+        forms, cols = phi.poly_comps(), range(1, source.nvars)
+    else:
+        b = MultiPoly.one(source.ring, source.nvars)
+        for c in phi.comps:
+            if isinstance(c, RationalFunction):
+                b = b * c.den
+        forms = [b] + [
+            c.num * b.exact_div(c.den) if isinstance(c, RationalFunction) else b * c
+            for c in phi.comps
         ]
-        jac = _jacobian_det(affine, n)
-        if not jac:
-            raise ValueError("Jacobian vanishes identically on a chart")
-        chart_fns[j] = (jac.num, jac.den)
-    div = glue_chart_divisors(ring, n, chart_fns)
-    if not div.is_effective():
-        raise AssertionError("assembled ramification divisor is not effective")
-    return div
+        cols = range(source.nvars)
+    det = _det([[f] + [f.deriv(j) for j in cols] for f in forms])
+    if not det:
+        raise ValueError("Jacobian vanishes identically (inseparable or degenerate)")
+    if phi.is_projective:
+        return Divisor.of_homogeneous(det.exact_div(source.var(0)))
+    ram = Divisor.of_polynomial(det)
+    if not b.is_constant:
+        ram = ram - (source.nvars + 1) * Divisor.of_polynomial(b)
+    return ram
 
 
 # ---------------------------------------------------------------------------

@@ -610,21 +610,6 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
     return out
 
 
-def multiplicity_along(f: MultiPoly, h: MultiPoly) -> int:
-    """The largest m with h^m | f, by trial division."""
-    if h.is_zero or h.is_constant:
-        raise ValueError("multiplicity along a unit or zero")
-    if f.is_zero:
-        raise ValueError("multiplicity of zero is infinite")
-    m = 0
-    while True:
-        q, r = f.divmod_poly(h)
-        if not r.is_zero:
-            return m
-        f = q
-        m += 1
-
-
 # ---------------------------------------------------------------------------
 # rational functions
 

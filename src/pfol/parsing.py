@@ -388,11 +388,7 @@ def parse_document(text: str, field_override: str | None = None) -> Document:
         doc.chart = cone_chart(doc.ring, doc.n, names)
     else:
         expected = doc.n
-        doc.chart = (
-            affine_chart(doc.ring, doc.n, names)
-            if names
-            else affine_chart(doc.ring, doc.n)
-        )
+        doc.chart = affine_chart(doc.ring, doc.n, names)
     if names is not None and len(names) != expected:
         raise ParseError(f"expected {expected} variable names")
     for lineno, line in pending:

@@ -24,6 +24,22 @@ form omega = z*dx + x*z*dy + x*dz
 map phi = [x, y, z^2]
 """
 
+PROJECTIVE_PULLBACK = """\
+field Fq:5^2:t^2+2
+ambient proj 2
+vars x0 x1 x2
+form omega = t*x1*x2*dx0 + x0*x2*dx1 - (t+1)*x0*x1*dx2
+map phi = {}
+"""
+
+FROBENIUS_PULLBACK = """\
+field Fp:5
+ambient proj 2
+vars x0 x1 x2
+form omega = x1*x2*dx0 + x0*x2*dx1 - 2*x0*x1*dx2
+map phi = [x0^5, x1^5, x2^5]
+"""
+
 RESTRICT = """\
 field Fq:7^2:t^2+1
 ambient proj 3
@@ -95,6 +111,22 @@ def test_pullback(tmp_path, capsys):
     assert main(["pullback", doc]) == 0
     out = capsys.readouterr().out
     assert "matches: True" in out
+
+
+@pytest.mark.parametrize(
+    "comps", ["[x0 + x1, x1 + 2*x2, x2]", "[x0^2, x1^2 + x0*x2, x2^2]"]
+)
+def test_projective_pullback(tmp_path, capsys, comps):
+    # neither map is a monomial cover: the ramification is read off the cone
+    doc = write(tmp_path, "pull.txt", PROJECTIVE_PULLBACK.format(comps))
+    assert main(["pullback", doc]) == 0
+    assert "matches: True" in capsys.readouterr().out
+
+
+def test_frobenius_pullback_is_input_error(tmp_path, capsys):
+    doc = write(tmp_path, "frob.txt", FROBENIUS_PULLBACK)
+    assert main(["pullback", doc]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_restrict(tmp_path, capsys):

@@ -17,7 +17,6 @@ from pfol.foliation import (
     degeneracy_divisor,
     divisor_difference_of_closed_form,
     from_form,
-    glue_chart_divisors,
     is_invariant_hypersurface,
     is_p_closed,
     koszul_fields,
@@ -29,6 +28,8 @@ from pfol.foliation import (
 )
 from pfol.mpoly import MultiPoly, gcd_list
 from pfol.rings import GF
+
+from chart_reference import glue_chart_divisors
 
 
 def test_coprime_basis():

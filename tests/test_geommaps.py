@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pfol.exterior import DiffForm, affine_chart, cone_chart
@@ -21,6 +23,71 @@ from pfol.geommaps import (
 from pfol.mpoly import MultiPoly, RationalFunction
 from pfol.rings import GF
 
+from chart_reference import glue_chart_divisors
+
+
+def rf_jacobian_det(comps, nvars: int) -> MultiPoly | RationalFunction:
+    """det(d_j c_i) by Laplace expansion, with rational entries when the
+    components are rational."""
+
+    def det(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        acc = rows[0][0] - rows[0][0]
+        for j, entry in enumerate(rows[0]):
+            if entry:
+                term = entry * det([r[:j] + r[j + 1:] for r in rows[1:]])
+                acc = acc - term if j % 2 else acc + term
+        return acc
+
+    return det([[c.deriv(j) for j in range(nvars)] for c in comps])
+
+
+def rf_ramification_reference(comps, nvars: int) -> Divisor:
+    """The affine ramification divisor as div(num) - div(den) of the
+    rational Jacobian determinant."""
+    jac = rf_jacobian_det(comps, nvars)
+    if not jac:
+        raise ValueError("Jacobian vanishes identically")
+    if isinstance(jac, RationalFunction):
+        return Divisor.of_polynomial(jac.num) - Divisor.of_polynomial(jac.den)
+    return Divisor.of_polynomial(jac)
+
+
+def chart_ramification_reference(phi: RationalMap) -> Divisor:
+    """The ramification divisor of a map of P^n by the chart route: on each
+    chart {x_j != 0}, the rational Jacobian of (F_k / F_t)_{k != t}, with
+    t = j unless F_j vanishes there; then glue the charts.
+
+    Right for monomial covers only: on other maps chart j carries the pole
+    -(n+1) div(F_t) and the gluing fails.
+    """
+    n = phi.source.nvars - 1
+    comps = phi.poly_comps()
+    chart_fns = {}
+    for j in range(n + 1):
+        dehom = [c.set_var_one(j) for c in comps]
+        t = j if not dehom[j].is_zero else next(
+            k for k, c in enumerate(dehom) if not c.is_zero
+        )
+        affine = [RationalFunction(dehom[k], dehom[t]) for k in range(n + 1) if k != t]
+        jac = rf_jacobian_det(affine, n)
+        chart_fns[j] = (jac.num, jac.den)
+    return glue_chart_divisors(phi.source.ring, n, chart_fns)
+
+
+def random_form(ring, nvars: int, degree: int, rng) -> MultiPoly:
+    """A random form of the given degree: each monomial is kept with
+    probability 0.6, with a random coefficient."""
+    acc = MultiPoly.zero(ring, nvars)
+    exps = [()]
+    for k in range(nvars):
+        exps = [e + (i,) for e in exps for i in range(degree - sum(e) + 1)]
+    for e in exps:
+        if sum(e) == degree and rng.random() < 0.6:
+            acc = acc + MultiPoly.monomial(ring, nvars, e, ring.random(rng))
+    return acc
+
 
 def power_map(ring, ell):
     chart = affine_chart(ring, 3)
@@ -36,6 +103,8 @@ def test_rational_map_validation():
         RationalMap(cone, cone, [x0, x1])  # wrong arity
     with pytest.raises(ValueError):
         RationalMap(cone, cone, [x0, x1, x2**2])  # mixed degrees
+    with pytest.raises(ValueError, match="common factor"):
+        RationalMap(cone, cone, [x0 * x1, x0 * x2, x0**2])
 
 
 def test_monomial_cover_ramification():
@@ -44,6 +113,79 @@ def test_monomial_cover_ramification():
     ram = ramification_divisor(phi)
     x0, x1, x2 = phi.source.vars()
     assert ram.normalize() == [(x0, 2), (x1, 2), (x2, 2)]
+
+
+def test_monomial_cover_ramification_matches_chart_reference():
+    # the cone determinant prints as the glued charts did
+    for n in (1, 2, 3):
+        for p in (3, 5, 7):
+            for e in (2, 3):
+                if e != p:
+                    phi = monomial_cover(GF(p), n, e)
+                    ram = ramification_divisor(phi)
+                    assert repr(ram) == repr(chart_ramification_reference(phi))
+    with pytest.raises(ValueError, match="vanishes identically"):
+        ramification_divisor(monomial_cover(GF(3), 2, 3))
+
+
+def test_cone_ramification_restricts_to_chart_zero():
+    # on {x_0 != 0}, div(H) is the ramification of (F_k / F_0) plus
+    # (n+1) div(F_0): the pole the chart route left in
+    rng = random.Random(11)
+    checked = 0
+    for p in (2, 3, 5):
+        F = GF(p)
+        for n, degree in sorted({(1, 2), (1, p), (2, 2)}):
+            cone = cone_chart(F, n)
+            found = 0
+            while found < 2:
+                comps = [random_form(F, n + 1, degree, rng) for _ in range(n + 1)]
+                try:
+                    phi = RationalMap(cone, cone, comps)
+                except ValueError:
+                    continue  # a zero or common factor, or mixed degrees
+                chart = [c.set_var_one(0) for c in comps]
+                if chart[0].is_zero:
+                    continue
+                affine = [RationalFunction(c, chart[0]) for c in chart[1:]]
+                try:
+                    expected = rf_ramification_reference(affine, n)
+                except ValueError:
+                    with pytest.raises(ValueError, match="vanishes identically"):
+                        ramification_divisor(phi)
+                    continue
+                expected = expected + (n + 1) * Divisor.of_polynomial(chart[0])
+                ram = ramification_divisor(phi).normalize()
+                assert Divisor(F, n, [(h.set_var_one(0), m) for h, m in ram]) == expected
+                found += 1
+                checked += degree == p
+    assert checked == 8
+
+
+def test_affine_ramification_matches_rational_jacobian():
+    rng = random.Random(4)
+    for p in (3, 5, 7):
+        F = GF(p)
+        chart = affine_chart(F, 2)
+        found = 0
+        while found < 4:
+            comps = []
+            for _ in range(2):
+                num = random_form(F, 2, rng.randrange(1, 4), rng)
+                num = num + random_form(F, 2, 1, rng)
+                den = random_form(F, 2, 1, rng) + MultiPoly.one(F, 2)
+                comps.append(RationalFunction(num, den) if found % 2 else num)
+            if any(not c for c in comps):
+                continue
+            phi = RationalMap(chart, chart, comps)
+            try:
+                expected = rf_ramification_reference(phi.comps, 2)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    ramification_divisor(phi)
+                continue
+            found += 1
+            assert ramification_divisor(phi) == expected
 
 
 def test_affine_power_map_ramification():

@@ -9,12 +9,13 @@ from pfol.mpoly import (
     RationalFunction,
     gcd_list,
     gcd_multi,
-    multiplicity_along,
     poly_str,
     pth_root_poly,
     squarefree_decomposition,
 )
 from pfol.rings import GF, QQ, ZZ
+
+from chart_reference import multiplicity_along
 
 
 def random_poly(ring, nvars, rng, deg=3, nterms=4):
