@@ -18,3 +18,16 @@ The package is organised bottom-up:
 """
 
 __version__ = "0.1.0"
+
+
+class InternalError(RuntimeError):
+    """A broken internal invariant: a bug in the engine, not bad input.
+
+    ``stage`` names where it was found, in the layer.function form the
+    benchmark's per-layer report uses; the command line exits with code 3.
+    """
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(f"{stage}: {message}")
+        self.stage = stage
+        self.message = message

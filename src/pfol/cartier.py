@@ -12,6 +12,7 @@ the foliation code applies the polynomial operator to g^(p-1) a directly.
 
 from __future__ import annotations
 
+from . import InternalError
 from .exterior import DiffForm
 from .mpoly import MultiPoly
 
@@ -113,5 +114,7 @@ def classify_closedness(form: DiffForm) -> dict:
         form.chart, 1, {(i,): primitive.deriv(i) for i in range(n)}
     )
     if dprim != form:
-        raise AssertionError("primitive reconstruction failed")
+        raise InternalError(
+            "cartier.classify_closedness", "primitive reconstruction failed"
+        )
     return {"status": "exact", "primitive": primitive}

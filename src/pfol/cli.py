@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from . import distmin, models
+from . import InternalError, distmin, models
 from .foliation import (
     Divisor,
     Foliation,
@@ -352,6 +352,9 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error in {exc.stage}: {exc.message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+from . import InternalError
 from .exterior import DiffForm, VectorField, euler_field
 from .foliation import Foliation
 from .mpoly import MultiPoly
@@ -228,7 +229,9 @@ def distmin2(fol: Foliation, delta_max: int | None = None, seed: int = 0) -> Dis
     for delta in range(delta_max + 1):
         system = subdistribution_space(fol, delta)
         if dims and system.dimension < dims[-1]:
-            raise AssertionError("solution dimension decreased with delta")
+            raise InternalError(
+                "distmin.distmin2", "solution dimension decreased with delta"
+            )
         dims.append(system.dimension)
         candidates = list(system.basis)
         # a witness may hide in the span even if no basis vector qualifies

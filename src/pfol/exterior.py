@@ -18,10 +18,12 @@ records which of the two a form lives on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .mpoly import (
     MultiPoly,
     RationalFunction,
+    _prime_modulus,
     default_names,
     gcd_list,
     gcd_multi,
@@ -409,17 +411,25 @@ class VectorField:
         """The p-fold iterated derivation v^p (again a derivation).
 
         Its components are v^p(x_i) = v^(p-1)(c_i) for the components c_i
-        of v, each step being g <- sum_j c_j dg/dx_j.  The components follow
-        the coefficient rule: a polynomial field stays on ``MultiPoly``
-        values throughout, so no rational function is normalised on the
-        way, and only a field with a nonconstant denominator carries
-        ``RationalFunction`` values.
+        of v, each step being g <- sum_j c_j dg/dx_j.  For a polynomial
+        field each step is one accumulation into a dict of terms: a term
+        a*x^e of g contributes a*e_j*x^(e - u_j)*c_j for every j with
+        e_j not divisible by p, and the zero sums are dropped once at the
+        end of the step.  Over a prime field GF(p) the coefficients stay
+        int codes through all p - 1 steps and become field elements once.
+        A field with a nonconstant denominator keeps ``RationalFunction``
+        components and iterates ``deriv`` and ``*`` instead.
         """
-        p = self.chart.ring.characteristic
+        chart = self.chart
+        p = chart.ring.characteristic
         if p == 0:
             raise ArithmeticError("p-th powers need positive characteristic")
-        zero = self.chart.coerce(0)
         support = [(j, c) for j, c in enumerate(self.comps) if c]
+        if all(isinstance(c, MultiPoly) for c in self.comps):
+            return VectorField(
+                chart, [_iterate_derivation(g, support, p - 1) for g in self.comps]
+            )
+        zero = chart.coerce(0)
         out = []
         for g in self.comps:
             for _ in range(p - 1):
@@ -432,7 +442,7 @@ class VectorField:
                         acc = acc + c * dg
                 g = acc
             out.append(g)
-        return VectorField(self.chart, out)
+        return VectorField(chart, out)
 
     def __repr__(self):
         names = self.chart.names
@@ -440,6 +450,52 @@ class VectorField:
             f"({c!r})*D{names[i]}" for i, c in enumerate(self.comps) if c
         ]
         return " + ".join(parts) if parts else "0"
+
+
+def _iterate_derivation(g: MultiPoly, support, m: int) -> MultiPoly:
+    """Apply the polynomial derivation sum_j c_j d/dx_j to g m times.
+
+    ``support`` lists the pairs (j, c_j) with c_j nonzero.  The exponents
+    e_j are taken mod p = the characteristic, so that a term whose
+    derivative in x_j vanishes is skipped before any product is formed.
+    """
+    ring, nvars = g.ring, g.nvars
+    p = ring.characteristic
+    code_p = _prime_modulus(ring)
+    if code_p:
+        terms = {e: c.code for e, c in g.terms.items()}
+        support = [(j, [(e, c.code) for e, c in cj.terms.items()]) for j, cj in support]
+    else:
+        terms = g.terms
+        support = [(j, list(cj.terms.items())) for j, cj in support]
+    for _ in range(m):
+        if not terms:
+            break
+        acc: dict = {}
+        get = acc.get
+        for e, a in terms.items():
+            for j, cterms in support:
+                k = e[j] % p
+                if not k:
+                    continue
+                ak = a * k
+                de = e[:j] + (e[j] - 1,) + e[j + 1:]
+                for ec, c in cterms:
+                    t = tuple(map(add, de, ec))
+                    s = get(t)
+                    acc[t] = ak * c if s is None else s + ak * c
+        if code_p:
+            terms = {}
+            for e, s in acc.items():
+                s %= code_p
+                if s:
+                    terms[e] = s
+        else:
+            terms = {e: s for e, s in acc.items() if s}
+    if code_p:
+        make = ring._make
+        terms = {e: make(c) for e, c in terms.items()}
+    return MultiPoly._new(ring, nvars, terms)
 
 
 def euler_field(chart: Chart) -> VectorField:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 import json
 
+from . import InternalError
 from .cartier import cartier_transform
 from .exterior import (
     Chart,
@@ -460,7 +461,9 @@ class PCurvature:
         # omega / f is closed exactly when f d(omega) = df /\ omega
         df = DiffForm(omega.chart, 0, {(): f}).d()
         if omega.d() * f != df.wedge(omega):
-            raise AssertionError("omega / omega(v^p) failed to be closed")
+            raise InternalError(
+                "foliation.PCurvature.eta", "omega / omega(v^p) failed to be closed"
+            )
         return cartier_transform(omega * f ** (self.p - 1), check_closed=False)
 
 
@@ -533,7 +536,7 @@ def p_kernel(fol: Foliation) -> KernelResult:
     degree = None
     if fol.projective:
         if theta.contract(euler_field(fol.chart)):
-            raise AssertionError("kernel 2-form not radial-invariant")
+            raise InternalError("foliation.p_kernel", "kernel 2-form not radial-invariant")
         degree = theta.max_coeff_degree() - 1
     return KernelResult(theta, degree)
 

@@ -6,21 +6,40 @@ terms, printing and division is graded lexicographic (total degree first,
 then lex with the first variable largest).
 
 No general factorization is attempted: the only decompositions provided are
-multivariate gcd over a field, squarefree decomposition (with the
-characteristic-p p-th power branch) and multiplicity along a known divisor
-by trial division.  The gcd dehomogenizes two forms at x_0, runs Euclid on
-dense coefficient lists when the inputs use one variable, and keeps a
-primitive pseudo-remainder sequence only for inhomogeneous inputs in two or
-more variables.
+multivariate gcd over a field and squarefree decomposition (with the
+characteristic-p p-th power branch).  The gcd dehomogenizes two forms at
+x_0, runs Euclid on dense coefficient lists when the inputs use one
+variable, and keeps a primitive pseudo-remainder sequence only for
+inhomogeneous inputs in two or more variables.
+
+The arithmetic loops work on plain dicts and wrap each result once.
+``MultiPoly(ring, nvars, terms)`` checks every term; the private
+``MultiPoly._new`` checks nothing and is used only for terms the code has
+just built, whose keys are tuples of length ``nvars`` and whose
+coefficients are all nonzero.  Over a prime field GF(p) a product sums the
+int codes of the coefficients for each monomial and reduces mod p once at
+the end; every other ring multiplies ring elements.  ``divmod_poly``
+updates one working dict in place.
 """
 
 from __future__ import annotations
 
-from .rings import GFElem, NRElem
+from operator import add, sub
+
+from .rings import GF, GFElem, NRElem
 
 
 def _grlex_key(e):
     return (sum(e), e)
+
+
+def _prime_modulus(ring) -> int:
+    """p when ``ring`` is a prime field GF(p), else 0.
+
+    Over GF(p) the arithmetic loops compute with the int codes of the
+    coefficients and map the reduced sums back through ``ring._make``.
+    """
+    return ring.p if ring.__class__ is GF and ring.k == 1 else 0
 
 
 class MultiPoly:
@@ -39,6 +58,16 @@ class MultiPoly:
                 if c:
                     clean[tuple(e)] = c
         self.terms = clean
+
+    @classmethod
+    def _new(cls, ring, nvars: int, terms: dict) -> "MultiPoly":
+        """Wrap terms without checks: tuple keys of length ``nvars`` and no
+        zero coefficient, as the arithmetic loops build them."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self.nvars = nvars
+        self.terms = terms
+        return self
 
     # -- constructors -------------------------------------------------------
 
@@ -147,19 +176,29 @@ class MultiPoly:
             if s:
                 terms[e] = s
             else:
-                terms.pop(e, None)
-        return MultiPoly(self.ring, self.nvars, terms)
+                del terms[e]
+        return MultiPoly._new(self.ring, self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ring, self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._new(
+            self.ring, self.nvars, {e: -c for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         o = self._coerce_operand(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        terms = dict(self.terms)
+        for e, c in o.terms.items():
+            s = terms.get(e)
+            s = -c if s is None else s - c
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]
+        return MultiPoly._new(self.ring, self.nvars, terms)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -168,20 +207,38 @@ class MultiPoly:
         o = self._coerce_operand(other)
         if o is NotImplemented:
             return NotImplemented
-        terms: dict = {}
+        ring = self.ring
+        p = _prime_modulus(ring)
+        if p:
+            sums: dict = {}
+            get = sums.get
+            other_codes = [(e2, c2.code) for e2, c2 in o.terms.items()]
+            for e1, c1 in self.terms.items():
+                a = c1.code
+                for e2, b in other_codes:
+                    e = tuple(map(add, e1, e2))
+                    sums[e] = get(e, 0) + a * b
+            make = ring._make
+            terms = {}
+            for e, s in sums.items():
+                s %= p
+                if s:
+                    terms[e] = make(s)
+            return MultiPoly._new(ring, self.nvars, terms)
+        terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
                 c = c1 * c2
                 if not c:
                     continue
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = terms.get(e)
                 s = c if s is None else s + c
                 if s:
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        return MultiPoly(self.ring, self.nvars, terms)
+        return MultiPoly._new(ring, self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -223,10 +280,8 @@ class MultiPoly:
             nc = c * e[i]
             if not nc:
                 continue
-            ne = list(e)
-            ne[i] -= 1
-            terms[tuple(ne)] = nc
-        return MultiPoly(self.ring, self.nvars, terms)
+            terms[e[:i] + (e[i] - 1,) + e[i + 1:]] = nc
+        return MultiPoly._new(self.ring, self.nvars, terms)
 
     def eval(self, vals):
         """Evaluate at a point with coordinates in the coefficient ring."""
@@ -281,33 +336,46 @@ class MultiPoly:
         raise ArithmeticError("cannot divide coefficients in this ring")
 
     def divmod_poly(self, g: "MultiPoly"):
-        """Division with remainder by a single polynomial, graded-lex order."""
+        """Division with remainder by a single polynomial, graded-lex order.
+
+        The graded-lex leading term of the working dict is divided by the
+        leading term of g; when the coefficients do not divide (over Z) the
+        term goes to the remainder, as does a term that the leading
+        monomial of g does not divide.
+        """
         if g.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         ge, gc = g.leading()
-        q = MultiPoly.zero(self.ring, self.nvars)
-        rem = MultiPoly.zero(self.ring, self.nvars)
-        work = self
-        while work.terms:
-            e, c = work.leading()
-            if all(a >= b for a, b in zip(e, ge)):
-                try:
-                    qc = self._coeff_div(c, gc)
-                except ArithmeticError:
-                    rem = rem + MultiPoly(self.ring, self.nvars, {e: c})
-                    work = work - MultiPoly(self.ring, self.nvars, {e: c})
-                    continue
-                mono = MultiPoly(
-                    self.ring,
-                    self.nvars,
-                    {tuple(a - b for a, b in zip(e, ge)): qc},
-                )
-                q = q + mono
-                work = work - mono * g
-            else:
-                rem = rem + MultiPoly(self.ring, self.nvars, {e: c})
-                work = work - MultiPoly(self.ring, self.nvars, {e: c})
-        return q, rem
+        # the product of a quotient term with ge cancels the leading term
+        tail = [(e2, c2) for e2, c2 in g.terms.items() if e2 != ge]
+        q: dict = {}
+        rem: dict = {}
+        work = dict(self.terms)
+        while work:
+            e = max(work, key=_grlex_key)
+            c = work.pop(e)
+            if any(a < b for a, b in zip(e, ge)):
+                rem[e] = c
+                continue
+            try:
+                qc = self._coeff_div(c, gc)
+            except ArithmeticError:
+                rem[e] = c
+                continue
+            qe = tuple(map(sub, e, ge))
+            q[qe] = qc
+            for e2, c2 in tail:
+                t = tuple(map(add, qe, e2))
+                s = work.get(t)
+                s = -(qc * c2) if s is None else s - qc * c2
+                if s:
+                    work[t] = s
+                else:
+                    del work[t]
+        return (
+            MultiPoly._new(self.ring, self.nvars, q),
+            MultiPoly._new(self.ring, self.nvars, rem),
+        )
 
     def divides(self, f: "MultiPoly") -> bool:
         """Whether self divides f exactly."""
@@ -353,8 +421,8 @@ class MultiPoly:
             if s:
                 terms[ne] = s
             else:
-                terms.pop(ne, None)
-        return MultiPoly(self.ring, self.nvars - 1, terms)
+                del terms[ne]
+        return MultiPoly._new(self.ring, self.nvars - 1, terms)
 
     def homogenize(self, pos: int, degree: int | None = None) -> "MultiPoly":
         """Insert a homogenizing variable at ``pos``."""
@@ -427,15 +495,11 @@ def poly_str(f: MultiPoly, names=None) -> str:
 
 def _univar_view(f: MultiPoly, v: int) -> dict[int, MultiPoly]:
     """View f as univariate in variable v with polynomial coefficients."""
-    out: dict[int, MultiPoly] = {}
+    groups: dict[int, dict] = {}
     for e, c in f.terms.items():
-        d = e[v]
-        ne = list(e)
-        ne[v] = 0
-        coeff = out.get(d)
-        mono = MultiPoly(f.ring, f.nvars, {tuple(ne): c})
-        out[d] = mono if coeff is None else coeff + mono
-    return {d: c for d, c in out.items() if not c.is_zero}
+        # distinct terms of one degree in v stay distinct with e[v] zeroed
+        groups.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1:]] = c
+    return {d: MultiPoly._new(f.ring, f.nvars, t) for d, t in groups.items()}
 
 
 def _content_in(f: MultiPoly, v: int) -> MultiPoly:

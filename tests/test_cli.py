@@ -197,6 +197,53 @@ def test_distmin2_negative_delta_max_is_input_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+NON_INTEGRABLE = """\
+field Fp:3
+ambient affine 3
+form omega = y*dx + z*dy + x*dz
+"""
+
+
+def test_broken_closedness_invariant_is_internal_error(tmp_path, monkeypatch, capsys):
+    # with the integrability check skipped, omega / omega(v^p) is not closed
+    # and the Cartier stage reports a broken invariant: exit 3, not 1 or 2
+    import functools
+
+    import pfol.cli
+
+    monkeypatch.setattr(
+        pfol.cli, "from_form", functools.partial(pfol.cli.from_form, check_integrable=False)
+    )
+    doc = write(tmp_path, "nonint.txt", NON_INTEGRABLE)
+    assert main(["cartier", doc]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "internal error in foliation.PCurvature.eta: "
+        "omega / omega(v^p) failed to be closed\n"
+    )
+    assert captured.out == ""
+
+
+def test_shrinking_solution_space_is_internal_error(tmp_path, monkeypatch, capsys):
+    import pfol.distmin
+
+    real = pfol.distmin.subdistribution_space
+
+    def shrinking(fol, delta):
+        system = real(fol, delta)
+        system.dimension = -delta
+        return system
+
+    monkeypatch.setattr(pfol.distmin, "subdistribution_space", shrinking)
+    doc = write(tmp_path, "dm.txt", DISTMIN)
+    assert main(["distmin2", doc]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "internal error in distmin.distmin2: solution dimension decreased with delta\n"
+    )
+    assert captured.out == ""
+
+
 def test_seed_is_a_distmin2_option_only(monkeypatch, capsys):
     import io
 

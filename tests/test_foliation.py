@@ -3,6 +3,7 @@ import random
 import pytest
 
 import pfol.foliation
+from pfol import InternalError
 from pfol.cartier import cartier_transform
 from pfol.exterior import DiffForm, VectorField, affine_chart, cone_chart, euler_field
 from pfol.foliation import (
@@ -309,8 +310,9 @@ def test_cartier_transform_rejects_non_closed_defining_form():
     x, y, z = chart.vars()
     fol = Foliation(DiffForm(chart, 1, {(0,): y, (1,): z, (2,): x}), False, None)
     assert not is_p_closed(fol)
-    with pytest.raises(AssertionError, match="failed to be closed"):
+    with pytest.raises(InternalError, match="failed to be closed") as info:
         cartier_transform_foliation(fol)
+    assert info.value.stage == "foliation.PCurvature.eta"
 
 
 def test_analyze_runs_the_cartier_operator_once(monkeypatch):

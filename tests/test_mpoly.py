@@ -13,7 +13,7 @@ from pfol.mpoly import (
     pth_root_poly,
     squarefree_decomposition,
 )
-from pfol.rings import GF, QQ, ZZ
+from pfol.rings import GF, QQ, TABLE_LIMIT, ZZ
 
 from chart_reference import multiplicity_along
 
@@ -369,3 +369,153 @@ def test_univariate_gcd_matches_reference(ring, monkeypatch):
         assert_matches_reference(a * c * c, b * c**q * (t + one), monkeypatch)
         unit = next(c for c in iter(lambda: ring.random(rng), None) if c)
         assert_matches_reference(a * t, (b * t).scale(unit), monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# the arithmetic kernels against the routes they replace
+
+
+def ring_element_mul(f, g):
+    """f * g by multiplying coefficients as ring elements, one product and
+    one sum at a time (the route every ring but GF(p) still takes)."""
+    terms = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            c = c1 * c2
+            if not c:
+                continue
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = terms.get(e)
+            s = c if s is None else s + c
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+    return MultiPoly(f.ring, f.nvars, terms)
+
+
+def divmod_reference(f, g):
+    """Division with remainder that rebuilds the working polynomial for
+    every quotient term."""
+    if g.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    ge, gc = g.leading()
+    q = MultiPoly.zero(f.ring, f.nvars)
+    rem = MultiPoly.zero(f.ring, f.nvars)
+    work = f
+    while work.terms:
+        e, c = work.leading()
+        lead = MultiPoly(f.ring, f.nvars, {e: c})
+        if all(a >= b for a, b in zip(e, ge)):
+            try:
+                qc = f._coeff_div(c, gc)
+            except ArithmeticError:
+                rem = rem + lead
+                work = work - lead
+                continue
+            mono = MultiPoly(f.ring, f.nvars, {tuple(a - b for a, b in zip(e, ge)): qc})
+            q = q + mono
+            work = work - mono * g
+        else:
+            rem = rem + lead
+            work = work - lead
+    return q, rem
+
+
+PRIME_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(13), GF(65537)]
+
+
+def test_prime_field_mul_matches_ring_element_loop():
+    assert GF(65537).order > TABLE_LIMIT
+    rng = random.Random(21)
+    for F in PRIME_FIELDS:
+        for nvars in (1, 2, 3, 4):
+            zero = MultiPoly.zero(F, nvars)
+            const = MultiPoly.const(F, nvars, F.random_nonzero(rng))
+            x = MultiPoly.var(F, nvars, 0)
+            y = MultiPoly.var(F, nvars, nvars - 1)
+            # (x + y)(x - y): the cross terms cancel; in characteristic 2
+            # (x + y)^2 loses its middle term the same way
+            cases = [(zero, const), (const, const), (x + y, x - y), (x + y, x + y)]
+            for _ in range(6):
+                f = random_poly(F, nvars, rng, deg=3, nterms=5)
+                g = random_poly(F, nvars, rng, deg=2, nterms=4)
+                cases += [(f, g), (f, zero), (const, g), (f, f)]
+            for f, g in cases:
+                expected = ring_element_mul(f, g)
+                assert (f * g).terms == expected.terms
+                assert (g * f).terms == expected.terms
+            assert (x + y) * (x - y) == x * x - y * y
+
+
+DIVMOD_RINGS = [GF(2), GF(5), GF(3, 2), QQ, ZZ]
+
+
+@pytest.mark.parametrize("ring", DIVMOD_RINGS, ids=repr)
+def test_divmod_matches_rebuilding_reference(ring):
+    rng = random.Random(22)
+    for nvars in (1, 2, 3):
+        for _ in range(12):
+            f = random_poly(ring, nvars, rng, deg=4, nterms=6)
+            g = random_poly(ring, nvars, rng, deg=2, nterms=3)
+            if g.is_zero:
+                continue
+            for dividend in (f, f * g, f * g + f):
+                q, r = dividend.divmod_poly(g)
+                assert (q, r) == divmod_reference(dividend, g)
+                assert q * g + r == dividend
+
+
+def test_divmod_over_z_sends_inexact_leading_terms_to_the_remainder():
+    x = MultiPoly.var(ZZ, 2, 0)
+    y = MultiPoly.var(ZZ, 2, 1)
+    g = x.scale(2) + y
+    # 3x^2: the leading monomial divides but 2 does not divide 3
+    for f in (x * x * 3 + x * y + 1, x * x * 4 + x * y * 3 + y, y * y * 5 + x * 7):
+        q, r = f.divmod_poly(g)
+        assert (q, r) == divmod_reference(f, g)
+        assert q * g + r == f
+    q, r = (x * x * 3 + 1).divmod_poly(g)
+    assert q.is_zero and r == x * x * 3 + 1
+    q, r = (x * x * 4 + x * y * 2).divmod_poly(g)
+    assert q == x * 2 and r.is_zero
+
+
+def test_univar_view_matches_termwise_sum():
+    rng = random.Random(23)
+    for ring in (GF(3), GF(5, 2), QQ, ZZ):
+        for nvars in (1, 2, 3):
+            f = random_poly(ring, nvars, rng, deg=3, nterms=8)
+            for v in range(nvars):
+                assert mpoly._univar_view(f, v) == _prs_univar_view(f, v)
+
+
+def assert_clean(f, nvars):
+    """The contract of ``MultiPoly._new``: tuple keys of length nvars and no
+    zero coefficient."""
+    assert isinstance(f, MultiPoly) and f.nvars == nvars
+    for e, c in f.terms.items():
+        assert type(e) is tuple and len(e) == nvars
+        assert all(type(k) is int and k >= 0 for k in e)
+        assert c
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(3), GF(7), GF(3, 2), QQ, ZZ], ids=repr)
+def test_arithmetic_results_keep_the_new_contract(ring):
+    rng = random.Random(24)
+    for nvars in (1, 2, 3, 4):
+        for _ in range(8):
+            f = random_poly(ring, nvars, rng, deg=3, nterms=5)
+            g = random_poly(ring, nvars, rng, deg=2, nterms=3)
+            results = [f + g, f + (-f), -f, f - g, f - f, f * g, f * (f - f)]
+            results += [f.deriv(i) for i in range(nvars)]
+            if not g.is_zero:
+                results += list((f * g + f).divmod_poly(g))
+            for h in results:
+                assert_clean(h, nvars)
+            for v in range(nvars):
+                for c in mpoly._univar_view(f - g, v).values():
+                    assert_clean(c, nvars)
+            if nvars > 1:
+                for pos in range(nvars):
+                    assert_clean((f - g).set_var_one(pos), nvars - 1)
