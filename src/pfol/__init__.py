@@ -4,16 +4,20 @@ The package is organised bottom-up:
 
 - ``rings``: coefficient arithmetic (prime fields, their extensions, Z, Q,
   and monogenic number rings) together with reduction modulo primes.
-- ``mpoly``: sparse multivariate polynomials and rational functions over
-  any of those coefficient rings.
-- ``exterior``: differential forms, vector fields, wedge/d/contraction and
-  p-th power derivations on affine charts.
+- ``mpoly``: sparse multivariate polynomials over any of those coefficient
+  rings, with gcd and squarefree decomposition.
+- ``exterior``: differential forms and vector fields with polynomial
+  coefficients, wedge/d/contraction, p-th power derivations and pullbacks
+  on affine charts.
 - ``cartier``: the Cartier operator on closed forms.
 - ``foliation``: p-curvature, degeneracy divisors, closed defining forms,
   kernel distributions and invariant hypersurfaces.
-- ``geommaps``: pullbacks, ramification and differents.
+- ``geommaps``: maps with one common denominator, pullbacks, ramification
+  and differents.
 - ``models``: integral models and prime scans.
 - ``distmin``: minimal-degree subdistribution search by exact linear algebra.
+- ``parsing``: expressions and documents; the one place that adds and
+  divides fractions, handing forms and maps on as polynomial numerators.
 - ``cli``: the command line front end.
 """
 

@@ -5,9 +5,10 @@ c * x^A dx_{i_1} /\\ ... /\\ dx_{i_q} survives exactly when A_{i_j} = -1 mod p
 for every wedge index and A_m = 0 mod p for every other variable, in which
 case it maps to c^(1/p) * x^{(A - (p-1) e_{i_1} - ...)/p} dx_{i_1} /\\ ...
 
-The operator is p^-1-linear, C(g^p a) = g C(a), so a closed rational form
-never needs a rational Cartier operator: C(a / g) = C(g^(p-1) a) / g, and
-the foliation code applies the polynomial operator to g^(p-1) a directly.
+Forms have polynomial coefficients only.  The operator is p^-1-linear,
+C(g^p a) = g C(a), so a closed rational form a / g never needs a rational
+Cartier operator: C(a / g) = C(g^(p-1) a) / g, and the foliation code
+applies the polynomial operator to g^(p-1) a directly.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ def cartier_transform(form: DiffForm, check_closed: bool = True) -> DiffForm:
     p = form.chart.ring.characteristic
     if p == 0:
         raise ArithmeticError("the Cartier operator needs characteristic p")
-    if not form.is_polynomial:
-        raise ValueError("clear the denominators first: C(a / g) = C(g^(p-1) a) / g")
     if check_closed and form.d():
         raise NotClosedError("form is not closed")
     ring, n = form.chart.ring, form.chart.nvars
@@ -78,7 +77,7 @@ def classify_closedness(form: DiffForm) -> dict:
                 "cartier_image": c}
     # group the terms of the 1-form by their candidate primitive monomial
     groups: dict = {}
-    for (i,), c in form.poly_terms().items():
+    for (i,), c in form.terms.items():
         for e, coef in c.terms.items():
             m = list(e)
             m[i] += 1

@@ -150,8 +150,8 @@ def cmd_degeneracy(args) -> int:
 def cmd_pullback(args) -> int:
     doc = _load(args)
     fol = _foliation(doc)
-    comps = doc.the_map()
-    phi = RationalMap(doc.chart, doc.chart, comps)
+    comps, den = doc.the_map()
+    phi = RationalMap(doc.chart, doc.chart, comps, den)
     result = verify_pullback_degeneracy(phi, fol)
     names = doc.chart.names
     payload = {
@@ -194,7 +194,7 @@ def cmd_restrict(args) -> int:
         coeffs.append(h.terms.get(e, doc.ring.coerce(0)))
     if h.terms.get(tuple([0] * (n + 1))):
         raise ParseError("hyperplane must be homogeneous linear")
-    embedding = linear_hyperplane_embedding(doc.ring, n, coeffs)
+    embedding = linear_hyperplane_embedding(doc.chart, coeffs)
     sub, different = restrict_foliation(fol, embedding)
     sub_names = embedding.source.names
     names = doc.chart.names

@@ -219,6 +219,8 @@ def distmin2(fol: Foliation, delta_max: int | None = None, seed: int = 0) -> Dis
     combinations of it drawn from ``random.Random(seed)``: a witness may
     exist in the span when no basis vector qualifies.
     """
+    if not fol.projective:
+        raise ValueError("the subdistribution search is projective")
     if delta_max is None:
         delta_max = fol.degree
     if delta_max < 0:

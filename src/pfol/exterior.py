@@ -1,14 +1,13 @@
 """Differential forms and vector fields on affine charts.
 
 Forms are stored sparsely: a q-form is a dict from strictly increasing
-index q-tuples to nonzero coefficients.  The coefficient rule, applied by
-:meth:`Chart.coerce` to every coefficient of a ``DiffForm``, a
-``VectorField`` and a ``geommaps.RationalMap``: a coefficient is a
-``MultiPoly`` unless its denominator is nonconstant, and only then a
-``RationalFunction``.  A polynomial form is one whose coefficients are all
-``MultiPoly``.  A ``RationalFunction`` appears only where a denominator
-really exists: scalars read by the parser, ``DiffForm.__truediv__`` and
-pullbacks along rational components.
+index q-tuples to nonzero coefficients.  Every coefficient of a
+``DiffForm``, every component of a ``VectorField`` and of a
+``geommaps.RationalMap`` is a ``MultiPoly`` (:meth:`Chart.coerce` turns a
+ring constant into one).  A rational object is carried as a polynomial
+numerator with one denominator: the parser clears a form written with
+``/``, and ``pullback_form`` returns the numerator of a pullback along
+x_i = N_i / den.
 
 The same machinery is used for honest affine charts and for the cone over
 a projective space (homogeneous coordinates); the :class:`Chart` object
@@ -20,15 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .mpoly import (
-    MultiPoly,
-    RationalFunction,
-    _prime_modulus,
-    default_names,
-    gcd_list,
-    gcd_multi,
-    rat_str,
-)
+from .mpoly import MultiPoly, _prime_modulus, default_names, gcd_list, poly_str
 
 
 @dataclass(frozen=True)
@@ -62,13 +53,11 @@ class Chart:
     def dx(self, i: int) -> "DiffForm":
         return DiffForm(self, 1, {(i,): 1})
 
-    def coerce(self, c) -> MultiPoly | RationalFunction:
-        """The stored form of a coefficient: a ``MultiPoly``, or a
-        ``RationalFunction`` when its denominator is nonconstant."""
+    def coerce(self, c) -> MultiPoly:
+        """A coefficient as a polynomial on this chart: a ``MultiPoly`` is
+        kept, a ring constant becomes a constant polynomial."""
         if isinstance(c, MultiPoly):
             return c
-        if isinstance(c, RationalFunction):
-            return c.num if c.is_polynomial else c
         return MultiPoly.const(self.ring, self.nvars, c)
 
 
@@ -97,11 +86,7 @@ def _sort_sign(idx):
 
 
 class DiffForm:
-    """A differential q-form.
-
-    Each coefficient is a ``MultiPoly``, or a ``RationalFunction`` when its
-    denominator is nonconstant (see :meth:`Chart.coerce`).
-    """
+    """A differential q-form with polynomial coefficients."""
 
     __slots__ = ("chart", "q", "terms")
 
@@ -120,14 +105,14 @@ class DiffForm:
             if sign < 0:
                 c = -c
             if sidx in clean:
-                c = chart.coerce(clean[sidx] + c)
+                c = clean[sidx] + c
             if c:
                 clean[sidx] = c
             else:
                 clean.pop(sidx, None)
         self.terms = clean
 
-    def coeff(self, idx) -> MultiPoly | RationalFunction:
+    def coeff(self, idx) -> MultiPoly:
         srt = _sort_sign(tuple(idx))
         if srt is None:
             return self.chart.coerce(0)
@@ -175,12 +160,6 @@ class DiffForm:
         return DiffForm(self.chart, self.q, {i: v * c for i, v in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        c = self.chart.coerce(scalar)
-        if isinstance(c, MultiPoly):
-            c = RationalFunction.from_poly(c)
-        return DiffForm(self.chart, self.q, {i: v / c for i, v in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, DiffForm):
@@ -262,48 +241,25 @@ class DiffForm:
                     terms.pop(nidx, None)
         return DiffForm(self.chart, self.q - 1, terms)
 
-    def pair(self, v: "VectorField") -> MultiPoly | RationalFunction:
-        """omega(v) for a 1-form; a ``MultiPoly`` when both are polynomial."""
+    def pair(self, v: "VectorField") -> MultiPoly:
+        """omega(v) for a 1-form."""
         if self.q != 1:
             raise ValueError("pairing needs a 1-form")
         acc = self.chart.coerce(0)
         for (i,), c in self.terms.items():
             acc = acc + c * v.comps[i]
-        return self.chart.coerce(acc)
+        return acc
 
     # -- polynomial structure -------------------------------------------------
 
-    @property
-    def is_polynomial(self) -> bool:
-        return not any(isinstance(c, RationalFunction) for c in self.terms.values())
-
-    def poly_terms(self) -> dict:
-        if not self.is_polynomial:
-            raise ValueError("form has non-trivial denominators")
-        return dict(self.terms)
-
-    def common_denominator(self) -> MultiPoly:
-        """The least common denominator of all coefficients."""
-        ring, n = self.chart.ring, self.chart.nvars
-        den = MultiPoly.one(ring, n)
-        for c in self.terms.values():
-            if isinstance(c, RationalFunction):
-                den = den.exact_div(gcd_multi(den, c.den)) * c.den
-        return den.monic() if ring.is_field else den
-
-    def clear_denominators(self) -> tuple["DiffForm", MultiPoly]:
-        """Return (q * self, q) with q the least common denominator."""
-        den = self.common_denominator()
-        return self * den, den
-
     def content(self) -> MultiPoly:
-        """The gcd of the coefficients of a polynomial form."""
+        """The gcd of the coefficients."""
         if self.is_zero:
             raise ValueError("content of the zero form")
-        return gcd_list(self.poly_terms().values())
+        return gcd_list(self.terms.values())
 
     def saturate(self) -> "DiffForm":
-        """Divide a polynomial form by the gcd of its coefficients."""
+        """Divide the form by the gcd of its coefficients."""
         if self.is_zero:
             return self
         cont = self.content()
@@ -323,10 +279,6 @@ class DiffForm:
             c.is_homogeneous() and c.total_degree() == d for c in self.terms.values()
         )
 
-    def subs(self, vals) -> dict:
-        """Substitute values for the variables in every coefficient."""
-        return {idx: c.subs(vals) for idx, c in self.terms.items()}
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -335,7 +287,7 @@ class DiffForm:
         for idx in sorted(self.terms):
             c = self.terms[idx]
             base = "/\\".join(f"d{names[i]}" for i in idx)
-            cs = rat_str(c, names)
+            cs = poly_str(c, names)
             if cs == "1":
                 parts.append(base)
             else:
@@ -344,11 +296,7 @@ class DiffForm:
 
 
 class VectorField:
-    """A derivation sum_i c_i d/dx_i.
-
-    Each component is a ``MultiPoly``, or a ``RationalFunction`` when its
-    denominator is nonconstant (see :meth:`Chart.coerce`).
-    """
+    """A derivation sum_i c_i d/dx_i with polynomial components."""
 
     __slots__ = ("chart", "comps")
 
@@ -385,15 +333,15 @@ class VectorField:
             and other.comps == self.comps
         )
 
-    def apply(self, f) -> MultiPoly | RationalFunction:
+    def apply(self, f) -> MultiPoly:
         f = self.chart.coerce(f)
         acc = self.chart.coerce(0)
         for i, c in enumerate(self.comps):
             if c:
                 acc = acc + c * f.deriv(i)
-        return self.chart.coerce(acc)
+        return acc
 
-    def apply_iter(self, f, m: int) -> MultiPoly | RationalFunction:
+    def apply_iter(self, f, m: int) -> MultiPoly:
         f = self.chart.coerce(f)
         for _ in range(m):
             f = self.apply(f)
@@ -411,38 +359,21 @@ class VectorField:
         """The p-fold iterated derivation v^p (again a derivation).
 
         Its components are v^p(x_i) = v^(p-1)(c_i) for the components c_i
-        of v, each step being g <- sum_j c_j dg/dx_j.  For a polynomial
-        field each step is one accumulation into a dict of terms: a term
-        a*x^e of g contributes a*e_j*x^(e - u_j)*c_j for every j with
-        e_j not divisible by p, and the zero sums are dropped once at the
-        end of the step.  Over a prime field GF(p) the coefficients stay
-        int codes through all p - 1 steps and become field elements once.
-        A field with a nonconstant denominator keeps ``RationalFunction``
-        components and iterates ``deriv`` and ``*`` instead.
+        of v, each step being g <- sum_j c_j dg/dx_j.  Each step is one
+        accumulation into a dict of terms: a term a*x^e of g contributes
+        a*e_j*x^(e - u_j)*c_j for every j with e_j not divisible by p, and
+        the zero sums are dropped once at the end of the step.  Over a
+        prime field GF(p) the coefficients stay int codes through all
+        p - 1 steps and become field elements once.
         """
         chart = self.chart
         p = chart.ring.characteristic
         if p == 0:
             raise ArithmeticError("p-th powers need positive characteristic")
         support = [(j, c) for j, c in enumerate(self.comps) if c]
-        if all(isinstance(c, MultiPoly) for c in self.comps):
-            return VectorField(
-                chart, [_iterate_derivation(g, support, p - 1) for g in self.comps]
-            )
-        zero = chart.coerce(0)
-        out = []
-        for g in self.comps:
-            for _ in range(p - 1):
-                if not g:
-                    break
-                acc = zero
-                for j, c in support:
-                    dg = g.deriv(j)
-                    if dg:
-                        acc = acc + c * dg
-                g = acc
-            out.append(g)
-        return VectorField(chart, out)
+        return VectorField(
+            chart, [_iterate_derivation(g, support, p - 1) for g in self.comps]
+        )
 
     def __repr__(self):
         names = self.chart.names
@@ -503,25 +434,32 @@ def euler_field(chart: Chart) -> VectorField:
     return VectorField(chart, chart.vars())
 
 
-def pullback_form(form: DiffForm, comps, target: Chart) -> DiffForm:
-    """Pull back a form along the map with the given coordinate components.
+def pullback_form(form: DiffForm, comps, target: Chart, den=1) -> DiffForm:
+    """The numerator den^N * phi^*(form) of the pullback of a q-form along
+    the map phi: x_i = comps[i] / den, with N = D + 2q for D the largest
+    degree of a coefficient of the form.
 
-    ``comps`` gives, for each source variable, its expression as a rational
-    function (or polynomial) in the coordinates of ``target``.
+    ``comps`` gives, for each source variable, a polynomial in the
+    coordinates of ``target``, and ``den`` is a polynomial there too.
+    With a_I^h the coefficient a_I homogenized to degree D in a new first
+    variable, a_I(N / den) = a_I^h(den, N) / den^D, and
+    d(N_i / den) = (den dN_i - N_i d den) / den^2, so the numerator is
+    sum_I a_I^h(den, N) (den dN_i1 - N_i1 d den) /\\ ... /\\ (den dN_iq -
+    N_iq d den).  With den = 1 it is phi^*(form) itself.
     """
     if len(comps) != form.chart.nvars:
         raise ValueError("one component per source variable is required")
     comps = [target.coerce(c) for c in comps]
-    dcomps = [
-        DiffForm(target, 1, {(j,): c.deriv(j) for j in range(target.nvars)})
-        for c in comps
-    ]
+    den = target.coerce(den)
+    dden = DiffForm(target, 0, {(): den}).d()
+    dcomps = [DiffForm(target, 0, {(): c}).d() * den - dden * c for c in comps]
+    degree = form.max_coeff_degree()
+    vals = [den, *comps]
     result = target.zero_form(form.q)
     unit = DiffForm(target, 0, {(): 1})
     for idx, c in form.terms.items():
         piece = unit
         for i in idx:
             piece = piece.wedge(dcomps[i])
-        result = result + piece * c.subs(comps)
+        result = result + piece * c.homogenize(0, degree).subs(vals)
     return result
-

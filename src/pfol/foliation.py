@@ -30,7 +30,6 @@ from .exterior import (
 )
 from .mpoly import (
     MultiPoly,
-    RationalFunction,
     gcd_list,
     gcd_multi,
     poly_str,
@@ -226,14 +225,13 @@ class Divisor:
         return " + ".join(parts) if parts else "0"
 
 
-def divisor_difference_of_closed_form(form: DiffForm, ambient="affine") -> Divisor:
-    """(form)_infty - (form)_0 for a rational form: the divisor of its least
-    common denominator minus the divisor of the content of its numerator."""
-    den = form.common_denominator()
-    numerator = form * den
-    if not numerator.is_polynomial:
-        raise ValueError("could not split the form into numerator and denominator")
-    cont = numerator.content()
+def divisor_difference_of_closed_form(
+    num: DiffForm, den: MultiPoly, ambient="affine"
+) -> Divisor:
+    """(form)_infty - (form)_0 for the rational form num / den: the divisor
+    of den minus the divisor of the content of num.  A common factor of den
+    and the content cancels in the difference."""
+    cont = num.content()
     return Divisor.of_polynomial(den, ambient) - Divisor.of_polynomial(cont, ambient)
 
 
@@ -307,8 +305,6 @@ def from_form(
         raise ValidationError("a defining form must be a 1-form")
     if form.is_zero:
         raise ValidationError("the zero form defines no foliation")
-    if not form.is_polynomial:
-        form, _ = form.clear_denominators()
     if not form.content().is_constant:
         if auto_saturate:
             form = form.saturate()
@@ -340,14 +336,12 @@ def projectivize(form: DiffForm) -> Foliation:
     graded piece of the affine form is radial)."""
     if form.q != 1:
         raise ValidationError("projectivization needs a 1-form")
-    if not form.is_polynomial:
-        raise ValidationError("clear denominators before projectivizing")
     n = form.chart.nvars
     ring = form.chart.ring
     cone = cone_chart(ring, n)
     m = form.max_coeff_degree()
     coeffs_h: dict[int, MultiPoly] = {}
-    for (i,), c in form.poly_terms().items():
+    for (i,), c in form.terms.items():
         coeffs_h[i + 1] = c.homogenize(0, m + 1)
     acc = MultiPoly.zero(ring, n + 1)
     for glob, a in coeffs_h.items():
@@ -405,7 +399,7 @@ def log_foliation(components, weights, projective: bool = False) -> Foliation:
 # p-curvature and the degeneracy divisor
 
 
-def p_curvature(fol: Foliation, v: VectorField) -> MultiPoly | RationalFunction:
+def p_curvature(fol: Foliation, v: VectorField) -> MultiPoly:
     """psi(v) = omega(v^p): the obstruction to v^p staying tangent."""
     if fol.p == 0:
         raise ArithmeticError("p-curvature needs positive characteristic")
@@ -492,16 +486,16 @@ def degeneracy_divisor(fol: Foliation) -> Divisor:
     return Divisor.of_polynomial(g, "affine")
 
 
-def closed_defining_form(fol: Foliation) -> DiffForm:
-    """omega / omega(v^p) for a tangent generator with omega(v^p) != 0.
+def closed_defining_form(fol: Foliation) -> tuple[DiffForm, MultiPoly]:
+    """The pair (omega, f) with f = omega(v^p) != 0 for a tangent generator v.
 
-    The result is a closed rational form defining the same foliation; its
+    omega / f is a closed rational form defining the same foliation; its
     polar and zero divisors recover the degeneracy divisor modulo p.
     """
     f = fol.pcurvature.f
     if f is None:
         raise PClosedError("foliation is p-closed; no closed defining form")
-    return fol.form / f
+    return fol.form, f
 
 
 def _saturate_over_lc(fol: Foliation, form: DiffForm) -> DiffForm:

@@ -1,14 +1,15 @@
 """Pullbacks of foliations, ramification divisors and differents.
 
 A :class:`RationalMap` stores, for each coordinate of the target, its
-expression in the coordinates of the source.  Affine maps have rational
-components on an affine chart; projective maps have homogeneous polynomial
-components of a common degree, without a common factor, on the cone.
-Components follow the coefficient rule of :mod:`pfol.exterior`: a
-``MultiPoly`` unless the denominator is nonconstant.  The ramification
-divisor is the divisor of one polynomial determinant, on the cone for a map
-of P^n and on the chart for an affine map, so no chart is built and no
-Jacobian is a rational function (see ``ramification_divisor``).
+expression in the coordinates of the source as a polynomial numerator over
+one monic common denominator.  Affine maps may have a nonconstant
+denominator; projective maps have homogeneous polynomial components of a
+common degree, without a common factor, on the cone, and denominator 1.
+A pullback is computed as one polynomial numerator (see
+``exterior.pullback_form``), and the ramification divisor is the divisor
+of one polynomial determinant, on the cone for a map of P^n and on the
+chart for an affine map, so no chart is built and no Jacobian is a
+rational function (see ``ramification_divisor``).
 """
 
 from __future__ import annotations
@@ -24,22 +25,27 @@ from .foliation import (
     is_invariant_hypersurface,
     p_kernel,
 )
-from .mpoly import MultiPoly, RationalFunction, gcd_list
+from .mpoly import MultiPoly, gcd_list
 
 
 @dataclass
 class RationalMap:
-    """A map given by one source-coordinate expression per target coordinate."""
+    """A map x_i = comps[i] / den, with one polynomial numerator per target
+    coordinate and one monic common denominator, all on the source chart."""
 
     source: Chart
     target: Chart
     comps: list
+    den: MultiPoly | int = 1
 
     def __post_init__(self):
         self.comps = [self.source.coerce(c) for c in self.comps]
+        self.den = self.source.coerce(self.den)
+        if self.den.is_zero or self.den.leading()[1] != self.source.ring.one():
+            raise ValueError("the common denominator must be monic")
         if len(self.comps) != self.target.nvars:
             raise ValueError("need one component per target coordinate")
-        for c in self.comps:
+        for c in [*self.comps, self.den]:
             if c.nvars != self.source.nvars or c.ring != self.source.ring:
                 raise ValueError("components must live on the source chart")
         if self.is_projective:
@@ -60,12 +66,13 @@ class RationalMap:
         return self.source.kind == "cone" and self.target.kind == "cone"
 
     def poly_comps(self) -> list[MultiPoly]:
-        if any(isinstance(c, RationalFunction) for c in self.comps):
+        if self.den != 1:
             raise ValueError("the map needs polynomial components")
         return self.comps
 
     def __repr__(self):
-        return f"[{', '.join(map(repr, self.comps))}]"
+        comps = f"[{', '.join(map(repr, self.comps))}]"
+        return comps if self.den == 1 else f"{comps} / ({self.den!r})"
 
 
 def monomial_cover(ring, n: int, exponent: int) -> RationalMap:
@@ -74,12 +81,14 @@ def monomial_cover(ring, n: int, exponent: int) -> RationalMap:
     return RationalMap(cone, cone, [v**exponent for v in cone.vars()])
 
 
-def linear_hyperplane_embedding(ring, n: int, coeffs) -> RationalMap:
-    """The inclusion of the hyperplane sum c_i x_i = 0 into P^n.
+def linear_hyperplane_embedding(target: Chart, coeffs) -> RationalMap:
+    """The inclusion of the hyperplane sum c_i x_i = 0 into P^n, whose
+    homogeneous coordinates are those of the cone chart ``target``.
 
     Parametrized by solving for the last coordinate with a nonzero
     coefficient; the source is P^(n-1) with the remaining coordinates.
     """
+    ring, n = target.ring, target.nvars - 1
     coeffs = [ring.coerce(c) for c in coeffs]
     if len(coeffs) != n + 1:
         raise ValueError("need one coefficient per homogeneous coordinate")
@@ -103,23 +112,23 @@ def linear_hyperplane_embedding(ring, n: int, coeffs) -> RationalMap:
         else:
             comps.append(params[pos])
             pos += 1
-    return RationalMap(source, cone_chart(ring, n), comps)
+    return RationalMap(source, target, comps)
 
 
 def pullback(phi: RationalMap, form: DiffForm) -> DiffForm:
-    """Pull a form on the target back to the source."""
+    """Pull a form on the target back to the source: phi^*(form) for a
+    polynomial map, its numerator den^N * phi^*(form) otherwise (see
+    ``exterior.pullback_form``)."""
     if form.chart != phi.target:
         raise ValueError("form does not live on the target of the map")
-    return pullback_form(form, phi.comps, phi.source)
+    return pullback_form(form, phi.comps, phi.source, phi.den)
 
 
 def pullback_foliation(phi: RationalMap, fol: Foliation) -> Foliation:
-    """phi^* of a foliation: pull back the form, clear and saturate."""
+    """phi^* of a foliation: the saturated numerator of the pulled-back form."""
     pb = pullback(phi, fol.form)
     if pb.is_zero:
         raise ValueError("pullback form vanishes; map not generically transverse")
-    pb, _ = pb.clear_denominators()
-    pb = pb.saturate()
     return from_form(pb, projective=phi.is_projective, auto_saturate=True)
 
 
@@ -163,10 +172,10 @@ def ramification_divisor(phi: RationalMap) -> Divisor:
     chart.  A coordinate hyperplane x_j | H is a component of its own, as
     the charts glue it.
 
-    Affine maps (f_1, ..., f_n): with b the product of the component
-    denominators, the same matrix with rows b, b f_1, ..., b f_n has
-    determinant D = +-b^(n+1) det(d_j f_i), so R = div(D) - (n+1) div(b).
-    For a polynomial map b = 1 and D is the Jacobian determinant.
+    Affine maps (N_1 / b, ..., N_n / b) with b the common denominator:
+    the same matrix with rows b, N_1, ..., N_n has determinant
+    D = +-b^(n+1) det(d_j (N_i / b)), so R = div(D) - (n+1) div(b).  For a
+    polynomial map b = 1 and D is the Jacobian determinant.
     """
     source = phi.source
     if source.nvars != phi.target.nvars:
@@ -174,23 +183,15 @@ def ramification_divisor(phi: RationalMap) -> Divisor:
     if phi.is_projective:
         forms, cols = phi.poly_comps(), range(1, source.nvars)
     else:
-        b = MultiPoly.one(source.ring, source.nvars)
-        for c in phi.comps:
-            if isinstance(c, RationalFunction):
-                b = b * c.den
-        forms = [b] + [
-            c.num * b.exact_div(c.den) if isinstance(c, RationalFunction) else b * c
-            for c in phi.comps
-        ]
-        cols = range(source.nvars)
+        forms, cols = [phi.den, *phi.comps], range(source.nvars)
     det = _det([[f] + [f.deriv(j) for j in cols] for f in forms])
     if not det:
         raise ValueError("Jacobian vanishes identically (inseparable or degenerate)")
     if phi.is_projective:
         return Divisor.of_homogeneous(det.exact_div(source.var(0)))
     ram = Divisor.of_polynomial(det)
-    if not b.is_constant:
-        ram = ram - (source.nvars + 1) * Divisor.of_polynomial(b)
+    if not phi.den.is_constant:
+        ram = ram - (source.nvars + 1) * Divisor.of_polynomial(phi.den)
     return ram
 
 
@@ -199,12 +200,13 @@ def ramification_divisor(phi: RationalMap) -> Divisor:
 
 
 def restrict_form(embedding: RationalMap, form: DiffForm):
-    """Pull a polynomial form back along an embedding and split off its
+    """Pull a form back along a polynomial embedding and split off its
     content: returns (saturated restricted form, different divisor)."""
+    # the different is the content of phi^*(form) itself: no denominator
+    embedding.poly_comps()
     restricted = pullback(embedding, form)
     if restricted.is_zero:
         raise ValueError("the subvariety is invariant; restriction vanishes")
-    restricted, _ = restricted.clear_denominators()
     cont = restricted.content()
     ambient = "proj" if embedding.source.kind == "cone" else "affine"
     return restricted.saturate(), Divisor.of_polynomial(cont, ambient)
@@ -242,6 +244,9 @@ def verify_pullback_degeneracy(phi: RationalMap, fol: Foliation) -> dict:
     is invariant for its p-curvature kernel distribution, -p*r*H extra when
     it is not (the two generic contributions cancelling to zero).
     """
+    # phi^* of a divisor needs polynomial components: refuse a denominator
+    # before anything is pulled back
+    phi.poly_comps()
     pb = pullback_foliation(phi, fol)
     delta_g = degeneracy_divisor(fol)
     delta_f = degeneracy_divisor(pb)

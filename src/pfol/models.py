@@ -48,8 +48,6 @@ class IntegralModel:
     name: str = ""
 
     def __post_init__(self):
-        if not self.form.is_polynomial:
-            raise ValidationError("integral models store cleared polynomial forms")
         ring = self.form.chart.ring
         if not isinstance(ring, (NumberRing, type(ZZ))):
             raise ValidationError("integral models need Z or Z[a]/(f) coefficients")
@@ -231,7 +229,7 @@ def integrability_defect_integer(form: DiffForm) -> DiffForm:
     ring = form.chart.ring
     if ring.characteristic != 0 or ring.is_field:
         raise ValueError("the integer defect is computed over Z")
-    if form.q != 1 or form.chart.nvars != 3 or not form.is_polynomial:
+    if form.q != 1 or form.chart.nvars != 3:
         raise ValueError("expected a polynomial 1-form in three variables")
     return form.wedge(form.d())
 

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials and rational functions.
+"""Sparse multivariate polynomials.
 
 A polynomial is a dict mapping exponent tuples to nonzero coefficients from
 one of the rings in :mod:`pfol.rings`.  The monomial order used for leading
@@ -106,8 +106,6 @@ class MultiPoly:
             ):
                 raise ValueError("polynomials over different contexts")
             return other
-        if isinstance(other, RationalFunction):
-            return NotImplemented
         try:
             return self._const_like(other)
         except TypeError:
@@ -256,8 +254,6 @@ class MultiPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, RationalFunction):
-            return other == self
         o = self._coerce_operand(other)
         if o is NotImplemented:
             return NotImplemented
@@ -296,27 +292,11 @@ class MultiPoly:
         return acc
 
     def subs(self, vals):
-        """Substitute polynomials or rational functions for the variables."""
-        if any(isinstance(v, RationalFunction) for v in vals):
-            vals = [
-                v if isinstance(v, RationalFunction) else RationalFunction.from_poly(v)
-                for v in vals
-            ]
-            zero = RationalFunction.from_poly(
-                MultiPoly.zero(self.ring, vals[0].num.nvars)
-            )
-            one_nvars = vals[0].num.nvars
-        else:
-            one_nvars = vals[0].nvars
-            zero = MultiPoly.zero(self.ring, one_nvars)
-        acc = zero
+        """Substitute polynomials for the variables."""
+        one_nvars = vals[0].nvars
+        acc = MultiPoly.zero(self.ring, one_nvars)
         for e, c in self.terms.items():
-            if isinstance(zero, RationalFunction):
-                t = RationalFunction.from_poly(
-                    MultiPoly.const(self.ring, one_nvars, c)
-                )
-            else:
-                t = MultiPoly.const(self.ring, one_nvars, c)
+            t = MultiPoly.const(self.ring, one_nvars, c)
             for v, k in zip(vals, e):
                 if k:
                     t = t * v**k
@@ -672,177 +652,3 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
             out.append((g, p * m))
     out.sort(key=lambda gm: (gm[0].total_degree(), poly_str(gm[0])))
     return out
-
-
-# ---------------------------------------------------------------------------
-# rational functions
-
-
-class RationalFunction:
-    """A reduced fraction of multivariate polynomials over a field.
-
-    Over non-field rings only polynomial values (denominator one) are
-    representable.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly):
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.ring != den.ring or num.nvars != den.nvars:
-            raise ValueError("numerator and denominator mismatch")
-        ring = num.ring
-        if num.is_zero:
-            den = MultiPoly.one(ring, num.nvars)
-        elif den.is_constant:
-            c = den.constant_value()
-            if c != ring.one():
-                if ring.is_field:
-                    num = num.scale(ring.inv(c))
-                elif c == -ring.one():
-                    num = -num
-                else:
-                    raise ArithmeticError("non-unit denominator over a non-field")
-                den = MultiPoly.one(ring, num.nvars)
-        else:
-            if not ring.is_field:
-                raise ArithmeticError("rational functions need a coefficient field")
-            g = gcd_multi(num, den)
-            if not g.is_constant:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            _, lc = den.leading()
-            if lc != ring.one():
-                inv = ring.inv(lc)
-                num = num.scale(inv)
-                den = den.scale(inv)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, f: MultiPoly) -> "RationalFunction":
-        return cls(f, MultiPoly.one(f.ring, f.nvars))
-
-    @property
-    def ring(self):
-        return self.num.ring
-
-    @property
-    def nvars(self):
-        return self.num.nvars
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant
-
-    def as_poly(self) -> MultiPoly:
-        if not self.is_polynomial:
-            raise ValueError("not a polynomial")
-        return self.num
-
-    def _co(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, MultiPoly):
-            return RationalFunction.from_poly(other)
-        try:
-            return RationalFunction.from_poly(
-                MultiPoly.const(self.ring, self.nvars, other)
-            )
-        except TypeError:
-            return NotImplemented
-
-    def __add__(self, other):
-        o = self._co(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return RationalFunction(
-            self.num * o.den + o.num * self.den, self.den * o.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._co(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._co(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._co(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.num.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._co(other)
-        return o / self
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return (1 / self) ** (-e)
-        return RationalFunction(self.num**e, self.den**e)
-
-    def __eq__(self, other):
-        o = self._co(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.num * o.den == o.num * self.den
-
-    def __hash__(self):
-        # a polynomial value equals its numerator, so it hashes as one
-        if self.den.is_constant:
-            return hash(self.num)
-        return hash((self.num, self.den))
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def deriv(self, i: int) -> "RationalFunction":
-        return RationalFunction(
-            self.num.deriv(i) * self.den - self.num * self.den.deriv(i),
-            self.den * self.den,
-        )
-
-    def subs(self, vals) -> "RationalFunction":
-        n = self.num.subs(vals)
-        d = self.den.subs(vals)
-        if isinstance(n, MultiPoly):
-            n = RationalFunction.from_poly(n)
-        if isinstance(d, MultiPoly):
-            d = RationalFunction.from_poly(d)
-        return n / d
-
-    def eval(self, vals):
-        dv = self.den.eval(vals)
-        if not dv:
-            raise ZeroDivisionError("pole at evaluation point")
-        return self.num.eval(vals) * self.ring.inv(dv)
-
-    def __repr__(self):
-        return rat_str(self)
-
-
-def rat_str(fn: MultiPoly | RationalFunction, names=None) -> str:
-    if isinstance(fn, MultiPoly):
-        return poly_str(fn, names)
-    if fn.is_polynomial:
-        return poly_str(fn.num, names)
-    return f"({poly_str(fn.num, names)})/({poly_str(fn.den, names)})"

@@ -10,6 +10,15 @@ Expression grammar (whitespace-insensitive):
 - the token ``p`` is replaced by the declared characteristic at parse time
   (in exponents it stays an integer).
 
+An expression evaluates to a pair (value, den) standing for value / den:
+the value is a ``MultiPoly`` or a polynomial ``DiffForm`` and den a monic
+``MultiPoly``.  The operations on pairs take no gcd.  A form is kept as its
+numerator, the form times a monic common denominator of its coefficients,
+which defines the same foliation once saturated.  A scalar directive is
+reduced once, to a fraction with coprime numerator and monic denominator.
+Over a ring that is not a field, only a polynomial or a quotient by +-1 is
+accepted.
+
 Documents are plain text, one directive per line::
 
     # comment
@@ -28,7 +37,7 @@ import re
 from dataclasses import dataclass, field as dc_field
 
 from .exterior import Chart, DiffForm, affine_chart, cone_chart
-from .mpoly import MultiPoly, RationalFunction
+from .mpoly import MultiPoly, gcd_multi
 from .rings import GF, NumberRing, parse_descriptor
 
 
@@ -108,12 +117,15 @@ class ExprContext:
 
 
 class _ExprParser:
-    """Recursive descent over scalars (rational functions) and forms."""
+    """Recursive descent over pairs (value, den) standing for value / den:
+    the value is a ``MultiPoly`` or a ``DiffForm``, den a monic
+    ``MultiPoly``."""
 
     def __init__(self, tokens, ctx: ExprContext):
         self.tokens = tokens
         self.i = 0
         self.ctx = ctx
+        self.one = MultiPoly.one(ctx.ring, ctx.chart.nvars)
 
     def peek(self):
         return self.tokens[self.i]
@@ -126,13 +138,6 @@ class _ExprParser:
     def error(self, msg):
         _, _, pos = self.peek()
         raise ParseError(msg, pos, self.ctx.line)
-
-    # scalars are RationalFunction, forms are DiffForm
-
-    def _one(self):
-        return RationalFunction.from_poly(
-            MultiPoly.one(self.ctx.ring, self.ctx.chart.nvars)
-        )
 
     def parse(self):
         val = self.expr()
@@ -147,8 +152,8 @@ class _ExprParser:
             kind, text, _ = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
-                rhs = self.term()
-                val = self._add(val, rhs if text == "+" else -rhs)
+                rhs, den = self.term()
+                val = self._add(val, (rhs if text == "+" else -rhs, den))
             else:
                 return val
 
@@ -174,7 +179,8 @@ class _ExprParser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return -self.unary()
+            val, den = self.unary()
+            return -val, den
         return self.power()
 
     def power(self):
@@ -183,9 +189,12 @@ class _ExprParser:
         if kind == "op" and text == "^":
             self.advance()
             e = self.int_atom()
-            if isinstance(base, DiffForm):
+            val, den = base
+            if isinstance(val, DiffForm):
                 self.error("cannot raise a form to a power")
-            return base**e
+            if e < 0:
+                return self._div((self.one, self.one), (val**-e, den**-e))
+            return val**e, den**e
         return base
 
     def int_atom(self) -> int:
@@ -247,7 +256,7 @@ class _ExprParser:
         kind, text, _ = self.peek()
         if kind == "num":
             self.advance()
-            return self._one() * text
+            return self.one * text, self.one
         if kind == "op" and text == "(":
             self.advance()
             val = self.expr()
@@ -258,58 +267,91 @@ class _ExprParser:
             ctx = self.ctx
             idx = ctx.var_index(text)
             if idx is not None:
-                return RationalFunction.from_poly(ctx.chart.var(idx))
+                return ctx.chart.var(idx), self.one
             const = ctx.constant(text)
             if const is not None:
-                return self._one() * const
+                return self.one * const, self.one
             if text.startswith("d") and len(text) > 1:
                 vidx = ctx.var_index(text[1:])
                 if vidx is not None:
-                    return ctx.chart.dx(vidx)
+                    return ctx.chart.dx(vidx), self.one
                 raise ParseError(f"unknown variable {text[1:]!r} in differential",
                                  line=ctx.line)
             raise ParseError(f"unknown name {text!r}", line=ctx.line)
         self.error("expected a value")
 
-    # -- typed operations -------------------------------------------------
+    # -- operations on pairs ---------------------------------------------
 
     def _add(self, x, y):
-        if isinstance(x, DiffForm) != isinstance(y, DiffForm):
+        (a, da), (b, db) = x, y
+        if isinstance(a, DiffForm) != isinstance(b, DiffForm):
             self.error("cannot add a scalar and a form")
-        return x + y
+        if da == db:
+            return a + b, da
+        return a * db + b * da, da * db
 
     def _mul(self, x, y):
-        if isinstance(x, DiffForm) and isinstance(y, DiffForm):
+        if isinstance(x[0], DiffForm) and isinstance(y[0], DiffForm):
             self.error("use /\\ between forms")
         return self._wedge(x, y)
 
     def _wedge(self, x, y):
-        if isinstance(x, DiffForm) and isinstance(y, DiffForm):
-            return x.wedge(y)
-        return y * x if isinstance(y, DiffForm) else x * y
+        (a, da), (b, db) = x, y
+        if isinstance(a, DiffForm) and isinstance(b, DiffForm):
+            val = a.wedge(b)
+        else:
+            val = b * a if isinstance(b, DiffForm) else a * b
+        return val, da * db
 
     def _div(self, x, y):
-        if isinstance(y, DiffForm):
+        """x / y = (a db) / (da b), with the denominator made monic."""
+        (a, da), (b, db) = x, y
+        if isinstance(b, DiffForm):
             self.error("cannot divide by a form")
-        return x / y
+        if not b:
+            raise ZeroDivisionError("division by zero rational function")
+        if not a:
+            return x
+        ring = self.ctx.ring
+        if b.is_constant:
+            c = b.constant_value()
+            if ring.is_field:
+                return a * db.scale(ring.inv(c)), da
+            if c == ring.one():
+                return a * db, da
+            if c == -ring.one():
+                return -(a * db), da
+            raise ArithmeticError("non-unit denominator over a non-field")
+        if not ring.is_field:
+            raise ArithmeticError("rational functions need a coefficient field")
+        inv = ring.inv(b.leading()[1])
+        return a * db.scale(inv), da * b.scale(inv)
 
 
 def parse_expr(text: str, ctx: ExprContext):
+    """The pair (value, den) of an expression, standing for value / den."""
     return _ExprParser(tokenize(text, ctx.line), ctx).parse()
 
 
 def parse_form(text: str, ctx: ExprContext) -> DiffForm:
-    val = parse_expr(text, ctx)
+    """The numerator of a differential form: the form times a monic common
+    denominator of its coefficients, the form itself when it has none."""
+    val, _ = parse_expr(text, ctx)
     if not isinstance(val, DiffForm):
         raise ParseError("expected a differential form", line=ctx.line)
     return val
 
 
-def parse_scalar(text: str, ctx: ExprContext) -> RationalFunction:
-    val = parse_expr(text, ctx)
+def parse_scalar(text: str, ctx: ExprContext) -> tuple[MultiPoly, MultiPoly]:
+    """A scalar expression as a reduced fraction (num, den), den monic."""
+    val, den = parse_expr(text, ctx)
     if isinstance(val, DiffForm):
         raise ParseError("expected a scalar expression", line=ctx.line)
-    return val
+    if den.is_constant:
+        return val, den
+    # a nonconstant denominator exists only over a field
+    g = gcd_multi(val, den)
+    return val.exact_div(g), den.exact_div(g)
 
 
 def print_form(form: DiffForm) -> str:
@@ -327,7 +369,7 @@ class Document:
     n: int | None = None
     chart: Chart | None = None
     forms: dict = dc_field(default_factory=dict)
-    maps: dict = dc_field(default_factory=dict)
+    maps: dict = dc_field(default_factory=dict)  # name -> (numerators, den)
     hyperplanes: dict = dc_field(default_factory=dict)
     weights: dict = dc_field(default_factory=dict)
     models: dict = dc_field(default_factory=dict)
@@ -405,26 +447,30 @@ def parse_document(text: str, field_override: str | None = None) -> Document:
         elif head == "map":
             if not (body.startswith("[") and body.endswith("]")):
                 raise ParseError("map components must be bracketed", line=lineno)
-            comps = [
+            fractions = [
                 parse_scalar(part, ctx)
                 for part in _split_commas(body[1:-1], lineno)
             ]
-            doc.maps[name] = comps
+            # one common denominator: the product of the reduced ones
+            den = MultiPoly.one(doc.ring, doc.chart.nvars)
+            for _, d in fractions:
+                den = den * d
+            doc.maps[name] = ([num * den.exact_div(d) for num, d in fractions], den)
         elif head == "hyperplane":
-            value = parse_scalar(body, ctx)
-            if not value.is_polynomial or value.as_poly().total_degree() != 1:
+            value, den = parse_scalar(body, ctx)
+            if not den.is_constant or value.total_degree() != 1:
                 raise ParseError("hyperplane must be a linear polynomial",
                                  line=lineno)
-            doc.hyperplanes[name] = value.as_poly()
+            doc.hyperplanes[name] = value
         elif head == "weights":
             if not (body.startswith("(") and body.endswith(")")):
                 raise ParseError("weights must be parenthesized", line=lineno)
             ws = []
             for part in _split_commas(body[1:-1], lineno):
-                w = parse_scalar(part, ctx)
-                if not w.is_polynomial or not w.as_poly().is_constant:
+                w, den = parse_scalar(part, ctx)
+                if not den.is_constant or not w.is_constant:
                     raise ParseError("weights must be ring constants", line=lineno)
-                ws.append(w.as_poly().constant_value())
+                ws.append(w.constant_value())
             doc.weights[name] = ws
     return doc
 

@@ -46,7 +46,7 @@ from pfol.models import (
     frobenius_power_form,
     prime_scan,
 )
-from pfol.mpoly import MultiPoly, RationalFunction
+from pfol.mpoly import MultiPoly
 from pfol.rings import GF, NumberRing, QQ, ZZ
 
 
@@ -177,14 +177,13 @@ def test_pth_power_of_function_multiple_fixed_sign():
             v = VectorField(
                 chart, [random_poly(F, n, rng, deg=1, nterms=2) for _ in range(n)]
             )
-            f_rf = RationalFunction.from_poly(f)
-            fv = VectorField(chart, [f_rf * c for c in v.comps])
+            fv = VectorField(chart, [f * c for c in v.comps])
             lhs = fv.pth_power()
-            fp = RationalFunction.from_poly(f**p)
+            fp = f**p
             vp = v.pth_power()
-            corr = v.apply_iter(RationalFunction.from_poly(f ** (p - 1)), p - 1)
+            corr = v.apply_iter(f ** (p - 1), p - 1)
             head = VectorField(chart, [fp * c for c in vp.comps])
-            tail = VectorField(chart, [f_rf * corr * c for c in v.comps])
+            tail = VectorField(chart, [f * corr * c for c in v.comps])
             assert head + tail * F.coerce(validated_sign) == lhs
             if tail:
                 # the sign is pinned: the opposite sign must fail
@@ -340,16 +339,22 @@ def test_irrational_log_scan_and_frobenius_conjugate_kernel():
     x, y, z = chart.vars()
     fol = log_foliation([x, y, z], [t, F.one(), F.one()])
     theta = p_kernel(fol).two_form
-    one = MultiPoly.one(F, 3)
-    dlog = lambda f: DiffForm(chart, 1, {
-        (i,): RationalFunction(f.deriv(i), f) for i in range(3)
-    })
+    xyz = x * y * z
+
+    def log_numerator(weights):
+        # sum_i w_i dlog(f_i) = num / (x y z) for the components x, y, z
+        num = chart.zero_form(1)
+        for w, f in zip(weights, (x, y, z)):
+            df = DiffForm(chart, 1, {(i,): f.deriv(i) for i in range(3)})
+            num = num + df * (xyz.exact_div(f) * w)
+        return num
+
     s = F.pth_root(t)
     assert s == F.frobenius(t)  # conjugate root of the minimal polynomial
-    w1 = dlog(x) * t + dlog(y) + dlog(z)
-    w2 = dlog(x) * s + dlog(y) + dlog(z)
-    candidate, _ = w1.wedge(w2).clear_denominators()
-    candidate = candidate.saturate()
+    w1 = log_numerator([t, 1, 1])
+    w2 = log_numerator([s, 1, 1])
+    # w1 /\ w2 is (x y z)^2 times the wedge of the two log forms
+    candidate = w1.wedge(w2).saturate()
     # proportionality of the two saturated 2-forms
     pairs = [(0, 1), (0, 2), (1, 2)]
     coeffs_a = [theta.coeff(ij) for ij in pairs]
@@ -445,8 +450,8 @@ def test_closed_form_divisor_congruence_and_invariance():
         delta = degeneracy_divisor(fol)
         support = [h for h, _ in delta.normalize()]
         if not fol.projective:
-            omega1 = closed_defining_form(fol)
-            diff = divisor_difference_of_closed_form(omega1)
+            omega, f = closed_defining_form(fol)
+            diff = divisor_difference_of_closed_form(omega, f)
             residual = delta - diff
             assert all(m % p == 0 for _, m in residual.normalize())
         # known invariant hypersurfaces lie in the support of the divisor
@@ -470,7 +475,7 @@ def test_restriction_formula_generic_hyperplane():
     cone = cone_chart(F, 3)
     xs = cone.vars()
     fol = log_foliation(xs, [-(t + 2), t, F.one(), F.one()], projective=True)
-    emb = linear_hyperplane_embedding(F, 3, [1, 2, 3, 1])
+    emb = linear_hyperplane_embedding(cone_chart(F, 3), [1, 2, 3, 1])
     sub, different = restrict_foliation(fol, emb)
     delta = degeneracy_divisor(fol)
     delta_sub = degeneracy_divisor(sub)

@@ -275,3 +275,150 @@ def test_error_reporting(tmp_path, capsys):
     assert main(["analyze", doc]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+# ---------------------------------------------------------------------------
+# outputs pinned byte for byte: forms and scalars written with "/" are
+# cleared to one polynomial numerator before the engine sees them
+
+
+def run(monkeypatch, capsys, argv, text):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = main(argv + ["-"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+LOG_WITH_DENOMINATORS = """\
+field Fq:5^2:t^2+2
+ambient affine 3
+form omega = dx/x + t*dy/y - (1+t)*dz/z
+"""
+
+LOG_TIMES_CANCELLING_FRACTION = """\
+field Fq:5^2:t^2+2
+ambient affine 3
+form omega = (x^2-y^2)/(x+y)*(y*z*dx + t*x*z*dy - (1+t)*x*y*dz)
+"""
+
+LOG_AFFINE_OUTPUTS = {
+    "analyze": (
+        "field: Fq:5^2:t^2+2\nambient: A^3\ndeg F: None\np-closed: False\n"
+        "degeneracy divisor:\n  (x*y*z) : 1\ndeg degeneracy: 3\n"
+        "cartier integrable: True\n"
+    ),
+    "cartier": (
+        "cartier transform: (t*y*z)*dx + (2*x*z)*dy + ((4*t+3)*x*y)*dz\n"
+        "integrable: True\n"
+    ),
+    "degeneracy": "degeneracy divisor:\n  (x*y*z) : 1\ndegree: 3\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOG_AFFINE_OUTPUTS))
+@pytest.mark.parametrize("text", [LOG_WITH_DENOMINATORS, LOG_TIMES_CANCELLING_FRACTION])
+def test_rational_log_form_outputs_are_pinned(monkeypatch, capsys, command, text):
+    assert run(monkeypatch, capsys, [command], text) == (
+        0, LOG_AFFINE_OUTPUTS[command], ""
+    )
+
+
+CONE_FORM_WITH_DENOMINATOR = """\
+field Fp:5
+ambient proj 2
+vars x0 x1 x2
+form omega = ((x0*x1 - x2^2)*dx0 + (x1*x2 - x0^2)*dx1 + (x0*x2 - x1^2)*dx2)/(x0 + x1)
+"""
+
+
+def test_cone_form_with_denominator_outputs_are_pinned(monkeypatch, capsys):
+    assert run(monkeypatch, capsys, ["analyze"], CONE_FORM_WITH_DENOMINATOR) == (
+        0,
+        "field: Fp:5\nambient: P^2\ndeg F: 1\np-closed: False\n"
+        "degeneracy divisor:\n  (x0^3 + 2*x0*x1*x2 + x1^3 + x2^3) : 1\n"
+        "deg degeneracy: 3\ndeg kernel: 0\npredicted deg degeneracy: 3\n"
+        "cartier integrable: True\n",
+        "",
+    )
+    assert run(monkeypatch, capsys, ["cartier"], CONE_FORM_WITH_DENOMINATOR) == (
+        0,
+        "cartier transform: (4*x0*x2 + x1^2)*dx0 + (4*x0*x1 + x2^2)*dx1 "
+        "+ (x0^2 + 4*x1*x2)*dx2\nintegrable: True\n",
+        "",
+    )
+
+
+RESTRICT_TO = RESTRICT.rpartition("hyperplane")[0] + "hyperplane Y = {}\n"
+
+
+def test_hyperplane_with_cancelling_fraction_is_pinned(monkeypatch, capsys):
+    expected = (
+        "restricted form: ((t+1)*y0*y1*y2 + (6*t+5)*y1^2*y2 + (2*t+4)*y1*y2^2)*dy0"
+        " + (6*t*y0^2*y2 + (t+1)*y0*y1*y2 + 5*t*y0*y2^2)*dy1"
+        " + (6*y0^2*y1 + y0*y1^2 + 3*y0*y1*y2)*dy2\n"
+        "different:\n  (none)\n"
+        "degeneracy of restriction:\n  (y0) : 1\n  (y0 + 6*y1 + 2*y2) : 1\n"
+        "  (y0 + 6*y1 + 4*y2) : 7\n  (y1) : 1\n  (y2) : 1\n"
+        "predicted from the different:\n  (y0) : 1\n  (y0 + 6*y1 + 2*y2) : 1\n"
+        "  (y0 + 6*y1 + 4*y2) : 7\n  (y1) : 1\n  (y2) : 1\n"
+        "matches: True\n"
+    )
+    for hyperplane in ("(x0^2-x1^2)/(x0+x1) + 2*x2 + x3", "x0 - x1 + 2*x2 + x3"):
+        text = RESTRICT_TO.format(hyperplane)
+        assert run(monkeypatch, capsys, ["restrict"], text) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "field, form, message",
+    [
+        ("Z", "y*dx/x", "rational functions need a coefficient field"),
+        ("Z", "y/x*dx", "rational functions need a coefficient field"),
+        ("Z", "y*dx/2", "non-unit denominator over a non-field"),
+        ("Fp:5", "dx/0", "division by zero rational function"),
+        ("Z", "dx/(x-x)", "division by zero rational function"),
+    ],
+)
+def test_refused_denominators_are_input_errors(monkeypatch, capsys, field, form, message):
+    text = f"field {field}\nambient affine 3\nform eta = {form}\n"
+    command = ["defect", "--p", "3"] if field == "Z" else ["analyze"]
+    assert run(monkeypatch, capsys, command, text) == (2, "", f"error: {message}\n")
+
+
+def test_unit_denominator_over_z_is_accepted(monkeypatch, capsys):
+    text = "field Z\nambient affine 3\nform eta = (x^2*dx + z^3*y^2*dy)/(-1)\n"
+    code, out, err = run(monkeypatch, capsys, ["defect", "--p", "3"], text)
+    assert (code, err) == (0, "")
+    assert "content: 3" in out
+
+
+def test_pullback_by_rational_map_is_refused(monkeypatch, capsys):
+    text = PULLBACK.replace("[x, y, z^2]", "[x, y^2/(x+1), z/y]")
+    assert run(monkeypatch, capsys, ["pullback"], text) == (
+        2, "", "error: the map needs polynomial components\n"
+    )
+
+
+def test_restrict_accepts_renamed_coordinates(monkeypatch, capsys):
+    renamed = RESTRICT
+    for old, new in (("x0", "a"), ("x1", "b"), ("x2", "c"), ("x3", "d")):
+        renamed = renamed.replace(old, new)
+    assert "vars a b c d" in renamed
+    expected = run(monkeypatch, capsys, ["restrict"], RESTRICT)
+    assert expected[0] == 0 and "matches: True" in expected[1]
+    assert run(monkeypatch, capsys, ["restrict"], renamed) == expected
+
+
+AFFINE_LOG = """\
+field Fp:5
+ambient affine 3
+form omega = y*z*dx + 2*x*z*dy + 2*x*y*dz
+"""
+
+
+@pytest.mark.parametrize("extra", [[], ["--delta-max", "2"]])
+def test_distmin2_on_affine_document_is_input_error(monkeypatch, capsys, extra):
+    assert run(monkeypatch, capsys, ["distmin2", *extra], AFFINE_LOG) == (
+        2, "", "error: the subdistribution search is projective\n"
+    )

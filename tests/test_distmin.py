@@ -13,7 +13,7 @@ from pfol.distmin import (
 )
 from pfol.exterior import VectorField, affine_chart, cone_chart, euler_field
 from pfol.foliation import log_foliation
-from pfol.mpoly import MultiPoly, RationalFunction
+from pfol.mpoly import MultiPoly, gcd_list
 from pfol.rings import GF, QQ
 
 
@@ -132,8 +132,8 @@ def test_seed_determinism():
 
 
 def coefficient_rows(theta):
-    """The coefficient matrix of theta over the rational function field, as
-    rows j -> {i: theta_ij}; its kernel is the kernel of theta."""
+    """The coefficient matrix of theta, as rows j -> {i: theta_ij}; its
+    kernel over the rational function field is the kernel of theta."""
     n1 = theta.chart.nvars
     rows = []
     for j in range(n1):
@@ -141,29 +141,74 @@ def coefficient_rows(theta):
         for i in range(n1):
             c = theta.coeff((i, j))
             if c:
-                row[i] = RationalFunction.from_poly(c)
+                row[i] = c
         rows.append(row)
     return rows
 
 
+def _combine(a, row, b, other):
+    """a * row - b * other, divided by the gcd of its entries."""
+    out = {c: v * a for c, v in row.items()}
+    for c, v in other.items():
+        s = out[c] - v * b if c in out else -(v * b)
+        if s:
+            out[c] = s
+        else:
+            out.pop(c, None)
+    if out:
+        g = gcd_list(out.values())
+        out = {c: v.exact_div(g) for c, v in out.items()}
+    return out
+
+
+def fraction_free_rref(rows):
+    """{pivot column: row} for a matrix of polynomials, by elimination over
+    the rational function field that multiplies rows instead of dividing:
+    every pivot row vanishes in the other pivot columns, and there are as
+    many pivots as the rank."""
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        for col, prow in pivots.items():
+            if col in row:
+                row = _combine(prow[col], row, row[col], prow)
+        if not row:
+            continue
+        lead = min(row)
+        for col, prow in pivots.items():
+            if lead in prow:
+                pivots[col] = _combine(row[lead], prow, prow[lead], row)
+        pivots[lead] = row
+    return pivots
+
+
 def rank_reference(theta):
-    """The rank of theta, by elimination over the rational function field."""
-    return rank_of(coefficient_rows(theta))
+    """The rank of theta over the rational function field."""
+    return len(fraction_free_rref(coefficient_rows(theta)))
 
 
 def bracket_closure_reference(theta):
-    """Integrability of the kernel of theta: the kernel fields are computed
-    over the rational function field, and the bracket of any two of them
-    must again be annihilated by theta."""
+    """Integrability of the kernel of theta: a basis of the kernel over the
+    rational function field, scaled to polynomial fields, and the bracket
+    of any two of them must again be annihilated by theta."""
     chart = theta.chart
     n1 = chart.nvars
-    one_rf = RationalFunction.from_poly(MultiPoly.one(chart.ring, n1))
-    zero_rf = RationalFunction.from_poly(MultiPoly.zero(chart.ring, n1))
-    kernel = nullspace(coefficient_rows(theta), n1, one_rf)
-    fields = [
-        VectorField(chart, [vec.get(i, zero_rf) for i in range(n1)])
-        for vec in kernel
-    ]
+    pivots = fraction_free_rref(coefficient_rows(theta))
+    pivot_product = MultiPoly.one(chart.ring, n1)
+    for col, prow in pivots.items():
+        pivot_product = pivot_product * prow[col]
+    fields = []
+    for free in range(n1):
+        if free in pivots:
+            continue
+        comps = [0] * n1
+        comps[free] = pivot_product
+        for col, prow in pivots.items():
+            if free in prow:
+                comps[col] = -(prow[free] * pivot_product.exact_div(prow[col]))
+        fields.append(VectorField(chart, comps))
+    for v in fields:
+        assert not theta.contract(v)
     for a in range(len(fields)):
         for b in range(a + 1, len(fields)):
             if theta.contract(fields[a].lie_bracket(fields[b])):

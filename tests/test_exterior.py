@@ -13,7 +13,7 @@ from pfol.exterior import (
     pullback_form,
 )
 from pfol.geommaps import RationalMap
-from pfol.mpoly import MultiPoly, RationalFunction
+from pfol.mpoly import MultiPoly
 from pfol.rings import GF, QQ
 
 
@@ -57,47 +57,42 @@ def test_sort_sign_matches_inversion_count():
         assert _sort_sign(idx) == reference(idx)
 
 
-def test_coefficients_are_polynomials_unless_a_denominator_remains():
+def test_coefficients_are_polynomials():
     chart = affine_chart(GF(5), 2)
     x, y = chart.vars()
-    rx, ry = RationalFunction.from_poly(x), RationalFunction.from_poly(y)
-    # each object built from MultiPolys and from fractions that cancel
+    # each object built from MultiPolys and from ring constants and sums
     builds = [
         (
             DiffForm(chart, 1, {(0,): y, (1,): x * y}),
-            chart.dx(0) * (rx * ry / rx) + chart.dx(1) * (ry / rx * x * x),
+            chart.dx(0) * y + chart.dx(1) * (y * x) + chart.dx(0) * 0,
             lambda form: list(form.terms.values()),
         ),
         (
             VectorField(chart, [x, y]),
-            VectorField(chart, [rx * rx / rx, 0]) + VectorField(chart, [0, ry / rx]) * x,
+            VectorField(chart, [x, 0]) + VectorField(chart, [0, 1]) * y,
             lambda v: v.comps,
         ),
         (
             RationalMap(chart, chart, [x, y**2]),
-            RationalMap(chart, chart, [rx * ry / ry, ry / rx * ry * x]),
-            lambda phi: phi.comps,
+            RationalMap(chart, chart, [x * 1, y * y], 1),
+            lambda phi: phi.comps + [phi.den],
         ),
     ]
-    for from_polys, from_fractions, coeffs in builds:
-        for c in coeffs(from_polys) + coeffs(from_fractions):
+    for from_polys, from_constants, coeffs in builds:
+        for c in coeffs(from_polys) + coeffs(from_constants):
             assert type(c) is MultiPoly
-        assert from_polys == from_fractions
-        assert hash(tuple(coeffs(from_polys))) == hash(tuple(coeffs(from_fractions)))
+        assert from_polys == from_constants
+        assert hash(tuple(coeffs(from_polys))) == hash(tuple(coeffs(from_constants)))
     form, field = builds[0][1], builds[1][1]
     assert hash(builds[0][0]) == hash(form)
     assert type(form.pair(field)) is MultiPoly
+    assert type(field.apply(3)) is MultiPoly
     assert all(type(c) is MultiPoly for c in form.d().terms.values())
     assert type(field.pth_power().comps[1]) is MultiPoly
-    # a real denominator stays a RationalFunction, until it cancels
-    polar = chart.dx(0) * (1 / rx)
-    assert type(polar.coeff((0,))) is RationalFunction
-    assert not polar.is_polynomial
-    assert polar.common_denominator() == x
-    assert type((form / x).coeff((0,))) is RationalFunction
-    assert (form / x).coeff((1,)) == y and type((form / x).coeff((1,))) is MultiPoly
-    assert (form / x) * x == form
-    assert type(RationalMap(chart, chart, [x, ry / rx]).comps[1]) is RationalFunction
+    # a rational map keeps polynomial numerators and one denominator
+    rational = RationalMap(chart, chart, [x * x, y], x)
+    assert rational.comps == [x * x, y] and rational.den == x
+    assert all(type(c) is MultiPoly for c in rational.comps + [rational.den])
 
 
 def test_d_squared_zero():
@@ -118,8 +113,8 @@ def test_d_leibniz():
         f = random_poly(GF(7), 3, rng)
         alpha = random_one_form(chart, rng)
         df = DiffForm(chart, 1, {(i,): f.deriv(i) for i in range(3)})
-        lhs = (alpha * RationalFunction.from_poly(f)).d()
-        rhs = df.wedge(alpha) + alpha.d() * RationalFunction.from_poly(f)
+        lhs = (alpha * f).d()
+        rhs = df.wedge(alpha) + alpha.d() * f
         assert lhs == rhs
 
 
@@ -151,7 +146,7 @@ def test_lie_bracket_is_derivation():
     for _ in range(5):
         v = random_field(chart, rng)
         w = random_field(chart, rng)
-        f = RationalFunction.from_poly(random_poly(GF(7), 3, rng))
+        f = random_poly(GF(7), 3, rng)
         bracket = v.lie_bracket(w)
         assert bracket.apply(f) == v.apply(w.apply(f)) - w.apply(v.apply(f))
 
@@ -161,14 +156,14 @@ def test_pth_power_is_derivation():
     chart = affine_chart(GF(3), 2)
     for _ in range(10):
         v = random_field(chart, rng)
-        f = RationalFunction.from_poly(random_poly(GF(3), 2, rng))
-        g = RationalFunction.from_poly(random_poly(GF(3), 2, rng))
+        f = random_poly(GF(3), 2, rng)
+        g = random_poly(GF(3), 2, rng)
         vp = v.pth_power()
         assert vp.apply(f * g) == vp.apply(f) * g + f * vp.apply(g)
 
 
 def pth_power_reference(v):
-    """v^p by iterating v p times on each coordinate over RationalFunction."""
+    """v^p by applying v p times to each coordinate, one ``apply`` at a time."""
     p = v.chart.ring.characteristic
     return VectorField(
         v.chart, [v.apply_iter(v.chart.var(i), p) for i in range(v.chart.nvars)]
@@ -199,19 +194,6 @@ def test_pth_power_matches_iterated_reference():
                     assert all(c.terms.values())
 
 
-def test_pth_power_of_rational_field():
-    # (x/y d/dx)^p = x/y^p d/dx: v^k(x) = x/y^k
-    for F in (GF(2), GF(3), GF(5, 2)):
-        p = F.characteristic
-        chart = affine_chart(F, 2)
-        x, y = chart.vars()
-        v = VectorField(chart, [RationalFunction(x, y), MultiPoly.zero(F, 2)])
-        expected = VectorField(
-            chart, [RationalFunction(x, y**p), MultiPoly.zero(F, 2)]
-        )
-        assert v.pth_power() == expected == pth_power_reference(v)
-
-
 def test_pth_power_needs_positive_characteristic():
     chart = affine_chart(QQ, 2)
     x, y = chart.vars()
@@ -238,7 +220,7 @@ def test_pth_power_additive_on_commuting_fields():
             assert not v.lie_bracket(w)
             lhs = (v + w).pth_power()
             rhs = v.pth_power() + w.pth_power()
-            f = RationalFunction.from_poly(random_poly(GF(p), 2, rng))
+            f = random_poly(GF(p), 2, rng)
             assert lhs.apply(f) == rhs.apply(f)
             assert lhs == rhs
 
@@ -261,19 +243,6 @@ def test_saturate_and_content():
     assert sat.coeff((0,)) == y
 
 
-def test_clear_denominators():
-    chart = affine_chart(GF(7), 2)
-    x, y = chart.vars()
-    form = DiffForm(chart, 1, {
-        (0,): RationalFunction(MultiPoly.one(GF(7), 2), x),
-        (1,): RationalFunction(MultiPoly.one(GF(7), 2), y),
-    })
-    cleared, den = form.clear_denominators()
-    assert cleared.is_polynomial
-    assert den == x * y
-    assert cleared.coeff((0,)) == y
-
-
 def test_pullback_functorial():
     rng = random.Random(7)
     F = GF(5)
@@ -287,3 +256,21 @@ def test_pullback_functorial():
     assert pull(alpha.wedge(beta)) == pull(alpha).wedge(pull(beta))
     assert pull(alpha.d()) == pull(alpha).d()
 
+
+
+def test_pullback_numerator_clears_the_denominator():
+    # along x_i = (den * c_i) / den the numerator is den^(D + 2q) times the
+    # pullback along the polynomial map x_i = c_i
+    rng = random.Random(8)
+    for F in (GF(5), GF(3, 2), QQ):
+        a2 = affine_chart(F, 2)
+        a3 = affine_chart(F, 3, ("u", "v", "w"))
+        for _ in range(4):
+            comps = [random_poly(F, 3, rng), random_poly(F, 3, rng)]
+            den = random_poly(F, 3, rng, deg=1) + 1
+            alpha = random_one_form(a2, rng)
+            function = DiffForm(a2, 0, {(): random_poly(F, 2, rng)})
+            for form in (function, alpha, alpha.d()):
+                n = form.max_coeff_degree() + 2 * form.q
+                lhs = pullback_form(form, [den * c for c in comps], a3, den)
+                assert lhs == pullback_form(form, comps, a3) * den**n

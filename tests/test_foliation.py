@@ -236,11 +236,13 @@ def test_closed_defining_form_and_divisor_congruence():
     chart = affine_chart(F, 3)
     xs = chart.vars()
     fol = log_foliation(xs, [F.generator(), F.one(), F.one()])
-    omega1 = closed_defining_form(fol)
-    assert omega1.d().is_zero
+    omega, f = closed_defining_form(fol)
+    # omega / f is closed: d(omega / f) = (f d(omega) - df /\ omega) / f^2
+    df = DiffForm(chart, 0, {(): f}).d()
+    assert (omega.d() * f - df.wedge(omega)).is_zero
     # zeros minus poles of the closed form agrees with Delta modulo p
     delta = degeneracy_divisor(fol)
-    diff = divisor_difference_of_closed_form(omega1)
+    diff = divisor_difference_of_closed_form(omega, f)
     residual = delta - diff
     assert all(m % p == 0 for _, m in residual.normalize())
 
@@ -396,7 +398,7 @@ def chart_degeneracy_reference(fol):
     for j in range(n + 1):
         terms = {
             (i if i < j else i - 1,): c.set_var_one(j)
-            for (i,), c in fol.form.poly_terms().items()
+            for (i,), c in fol.form.terms.items()
             if i != j
         }
         form = DiffForm(chart, 1, terms)

@@ -20,38 +20,69 @@ from pfol.geommaps import (
     restrict_foliation,
     verify_pullback_degeneracy,
 )
-from pfol.mpoly import MultiPoly, RationalFunction
+from pfol.mpoly import MultiPoly, gcd_list
 from pfol.rings import GF
 
 from chart_reference import glue_chart_divisors
 
 
-def rf_jacobian_det(comps, nvars: int) -> MultiPoly | RationalFunction:
-    """det(d_j c_i) by Laplace expansion, with rational entries when the
-    components are rational."""
+# rational functions as pairs (numerator, denominator), never reduced
+
+
+def pair_add(a, b):
+    if a[1] == b[1]:
+        return a[0] + b[0], a[1]
+    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+
+
+def pair_mul(a, b):
+    return a[0] * b[0], a[1] * b[1]
+
+
+def pair_deriv(a, j):
+    num, den = a
+    return num.deriv(j) * den - num * den.deriv(j), den * den
+
+
+def pair_subs(f: MultiPoly, vals):
+    """f evaluated at the pairs vals, term by term."""
+    one = vals[0][1] ** 0
+    acc = (one - one, one)
+    for e, c in f.terms.items():
+        term = (one * c, one)
+        for v, k in zip(vals, e):
+            for _ in range(k):
+                term = pair_mul(term, v)
+        acc = pair_add(acc, term)
+    return acc
+
+
+def rf_jacobian_det(comps, nvars: int):
+    """det(d_j c_i) by Laplace expansion, for components given as pairs
+    (numerator, denominator); returns the determinant as a pair."""
 
     def det(rows):
         if len(rows) == 1:
             return rows[0][0]
-        acc = rows[0][0] - rows[0][0]
+        acc = None
         for j, entry in enumerate(rows[0]):
-            if entry:
-                term = entry * det([r[:j] + r[j + 1:] for r in rows[1:]])
-                acc = acc - term if j % 2 else acc + term
-        return acc
+            if entry[0]:
+                term = pair_mul(entry, det([r[:j] + r[j + 1:] for r in rows[1:]]))
+                if j % 2:
+                    term = (-term[0], term[1])
+                acc = term if acc is None else pair_add(acc, term)
+        return acc if acc is not None else rows[0][0]
 
-    return det([[c.deriv(j) for j in range(nvars)] for c in comps])
+    return det([[pair_deriv(c, j) for j in range(nvars)] for c in comps])
 
 
 def rf_ramification_reference(comps, nvars: int) -> Divisor:
     """The affine ramification divisor as div(num) - div(den) of the
     rational Jacobian determinant."""
-    jac = rf_jacobian_det(comps, nvars)
-    if not jac:
+    num, den = rf_jacobian_det(comps, nvars)
+    if not num:
         raise ValueError("Jacobian vanishes identically")
-    if isinstance(jac, RationalFunction):
-        return Divisor.of_polynomial(jac.num) - Divisor.of_polynomial(jac.den)
-    return Divisor.of_polynomial(jac)
+    return Divisor.of_polynomial(num) - Divisor.of_polynomial(den)
 
 
 def chart_ramification_reference(phi: RationalMap) -> Divisor:
@@ -70,9 +101,8 @@ def chart_ramification_reference(phi: RationalMap) -> Divisor:
         t = j if not dehom[j].is_zero else next(
             k for k, c in enumerate(dehom) if not c.is_zero
         )
-        affine = [RationalFunction(dehom[k], dehom[t]) for k in range(n + 1) if k != t]
-        jac = rf_jacobian_det(affine, n)
-        chart_fns[j] = (jac.num, jac.den)
+        affine = [(dehom[k], dehom[t]) for k in range(n + 1) if k != t]
+        chart_fns[j] = rf_jacobian_det(affine, n)
     return glue_chart_divisors(phi.source.ring, n, chart_fns)
 
 
@@ -105,6 +135,13 @@ def test_rational_map_validation():
         RationalMap(cone, cone, [x0, x1, x2**2])  # mixed degrees
     with pytest.raises(ValueError, match="common factor"):
         RationalMap(cone, cone, [x0 * x1, x0 * x2, x0**2])
+    with pytest.raises(ValueError, match="polynomial components"):
+        RationalMap(cone, cone, [x0, x1, x2], x0)  # a denominator on the cone
+    chart = affine_chart(F, 2)
+    x, y = chart.vars()
+    for den in (0, 2, x * 2):
+        with pytest.raises(ValueError, match="must be monic"):
+            RationalMap(chart, chart, [x, y], den)
 
 
 def test_monomial_cover_ramification():
@@ -147,7 +184,7 @@ def test_cone_ramification_restricts_to_chart_zero():
                 chart = [c.set_var_one(0) for c in comps]
                 if chart[0].is_zero:
                     continue
-                affine = [RationalFunction(c, chart[0]) for c in chart[1:]]
+                affine = [(c, chart[0]) for c in chart[1:]]
                 try:
                     expected = rf_ramification_reference(affine, n)
                 except ValueError:
@@ -174,12 +211,16 @@ def test_affine_ramification_matches_rational_jacobian():
                 num = random_form(F, 2, rng.randrange(1, 4), rng)
                 num = num + random_form(F, 2, 1, rng)
                 den = random_form(F, 2, 1, rng) + MultiPoly.one(F, 2)
-                comps.append(RationalFunction(num, den) if found % 2 else num)
-            if any(not c for c in comps):
+                comps.append((num, den.monic() if found % 2 else MultiPoly.one(F, 2)))
+            if any(not num for num, _ in comps):
                 continue
-            phi = RationalMap(chart, chart, comps)
+            # one common denominator, the product of the component ones
+            den = comps[0][1] * comps[1][1]
+            phi = RationalMap(chart, chart, [
+                comps[0][0] * comps[1][1], comps[1][0] * comps[0][1]
+            ], den)
             try:
-                expected = rf_ramification_reference(phi.comps, 2)
+                expected = rf_ramification_reference(comps, 2)
             except ValueError:
                 with pytest.raises(ValueError):
                     ramification_divisor(phi)
@@ -257,16 +298,21 @@ def test_affine_ramification_of_polynomial_and_rational_maps():
     # (x, y^3): Jacobian 3 y^2, a polynomial
     assert ramification_divisor(RationalMap(chart, chart, [x, y**3])) == 2 * div_y
     # (x, y^2 / x): Jacobian 2 y / x, a rational function
-    rational = RationalMap(chart, chart, [x, RationalFunction(y**2, x)])
+    rational = RationalMap(chart, chart, [x * x, y**2], x)
     ram = ramification_divisor(rational)
     assert ram == div_y - div_x
     assert ram.normalize() == [(x, -1), (y, 1)]
+    # a common factor of the numerators and the denominator changes nothing
+    unreduced = RationalMap(chart, chart, [x**3 + x * x, y**2 * (x + 1)], x * (x + 1))
+    assert ramification_divisor(unreduced) == ram
+    with pytest.raises(ValueError, match="polynomial components"):
+        rational.poly_comps()
 
 
 def test_linear_embedding_lands_in_hyperplane():
     F = GF(7, 2)
     coeffs = [F.coerce(c) for c in (1, 2, 3, 1)]
-    emb = linear_hyperplane_embedding(F, 3, coeffs)
+    emb = linear_hyperplane_embedding(cone_chart(F, 3), coeffs)
     # sum c_i comp_i = 0 identically
     acc = MultiPoly.zero(F, 3)
     for c, comp in zip(coeffs, emb.poly_comps()):
@@ -283,7 +329,7 @@ def test_restriction_formula_on_hyperplane():
     cone = cone_chart(F, 3)
     xs = cone.vars()
     fol = log_foliation(xs, [-(t + 2), t, F.one(), F.one()], projective=True)
-    emb = linear_hyperplane_embedding(F, 3, [1, 2, 3, 1])
+    emb = linear_hyperplane_embedding(cone_chart(F, 3), [1, 2, 3, 1])
     sub, different = restrict_foliation(fol, emb)
     assert sub.projective and sub.n == 2
     assert different.is_effective()
@@ -310,7 +356,7 @@ def test_restrict_invariant_hyperplane_rejected():
     cone = cone_chart(F, 2)
     xs = cone.vars()
     fol = log_foliation(xs, [t, F.one(), -(t + 1)], projective=True)
-    emb = linear_hyperplane_embedding(F, 2, [1, 0, 0])  # the line {x0 = 0}
+    emb = linear_hyperplane_embedding(cone_chart(F, 2), [1, 0, 0])  # the line {x0 = 0}
     with pytest.raises(ValueError):
         restrict_foliation(fol, emb)
 
@@ -324,3 +370,44 @@ def test_pullback_form_matches_substitution():
     # phi^*(x dz) = x d(z^2) = 2xz dz
     zz = phi.source.var(2)
     assert pb.coeff((2,)) == phi.source.var(0) * zz.scale(F.coerce(2))
+
+
+def test_rational_pullback_matches_chain_rule():
+    # phi^* of a 1-form, coefficient by coefficient with pairs:
+    # the du_j coefficient is sum_i a_i(phi) d_j phi_i; cleared and saturated
+    rng = random.Random(12)
+    checked = 0
+    for F in (GF(5), GF(7), GF(3, 2)):
+        t = F.generator() if F.k > 1 else F.coerce(2)
+        chart = affine_chart(F, 3)
+        x, y, z = chart.vars()
+        fol = log_foliation([x, y, z + 1], [t, F.one(), -t - 1])
+        for _ in range(3):
+            comps = [random_form(F, 3, rng.randrange(1, 3), rng) + 1 for _ in range(2)]
+            comps.append(random_form(F, 3, 1, rng) + 1)
+            den = (random_form(F, 3, 1, rng) + 1).monic()
+            if den.is_constant:
+                continue
+            phi = RationalMap(chart, chart, comps, den)
+            fractions = [(c, den) for c in comps]
+            coeffs = []
+            for j in range(3):
+                acc = (x - x, x**0)
+                for (i,), a in fol.form.terms.items():
+                    term = pair_mul(pair_subs(a, fractions), pair_deriv(fractions[i], j))
+                    acc = pair_add(acc, term)
+                coeffs.append(acc)
+            common = coeffs[0][1]
+            for _, d in coeffs[1:]:
+                if d != common:
+                    common = common * d
+            cleared = DiffForm(chart, 1, {
+                (j,): num * common.exact_div(d) for j, (num, d) in enumerate(coeffs)
+            })
+            if cleared.is_zero:
+                continue
+            # a monic multiple of the least common denominator clears to
+            # the same saturated form
+            assert pullback_foliation(phi, fol).form == cleared.saturate()
+            checked += 1
+    assert checked >= 6

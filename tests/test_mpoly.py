@@ -6,7 +6,6 @@ import pytest
 import pfol.mpoly as mpoly
 from pfol.mpoly import (
     MultiPoly,
-    RationalFunction,
     gcd_list,
     gcd_multi,
     poly_str,
@@ -178,27 +177,6 @@ def test_pow_squares_only_while_bits_remain(monkeypatch):
     assert [f**e for e in range(7)] == powers
 
 
-def test_rational_function_reduction():
-    F = GF(5)
-    x = MultiPoly.var(F, 2, 0)
-    y = MultiPoly.var(F, 2, 1)
-    r = RationalFunction(x**2 - y**2, x + y)
-    assert r.is_polynomial
-    assert r.as_poly() == x - y
-    s = RationalFunction(x, y) + RationalFunction(y, x)
-    assert s.num == x**2 + y**2 and s.den == x * y
-    assert (s - s).is_polynomial
-
-
-def test_rational_function_deriv():
-    F = GF(7)
-    x = MultiPoly.var(F, 1, 0)
-    r = RationalFunction(MultiPoly.one(F, 1), x)
-    # d(1/x) = -1/x^2
-    d = r.deriv(0)
-    assert d == -(r * r)
-
-
 def test_poly_str_and_eval():
     F = GF(5)
     x = MultiPoly.var(F, 2, 0)
@@ -206,23 +184,6 @@ def test_poly_str_and_eval():
     f = x**2 * y + y.scale(F.coerce(3)) + 1
     assert poly_str(f) == "x^2*y + 3*y + 1"
     assert f.eval([F.coerce(2), F.coerce(1)]) == F.coerce(4 + 3 + 1)
-
-
-def test_nonfield_denominators_rejected():
-    x = MultiPoly.var(ZZ, 1, 0)
-    with pytest.raises(Exception):
-        RationalFunction(MultiPoly.one(ZZ, 1), x)
-
-
-def test_polynomial_rational_function_hashes_as_its_numerator():
-    F = GF(5)
-    x = MultiPoly.var(F, 2, 0)
-    y = MultiPoly.var(F, 2, 1)
-    r = RationalFunction.from_poly(x)
-    assert r == x and hash(r) == hash(x)
-    assert len({r, x}) == 1
-    assert len({RationalFunction(x**2 - y**2, x + y), x - y}) == 1
-    assert len({RationalFunction(x, y), x}) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pfol.exterior import DiffForm, affine_chart, cone_chart
-from pfol.mpoly import MultiPoly, RationalFunction
+from pfol.mpoly import MultiPoly, gcd_multi
 from pfol.parsing import (
     ExprContext,
     ParseError,
@@ -13,7 +13,7 @@ from pfol.parsing import (
     parse_scalar,
     print_form,
 )
-from pfol.rings import GF, NumberRing, QQ
+from pfol.rings import GF, NumberRing, QQ, ZZ
 
 
 def random_poly(ring, nvars, rng, deg=3, nterms=4):
@@ -29,20 +29,20 @@ def random_poly(ring, nvars, rng, deg=3, nterms=4):
 def test_basic_polynomials():
     ctx = ExprContext(affine_chart(GF(7), 3))
     x, y, z = ctx.chart.vars()
-    assert parse_scalar("x*y + 2*z^3", ctx).as_poly() == x * y + (z**3).scale(
-        GF(7).coerce(2)
+    assert parse_scalar("x*y + 2*z^3", ctx) == (
+        x * y + (z**3).scale(GF(7).coerce(2)), 1
     )
     # juxtaposition multiplies
-    assert parse_scalar("2x y", ctx).as_poly() == (x * y).scale(GF(7).coerce(2))
-    assert parse_scalar("(x + y)^2", ctx).as_poly() == (x + y) ** 2
-    assert parse_scalar("-x", ctx).as_poly() == -x
+    assert parse_scalar("2x y", ctx) == ((x * y).scale(GF(7).coerce(2)), 1)
+    assert parse_scalar("(x + y)^2", ctx) == ((x + y) ** 2, 1)
+    assert parse_scalar("-x", ctx) == (-x, 1)
 
 
 def test_p_token_substitution():
     ctx = ExprContext(affine_chart(GF(5), 2))
     x, y = ctx.chart.vars()
-    assert parse_scalar("x^(p-1)", ctx).as_poly() == x**4
-    assert parse_scalar("y^(2p+1)", ctx).as_poly() == y**11
+    assert parse_scalar("x^(p-1)", ctx) == (x**4, 1)
+    assert parse_scalar("y^(2p+1)", ctx) == (y**11, 1)
     ctx0 = ExprContext(affine_chart(QQ, 2))
     with pytest.raises(ParseError):
         parse_scalar("x^p", ctx0)
@@ -52,11 +52,12 @@ def test_generator_constants():
     F = GF(3, 2)
     ctx = ExprContext(affine_chart(F, 2))
     t = F.generator()
-    val = parse_scalar("t^2 + 1", ctx)
-    assert val.as_poly().constant_value() == t * t + F.one()
+    val, den = parse_scalar("t^2 + 1", ctx)
+    assert den == 1 and val.constant_value() == t * t + F.one()
     R = NumberRing([1, 0, 1])
     ctxR = ExprContext(affine_chart(R, 2))
-    assert parse_scalar("a*a", ctxR).as_poly().constant_value() == R.coerce(-1)
+    val, den = parse_scalar("a*a", ctxR)
+    assert den == 1 and val.constant_value() == R.coerce(-1)
 
 
 def test_forms_and_wedges():
@@ -72,10 +73,62 @@ def test_forms_and_wedges():
 
 
 def test_rational_coefficients():
-    ctx = ExprContext(affine_chart(GF(5), 2))
+    # a form written with "/" is kept as its numerator over a monic common
+    # denominator: here x*y, the least one
+    ctx = ExprContext(affine_chart(GF(7), 2))
     x, y = ctx.chart.vars()
     w = parse_form("dx/x + dy/y", ctx)
-    assert w.coeff((0,)) == RationalFunction(MultiPoly.one(GF(5), 2), x)
+    assert w == DiffForm(ctx.chart, 1, {(0,): y, (1,): x})
+    assert parse_expr("dx/x + dy/y", ctx) == (w, x * y)
+    # the numerator keeps the scalar of the form: 1/(2x) = 4/x over GF(7)
+    assert parse_form("dx/(2*x)", ctx) == ctx.chart.dx(0) * 4
+    # no gcd is taken inside a form: the cancelling factor stays until the
+    # foliation saturates the numerator
+    assert parse_expr("(x^2 - y^2)/(x + y)*dx", ctx) == (
+        ctx.chart.dx(0) * (x * x - y * y), x + y
+    )
+
+
+def test_rational_function_reduction():
+    # a scalar directive is reduced once: coprime numerator, monic denominator
+    ctx = ExprContext(affine_chart(GF(5), 2))
+    x, y = ctx.chart.vars()
+    assert parse_scalar("(x^2 - y^2)/(x + y)", ctx) == (x - y, 1)
+    assert parse_scalar("x/y + y/x", ctx) == (x * x + y * y, x * y)
+    assert parse_scalar("x/y - x/y", ctx) == (0, 1)
+    assert parse_scalar("x/(2*y)", ctx) == (x * 3, y)
+    assert parse_scalar("(x*y)^(-2)", ctx) == (1, x**2 * y**2)
+    assert parse_scalar("1/(x/y)", ctx) == (y, x)
+
+
+def test_scalar_reduction_matches_gcd_on_random_fractions():
+    rng = random.Random(1)
+    for F in (GF(7), GF(3, 2), QQ):
+        ctx = ExprContext(affine_chart(F, 2))
+        for _ in range(10):
+            num = random_poly(F, 2, rng, deg=2)
+            den = random_poly(F, 2, rng, deg=2)
+            common = random_poly(F, 2, rng, deg=1)
+            if den.is_zero or common.is_zero:
+                continue
+            n, d = parse_scalar(f"({num * common})/({den * common})", ctx)
+            assert n * den == d * num
+            assert d.leading()[1] == F.one()
+            assert gcd_multi(n, d).is_constant
+
+
+def test_nonfield_denominators_rejected():
+    ctx = ExprContext(affine_chart(ZZ, 2))
+    x, y = ctx.chart.vars()
+    with pytest.raises(ArithmeticError, match="need a coefficient field"):
+        parse_scalar("1/x", ctx)
+    with pytest.raises(ArithmeticError, match="non-unit denominator"):
+        parse_form("y*dx/2", ctx)
+    with pytest.raises(ZeroDivisionError):
+        parse_scalar("x/(y - y)", ctx)
+    # a unit denominator and a zero numerator are accepted
+    assert parse_scalar("x/(-1)", ctx) == (-x, 1)
+    assert parse_scalar("(x - x)/y", ctx) == (0, 1)
 
 
 def test_parse_errors():
@@ -113,20 +166,6 @@ def test_print_parse_roundtrip_random():
             assert parse_form(print_form(form), ctx) == form
 
 
-def test_roundtrip_rational_coefficients():
-    rng = random.Random(1)
-    F = GF(7)
-    chart = affine_chart(F, 2)
-    ctx = ExprContext(chart)
-    for _ in range(10):
-        num = random_poly(F, 2, rng, deg=2)
-        den = random_poly(F, 2, rng, deg=2)
-        if den.is_zero:
-            continue
-        form = DiffForm(chart, 1, {(0,): RationalFunction(num, den)})
-        assert parse_form(print_form(form), ctx) == form
-
-
 def test_document_parsing():
     doc = parse_document(
         """
@@ -143,9 +182,21 @@ def test_document_parsing():
     assert doc.projective and doc.n == 2
     assert doc.chart.names == ("x0", "x1", "x2")
     assert doc.the_form().q == 1
-    assert len(doc.the_map()) == 3
+    comps, den = doc.the_map()
+    assert len(comps) == 3 and den == 1
     assert doc.the_hyperplane().total_degree() == 1
     assert doc.weights["lam"][0] == GF(3, 2).generator()
+
+
+def test_document_map_has_one_common_denominator():
+    doc = parse_document(
+        "field Fp:5\nambient affine 3\nmap phi = [y^2/(x+1), z/(2*y), (x^2-y^2)/(x+y)]\n"
+    )
+    x, y, z = doc.chart.vars()
+    comps, den = doc.the_map()
+    # the product of the reduced denominators x + 1 and y
+    assert den == (x + 1) * y
+    assert comps == [y**3, z * (x + 1) * 3, (x - y) * den]
 
 
 def test_document_field_override():
