@@ -54,13 +54,13 @@ def _load(args) -> Document:
 
 
 def _foliation(doc: Document) -> Foliation:
-    return from_form(doc.the_form(), projective=doc.projective, auto_saturate=True)
+    return from_form(doc.the_form())
 
 
-def _divisor_lines(div: Divisor, names) -> list[str]:
+def _divisor_lines(div: Divisor) -> list[str]:
     lines = []
     for f, m in div.normalize():
-        lines.append(f"  ({poly_str(f, names)}) : {m}")
+        lines.append(f"  ({poly_str(f, div.chart.names)}) : {m}")
     if not lines:
         lines.append("  (none)")
     return lines
@@ -80,7 +80,7 @@ def _emit(payload: dict, args, human: list[str]) -> None:
 def cmd_analyze(args) -> int:
     doc = _load(args)
     fol = _foliation(doc)
-    report = analyze(fol, doc.chart.names)
+    report = analyze(fol)
     if args.json:
         print(report.to_json())
         return 0
@@ -128,7 +128,6 @@ def cmd_cartier(args) -> int:
 def cmd_degeneracy(args) -> int:
     doc = _load(args)
     fol = _foliation(doc)
-    names = doc.chart.names
     try:
         delta = degeneracy_divisor(fol)
     except PClosedError:
@@ -136,12 +135,12 @@ def cmd_degeneracy(args) -> int:
         return 0
     payload = {
         "p_closed": False,
-        "degeneracy": delta.to_json(names),
+        "degeneracy": delta.to_json(),
         "degree": delta.degree(),
     }
     _emit(payload, args, [
         "degeneracy divisor:",
-        *_divisor_lines(delta, names),
+        *_divisor_lines(delta),
         f"degree: {delta.degree()}",
     ])
     return 0
@@ -153,28 +152,27 @@ def cmd_pullback(args) -> int:
     comps, den = doc.the_map()
     phi = RationalMap(doc.chart, doc.chart, comps, den)
     result = verify_pullback_degeneracy(phi, fol)
-    names = doc.chart.names
     payload = {
-        "degeneracy_of_pullback": result["delta_pullback"].to_json(names),
-        "pullback_of_degeneracy": result["pullback_of_delta"].to_json(names),
-        "ramification": result["ramification"].to_json(names),
+        "degeneracy_of_pullback": result["delta_pullback"].to_json(),
+        "pullback_of_degeneracy": result["pullback_of_delta"].to_json(),
+        "ramification": result["ramification"].to_json(),
         "components": [
             {
-                "component": poly_str(c["component"], names),
+                "component": poly_str(c["component"], phi.source.names),
                 "ram_mult": c["ram_mult"],
                 "f_invariant": c["f_invariant"],
                 "kernel_invariant": c["kernel_invariant"],
             }
             for c in result["ram_components"]
         ],
-        "predicted": result["predicted"].to_json(names),
+        "predicted": result["predicted"].to_json(),
         "matches": result["matches"],
     }
     human = [
         "degeneracy of pullback:",
-        *_divisor_lines(result["delta_pullback"], names),
+        *_divisor_lines(result["delta_pullback"]),
         "predicted from ramification:",
-        *_divisor_lines(result["predicted"], names),
+        *_divisor_lines(result["predicted"]),
         f"matches: {result['matches']}",
     ]
     _emit(payload, args, human)
@@ -183,7 +181,7 @@ def cmd_pullback(args) -> int:
 
 def cmd_restrict(args) -> int:
     doc = _load(args)
-    if not doc.projective:
+    if not doc.chart.is_cone:
         raise ParseError("restriction requires a projective document")
     fol = _foliation(doc)
     h = doc.the_hyperplane()
@@ -196,16 +194,14 @@ def cmd_restrict(args) -> int:
         raise ParseError("hyperplane must be homogeneous linear")
     embedding = linear_hyperplane_embedding(doc.chart, coeffs)
     sub, different = restrict_foliation(fol, embedding)
-    sub_names = embedding.source.names
-    names = doc.chart.names
     payload = {
         "restricted_form": print_form(sub.form),
-        "different": different.to_json(sub_names),
+        "different": different.to_json(),
     }
     human = [
         f"restricted form: {print_form(sub.form)}",
         "different:",
-        *_divisor_lines(different, sub_names),
+        *_divisor_lines(different),
     ]
     ok = True
     try:
@@ -221,14 +217,14 @@ def cmd_restrict(args) -> int:
             restricted_delta + fol.p * (diff_k - different) - different
         )
         ok = delta_sub == predicted
-        payload["degeneracy_of_restriction"] = delta_sub.to_json(sub_names)
-        payload["predicted"] = predicted.to_json(sub_names)
+        payload["degeneracy_of_restriction"] = delta_sub.to_json()
+        payload["predicted"] = predicted.to_json()
         payload["matches"] = ok
         human += [
             "degeneracy of restriction:",
-            *_divisor_lines(delta_sub, sub_names),
+            *_divisor_lines(delta_sub),
             "predicted from the different:",
-            *_divisor_lines(predicted, sub_names),
+            *_divisor_lines(predicted),
             f"matches: {ok}",
         ]
     _emit(payload, args, human)
@@ -246,7 +242,7 @@ def cmd_scan(args) -> int:
         if not isinstance(doc.ring, (NumberRing, type(ZZ))):
             raise ParseError("scans need a model over Z or NR:<minpoly>")
         form = doc.the_form()
-        model = models.IntegralModel(form, projective=doc.projective)
+        model = models.IntegralModel(form)
         rows = models.prime_scan(model, args.pmax)
         if args.json:
             out.append(models.scan_to_json(rows))

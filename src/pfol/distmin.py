@@ -84,10 +84,6 @@ def nullspace(rows: list[dict], ncols: int, one) -> list[dict]:
     return basis
 
 
-def rank_of(rows: list[dict]) -> int:
-    return len(rref(rows))
-
-
 # ---------------------------------------------------------------------------
 # constraint assembly
 

@@ -10,8 +10,8 @@ numerator with one denominator: the parser clears a form written with
 x_i = N_i / den.
 
 The same machinery is used for honest affine charts and for the cone over
-a projective space (homogeneous coordinates); the :class:`Chart` object
-records which of the two a form lives on.
+a projective space (homogeneous coordinates); the :class:`Chart` a form
+lives on is the package's one record of which of the two it is.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class Chart:
     """An affine coordinate patch.
 
     ``kind`` is "affine" for a plain affine space or "cone" for the space
-    of homogeneous coordinates of a projective space.
+    of homogeneous coordinates of a projective space (``is_cone``).
     """
 
     ring: object
@@ -37,6 +37,10 @@ class Chart:
     @property
     def nvars(self) -> int:
         return len(self.names)
+
+    @property
+    def is_cone(self) -> bool:
+        return self.kind == "cone"
 
     def var(self, i: int) -> MultiPoly:
         return MultiPoly.var(self.ring, self.nvars, i)
@@ -88,7 +92,7 @@ def _sort_sign(idx):
 class DiffForm:
     """A differential q-form with polynomial coefficients."""
 
-    __slots__ = ("chart", "q", "terms")
+    __slots__ = ("chart", "q", "terms", "_content")
 
     def __init__(self, chart: Chart, q: int, terms: dict):
         self.chart = chart
@@ -111,6 +115,7 @@ class DiffForm:
             else:
                 clean.pop(sidx, None)
         self.terms = clean
+        self._content = None
 
     def coeff(self, idx) -> MultiPoly:
         srt = _sort_sign(tuple(idx))
@@ -253,21 +258,25 @@ class DiffForm:
     # -- polynomial structure -------------------------------------------------
 
     def content(self) -> MultiPoly:
-        """The gcd of the coefficients."""
+        """The monic gcd of the coefficients, computed on first use and kept."""
         if self.is_zero:
             raise ValueError("content of the zero form")
-        return gcd_list(self.terms.values())
+        if self._content is None:
+            self._content = gcd_list(self.terms.values())
+        return self._content
 
     def saturate(self) -> "DiffForm":
-        """Divide the form by the gcd of its coefficients."""
-        if self.is_zero:
+        """Divide the form by its content (the form itself when that is 1)."""
+        if self.is_zero or self.content().is_constant:
             return self
-        cont = self.content()
-        return DiffForm(
+        cont = self._content
+        sat = DiffForm(
             self.chart,
             self.q,
             {idx: c.exact_div(cont) for idx, c in self.terms.items()},
         )
+        sat._content = self.chart.coerce(1)
+        return sat
 
     def max_coeff_degree(self) -> int:
         if self.is_zero:

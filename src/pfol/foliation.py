@@ -1,15 +1,17 @@
 """Codimension-one foliations and their p-curvature invariants.
 
-A foliation is stored by a saturated integrable polynomial 1-form.  Affine
-foliations live on an affine chart; projective ones are stored by a
-homogeneous form on the cone (homogeneous coordinates x_0..x_n) that is
-annihilated by the radial field.  Every invariant is read from one set of
-p-curvature values omega(v^p) over the Koszul fields of that form.  The
-degeneracy divisor is their gcd, on the cone as on an affine chart: by
-p-linearity and the Euler field, the cone gcd serves every standard chart
-(see ``degeneracy_divisor``), so no chart is built.  A projective divisor is
-read off one form on the cone by ``Divisor.of_homogeneous``, which splits
-off the coordinate hyperplanes as the charts would glue them.
+A foliation is stored by a saturated integrable polynomial 1-form, and its
+chart alone says whether it is affine or projective: projective ones are
+stored by a homogeneous form on the cone (homogeneous coordinates
+x_0..x_n) that is annihilated by the radial field.  Every invariant is
+read from one set of p-curvature values omega(v^p) over the Koszul fields
+of that form.  The degeneracy divisor is their gcd, on the cone as on an
+affine chart: by p-linearity and the Euler field, the cone gcd serves
+every standard chart (see ``degeneracy_divisor``), so no chart is built.
+A ``Divisor`` lives on a chart and prints with its variable names; a
+projective one is read off one form on the cone by
+``Divisor.of_homogeneous``, which splits off the coordinate hyperplanes as
+the charts would glue them.
 """
 
 from __future__ import annotations
@@ -82,50 +84,47 @@ def coprime_basis(polys) -> list[MultiPoly]:
 
 
 class Divisor:
-    """A formal Z-linear combination of hypersurfaces, given by polynomials.
-
-    ``ambient`` is "affine" or "proj"; components of projective divisors are
-    homogeneous polynomials in the homogeneous coordinates.
+    """A formal Z-linear combination of hypersurfaces, given by polynomials
+    on ``chart``: an affine chart, or the cone over P^n, where the
+    components are homogeneous.  Divisors on different charts do not mix.
     """
 
-    def __init__(self, ring, nvars: int, items, ambient: str = "affine"):
-        self.ring = ring
-        self.nvars = nvars
-        self.ambient = ambient
+    def __init__(self, chart: Chart, items):
+        self.chart = chart
         self.items = [(f, int(m)) for f, m in items if m != 0 and not f.is_constant]
         self._normal = None
         self._squarefree = False  # items known monic and squarefree
 
     @classmethod
-    def zero(cls, ring, nvars, ambient="affine") -> "Divisor":
-        return cls._normalized(ring, nvars, [], ambient)
+    def zero(cls, chart: Chart) -> "Divisor":
+        return cls._normalized(chart, [])
 
     @classmethod
-    def _normalized(cls, ring, nvars: int, items, ambient: str) -> "Divisor":
+    def _normalized(cls, chart: Chart, items) -> "Divisor":
         """A divisor whose components are already pairwise coprime, monic
         and squarefree; they are kept as its normal form."""
-        div = cls(ring, nvars, items, ambient)
+        div = cls(chart, items)
         div._normal = sorted(
             div.items, key=lambda fm: (fm[0].total_degree(), poly_str(fm[0]))
         )
         return div
 
     @classmethod
-    def of_polynomial(cls, f: MultiPoly, ambient="affine") -> "Divisor":
+    def of_polynomial(cls, f: MultiPoly, chart: Chart) -> "Divisor":
         """The divisor of zeros of f, with multiplicities (zero for a unit)."""
         if f.is_zero:
             raise ValueError("divisor of the zero polynomial")
-        return cls._normalized(f.ring, f.nvars, squarefree_decomposition(f), ambient)
+        return cls._normalized(chart, squarefree_decomposition(f))
 
     @classmethod
-    def of_homogeneous(cls, f: MultiPoly) -> "Divisor":
+    def of_homogeneous(cls, f: MultiPoly, chart: Chart) -> "Divisor":
         """The divisor of zeros of a nonzero form f on P^n, as the standard
         charts {x_j != 0} glue it.  A coordinate hyperplane x_j is seen only
         from the other charts, so it is split off the squarefree parts of f
         as a component of its own."""
         if f.is_zero:
             raise ValueError("divisor of the zero polynomial")
-        coords = [MultiPoly.var(f.ring, f.nvars, j) for j in range(f.nvars)]
+        coords = chart.vars()
         items = []
         for comp, m in squarefree_decomposition(f):
             for x_j in coords:
@@ -133,14 +132,10 @@ class Divisor:
                     items.append((x_j, m))
                     comp = comp.exact_div(x_j)
             items.append((comp, m))
-        return cls._normalized(f.ring, f.nvars, items, "proj")
+        return cls._normalized(chart, items)
 
     def _check(self, other: "Divisor"):
-        if (other.ring, other.nvars, other.ambient) != (
-            self.ring,
-            self.nvars,
-            self.ambient,
-        ):
+        if other.chart != self.chart:
             raise ValueError("divisors on different ambient spaces")
 
     def _parts(self):
@@ -151,7 +146,7 @@ class Divisor:
         return self.items, self._squarefree
 
     def _with(self, items, squarefree: bool) -> "Divisor":
-        div = Divisor(self.ring, self.nvars, items, self.ambient)
+        div = Divisor(self.chart, items)
         div._squarefree = squarefree
         return div
 
@@ -168,9 +163,7 @@ class Divisor:
 
     def __rmul__(self, k: int) -> "Divisor":
         if self._normal is not None:
-            return Divisor._normalized(
-                self.ring, self.nvars, [(f, k * m) for f, m in self._normal], self.ambient
-            )
+            return Divisor._normalized(self.chart, [(f, k * m) for f, m in self._normal])
         return self._with([(f, k * m) for f, m in self.items], self._squarefree)
 
     __mul__ = __rmul__
@@ -210,10 +203,10 @@ class Divisor:
         self._check(other)
         return (self - other).is_zero()
 
-    def to_json(self, names=None) -> list[dict]:
+    def to_json(self) -> list[dict]:
         return [
             {
-                "component": poly_str(f, names),
+                "component": poly_str(f, self.chart.names),
                 "multiplicity": m,
                 "degree": f.total_degree(),
             }
@@ -221,18 +214,9 @@ class Divisor:
         ]
 
     def __repr__(self):
-        parts = [f"{m}*({poly_str(f)})" for f, m in self.normalize()]
+        names = self.chart.names
+        parts = [f"{m}*({poly_str(f, names)})" for f, m in self.normalize()]
         return " + ".join(parts) if parts else "0"
-
-
-def divisor_difference_of_closed_form(
-    num: DiffForm, den: MultiPoly, ambient="affine"
-) -> Divisor:
-    """(form)_infty - (form)_0 for the rational form num / den: the divisor
-    of den minus the divisor of the content of num.  A common factor of den
-    and the content cancels in the difference."""
-    cont = num.content()
-    return Divisor.of_polynomial(den, ambient) - Divisor.of_polynomial(cont, ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +244,20 @@ def koszul_fields(form: DiffForm) -> list[VectorField]:
 
 
 class Foliation:
-    """A codimension-one foliation given by a saturated polynomial 1-form."""
+    """A codimension-one foliation given by a saturated polynomial 1-form,
+    projective when the form lives on the cone (see ``from_form``)."""
 
-    def __init__(self, form: DiffForm, projective: bool, degree: int | None):
+    def __init__(self, form: DiffForm, degree: int | None):
         self.form = form
-        self.projective = projective
         self.degree = degree
 
     @property
     def chart(self) -> Chart:
         return self.form.chart
+
+    @property
+    def projective(self) -> bool:
+        return self.chart.is_cone
 
     @property
     def ring(self):
@@ -294,61 +282,30 @@ class Foliation:
         return f"Foliation on {kind} by {self.form!r}"
 
 
-def from_form(
-    form: DiffForm,
-    projective: bool = False,
-    auto_saturate: bool = False,
-    check_integrable: bool = True,
-) -> Foliation:
-    """Validate a defining 1-form and wrap it as a foliation."""
+def from_form(form: DiffForm) -> Foliation:
+    """Saturate a defining 1-form, validate it and wrap it as a foliation.
+
+    On the cone the coefficients must be homogeneous of one degree d (the
+    foliation has degree d - 1) and the radial field must annihilate the
+    form; in three or more variables the form must be integrable.
+    """
     if form.q != 1:
         raise ValidationError("a defining form must be a 1-form")
     if form.is_zero:
         raise ValidationError("the zero form defines no foliation")
-    if not form.content().is_constant:
-        if auto_saturate:
-            form = form.saturate()
-        else:
-            raise ValidationError("form is not saturated (divide by its content)")
+    form = form.saturate()
     chart = form.chart
     degree = None
-    if projective:
-        if chart.kind != "cone":
-            raise ValidationError("projective forms live in homogeneous coordinates")
+    if chart.is_cone:
         d = form.max_coeff_degree()
         if not form.is_homogeneous_of(d):
             raise ValidationError("coefficients must be homogeneous of equal degree")
         if form.pair(euler_field(chart)):
             raise ValidationError("form is not annihilated by the radial field")
         degree = d - 1
-    if check_integrable and chart.nvars >= 3:
-        if form.wedge(form.d()):
-            raise ValidationError("form is not integrable")
-    return Foliation(form, projective, degree)
-
-
-def projectivize(form: DiffForm) -> Foliation:
-    """Homogenize an affine 1-form into a projective foliation.
-
-    The affine chart is taken to be the standard chart {x_0 != 0}; the
-    missing coefficient is recovered from the radial relation and the
-    result is saturated (dropping a spurious power of x_0 when the top
-    graded piece of the affine form is radial)."""
-    if form.q != 1:
-        raise ValidationError("projectivization needs a 1-form")
-    n = form.chart.nvars
-    ring = form.chart.ring
-    cone = cone_chart(ring, n)
-    m = form.max_coeff_degree()
-    coeffs_h: dict[int, MultiPoly] = {}
-    for (i,), c in form.terms.items():
-        coeffs_h[i + 1] = c.homogenize(0, m + 1)
-    acc = MultiPoly.zero(ring, n + 1)
-    for glob, a in coeffs_h.items():
-        acc = acc + MultiPoly.var(ring, n + 1, glob) * a
-    coeffs_h[0] = -acc.exact_div(MultiPoly.var(ring, n + 1, 0))
-    hom = DiffForm(cone, 1, {(g,): c for g, c in coeffs_h.items()})
-    return from_form(hom, projective=True, auto_saturate=True)
+    if chart.nvars >= 3 and form.wedge(form.d()):
+        raise ValidationError("form is not integrable")
+    return Foliation(form, degree)
 
 
 def log_foliation(components, weights, projective: bool = False) -> Foliation:
@@ -392,18 +349,11 @@ def log_foliation(components, weights, projective: bool = False) -> Foliation:
                 rest = rest * g
         df = DiffForm(chart, 1, {(k,): f.deriv(k) for k in range(n)})
         form = form + df * (rest * w)
-    return from_form(form, projective=projective, auto_saturate=True)
+    return from_form(form)
 
 
 # ---------------------------------------------------------------------------
 # p-curvature and the degeneracy divisor
-
-
-def p_curvature(fol: Foliation, v: VectorField) -> MultiPoly:
-    """psi(v) = omega(v^p): the obstruction to v^p staying tangent."""
-    if fol.p == 0:
-        raise ArithmeticError("p-curvature needs positive characteristic")
-    return fol.form.pair(v.pth_power())
 
 
 def _koszul_pcurvatures(form: DiffForm):
@@ -482,20 +432,8 @@ def degeneracy_divisor(fol: Foliation) -> Divisor:
         raise PClosedError("foliation is p-closed; no degeneracy divisor")
     g = gcd_list(vals).monic()
     if fol.projective:
-        return Divisor.of_homogeneous(g)
-    return Divisor.of_polynomial(g, "affine")
-
-
-def closed_defining_form(fol: Foliation) -> tuple[DiffForm, MultiPoly]:
-    """The pair (omega, f) with f = omega(v^p) != 0 for a tangent generator v.
-
-    omega / f is a closed rational form defining the same foliation; its
-    polar and zero divisors recover the degeneracy divisor modulo p.
-    """
-    f = fol.pcurvature.f
-    if f is None:
-        raise PClosedError("foliation is p-closed; no closed defining form")
-    return fol.form, f
+        return Divisor.of_homogeneous(g, fol.chart)
+    return Divisor.of_polynomial(g, fol.chart)
 
 
 def _saturate_over_lc(fol: Foliation, form: DiffForm) -> DiffForm:
@@ -590,7 +528,7 @@ def predicted_degeneracy_degree(p: int, deg_f: int, deg_kernel: int) -> int:
     return p * (deg_f - deg_kernel - 1) + deg_f + 2
 
 
-def analyze(fol: Foliation, names=None) -> PCurvatureReport:
+def analyze(fol: Foliation) -> PCurvatureReport:
     """Full p-curvature report for a foliation."""
     closed = is_p_closed(fol)
     ambient = f"P^{fol.n}" if fol.projective else f"A^{fol.n}"
@@ -605,7 +543,7 @@ def analyze(fol: Foliation, names=None) -> PCurvatureReport:
     if closed:
         return report
     delta = degeneracy_divisor(fol)
-    report.degeneracy = delta.to_json(names)
+    report.degeneracy = delta.to_json()
     report.deg_degeneracy = delta.degree()
     _, integrable = cartier_transform_foliation(fol)
     report.cartier_integrable = integrable

@@ -9,7 +9,8 @@ A pullback is computed as one polynomial numerator (see
 ``exterior.pullback_form``), and the ramification divisor is the divisor
 of one polynomial determinant, on the cone for a map of P^n and on the
 chart for an affine map, so no chart is built and no Jacobian is a
-rational function (see ``ramification_divisor``).
+rational function (see ``ramification_divisor``).  Every foliation and
+divisor a map produces lives on its source chart.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class RationalMap:
 
     @property
     def is_projective(self) -> bool:
-        return self.source.kind == "cone" and self.target.kind == "cone"
+        return self.source.is_cone and self.target.is_cone
 
     def poly_comps(self) -> list[MultiPoly]:
         if self.den != 1:
@@ -73,12 +74,6 @@ class RationalMap:
     def __repr__(self):
         comps = f"[{', '.join(map(repr, self.comps))}]"
         return comps if self.den == 1 else f"{comps} / ({self.den!r})"
-
-
-def monomial_cover(ring, n: int, exponent: int) -> RationalMap:
-    """The cover of P^n raising every homogeneous coordinate to a power."""
-    cone = cone_chart(ring, n)
-    return RationalMap(cone, cone, [v**exponent for v in cone.vars()])
 
 
 def linear_hyperplane_embedding(target: Chart, coeffs) -> RationalMap:
@@ -129,7 +124,7 @@ def pullback_foliation(phi: RationalMap, fol: Foliation) -> Foliation:
     pb = pullback(phi, fol.form)
     if pb.is_zero:
         raise ValueError("pullback form vanishes; map not generically transverse")
-    return from_form(pb, projective=phi.is_projective, auto_saturate=True)
+    return from_form(pb)
 
 
 def pullback_divisor(phi: RationalMap, div: Divisor) -> Divisor:
@@ -141,7 +136,7 @@ def pullback_divisor(phi: RationalMap, div: Divisor) -> Divisor:
         if g.is_zero:
             raise ValueError("a component pulls back to zero (image inside it)")
         items.append((g.monic() if g.ring.is_field else g, m))
-    return Divisor(phi.source.ring, phi.source.nvars, items, div.ambient)
+    return Divisor(phi.source, items)
 
 
 def _det(rows: list[list[MultiPoly]]) -> MultiPoly:
@@ -188,10 +183,10 @@ def ramification_divisor(phi: RationalMap) -> Divisor:
     if not det:
         raise ValueError("Jacobian vanishes identically (inseparable or degenerate)")
     if phi.is_projective:
-        return Divisor.of_homogeneous(det.exact_div(source.var(0)))
-    ram = Divisor.of_polynomial(det)
+        return Divisor.of_homogeneous(det.exact_div(source.var(0)), source)
+    ram = Divisor.of_polynomial(det, source)
     if not phi.den.is_constant:
-        ram = ram - (source.nvars + 1) * Divisor.of_polynomial(phi.den)
+        ram = ram - (source.nvars + 1) * Divisor.of_polynomial(phi.den, source)
     return ram
 
 
@@ -207,9 +202,9 @@ def restrict_form(embedding: RationalMap, form: DiffForm):
     restricted = pullback(embedding, form)
     if restricted.is_zero:
         raise ValueError("the subvariety is invariant; restriction vanishes")
-    cont = restricted.content()
-    ambient = "proj" if embedding.source.kind == "cone" else "affine"
-    return restricted.saturate(), Divisor.of_polynomial(cont, ambient)
+    return restricted.saturate(), Divisor.of_polynomial(
+        restricted.content(), embedding.source
+    )
 
 
 def restrict_foliation(fol: Foliation, embedding: RationalMap):
@@ -221,14 +216,7 @@ def restrict_foliation(fol: Foliation, embedding: RationalMap):
     if fol.form.chart != embedding.target:
         raise ValueError("embedding does not land in the foliated space")
     restricted, different = restrict_form(embedding, fol.form)
-    projective = embedding.source.kind == "cone"
-    sub = from_form(
-        restricted,
-        projective=projective,
-        auto_saturate=True,
-        check_integrable=embedding.source.nvars >= 3,
-    )
-    return sub, different
+    return from_form(restricted), different
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +245,14 @@ def verify_pullback_degeneracy(phi: RationalMap, fol: Foliation) -> dict:
     theta = None
     if chart.nvars >= 3:
         theta = p_kernel(pb).two_form
-    ambient = "proj" if phi.is_projective else "affine"
-    correction = Divisor.zero(chart.ring, chart.nvars, ambient)
+    correction = Divisor.zero(chart)
     components = []
     for h, r in ram.normalize():
         f_inv = is_invariant_hypersurface(pb.form, h)
         k_inv = (
             is_invariant_hypersurface(theta, h) if theta is not None else None
         )
-        term = Divisor._normalized(chart.ring, chart.nvars, [(h, r)], ambient)
+        term = Divisor._normalized(chart, [(h, r)])
         if f_inv:
             correction = correction - term
             if k_inv is False:

@@ -1,6 +1,10 @@
 """Integral models: foliations with Z or Z[a]/(f) coefficients, reduction
 modulo primes, prime scans, the Kronecker rationality probe and the integer
 integrability defect.
+
+A model is its form alone, and a reduction keeps the form's chart over the
+residue field.  ``from_form`` validates every reduction: a non-integrable
+integral form can become integrable modulo p (see the integer defect).
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ import io
 import json
 from dataclasses import dataclass, asdict
 
-from .exterior import Chart, DiffForm, affine_chart, cone_chart
+from .exterior import Chart, DiffForm
 from .foliation import (
     Foliation,
     ValidationError,
@@ -44,8 +48,6 @@ class IntegralModel:
     """A foliation form with integer or number-ring coefficients."""
 
     form: DiffForm
-    projective: bool = False
-    name: str = ""
 
     def __post_init__(self):
         ring = self.form.chart.ring
@@ -96,10 +98,7 @@ def reduce_model(model: IntegralModel, p: int, g=None) -> Foliation:
     field, embed = reduction_field(model, p, g)
     src = model.form
     n = src.chart.nvars
-    if model.projective:
-        chart = cone_chart(field, n - 1, src.chart.names)
-    else:
-        chart = Chart(field, src.chart.names)
+    chart = Chart(field, src.chart.names, src.chart.kind)
     terms = {}
     for idx, c in src.terms.items():
         reduced = MultiPoly(
@@ -113,7 +112,7 @@ def reduce_model(model: IntegralModel, p: int, g=None) -> Foliation:
     if not form.content().is_constant:
         raise BadReductionError(f"saturation lost modulo {p}")
     try:
-        return from_form(form, projective=model.projective)
+        return from_form(form)
     except ValidationError as exc:
         raise BadReductionError(f"validation lost modulo {p}: {exc}") from exc
 
@@ -257,9 +256,3 @@ def classify_integer_defect(defect: DiffForm, p: int) -> dict:
         "coefficient": coeff,
     }
 
-
-def frobenius_power_form(p: int) -> DiffForm:
-    """x^(p-1) dx + z^p y^(p-1) dy over Z in three variables."""
-    chart = affine_chart(ZZ, 3)
-    x, y, z = chart.vars()
-    return DiffForm(chart, 1, {(0,): x ** (p - 1), (1,): z**p * y ** (p - 1)})

@@ -365,7 +365,6 @@ def print_form(form: DiffForm) -> str:
 @dataclass
 class Document:
     ring: object = None
-    projective: bool = False
     n: int | None = None
     chart: Chart | None = None
     forms: dict = dc_field(default_factory=dict)
@@ -397,6 +396,7 @@ class Document:
 def parse_document(text: str, field_override: str | None = None) -> Document:
     doc = Document()
     names: tuple | None = None
+    projective = False
     pending: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -411,7 +411,7 @@ def parse_document(text: str, field_override: str | None = None) -> Document:
             if kind not in ("affine", "proj") or not nstr.strip().isdigit():
                 raise ParseError("ambient must be 'affine <n>' or 'proj <n>'",
                                  line=lineno)
-            doc.projective = kind == "proj"
+            projective = kind == "proj"
             doc.n = int(nstr)
         elif head == "vars":
             names = tuple(rest.split())
@@ -425,14 +425,10 @@ def parse_document(text: str, field_override: str | None = None) -> Document:
         raise ParseError("document declares no field")
     if doc.n is None:
         raise ParseError("document declares no ambient")
-    if doc.projective:
-        expected = doc.n + 1
-        doc.chart = cone_chart(doc.ring, doc.n, names)
-    else:
-        expected = doc.n
-        doc.chart = affine_chart(doc.ring, doc.n, names)
+    expected = doc.n + 1 if projective else doc.n
     if names is not None and len(names) != expected:
         raise ParseError(f"expected {expected} variable names")
+    doc.chart = (cone_chart if projective else affine_chart)(doc.ring, doc.n, names)
     for lineno, line in pending:
         head, _, rest = line.partition(" ")
         name, eq, body = rest.partition("=")

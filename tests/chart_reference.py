@@ -1,13 +1,36 @@
-"""Gluing chart-wise divisors of P^n, for the chart reference routes.
+"""Chart references: the standard charts {x_j != 0} of P^n, for tests.
 
 The package reads degeneracy and ramification divisors of P^n off one
 polynomial on the cone.  The chart routes it replaced compute num/den on
-each standard chart {x_j != 0} and glue the charts with ``glue_chart_divisors``;
-the tests keep them to check the cone route against.
+each standard chart and glue the charts with ``glue_chart_divisors``; the
+tests keep them to check the cone route against.  ``projectivize`` builds
+test foliations on P^n from a form on the chart {x_0 != 0}.
 """
 
-from pfol.foliation import Divisor, coprime_basis
+from pfol.exterior import DiffForm, cone_chart
+from pfol.foliation import Divisor, Foliation, coprime_basis, from_form
 from pfol.mpoly import MultiPoly, poly_str, squarefree_decomposition
+
+
+def projectivize(form: DiffForm) -> Foliation:
+    """Homogenize an affine 1-form into a projective foliation.
+
+    The affine chart is taken to be the standard chart {x_0 != 0}; the
+    missing coefficient is recovered from the radial relation and the
+    result is saturated (dropping a spurious power of x_0 when the top
+    graded piece of the affine form is radial)."""
+    n = form.chart.nvars
+    ring = form.chart.ring
+    cone = cone_chart(ring, n)
+    m = form.max_coeff_degree()
+    coeffs_h: dict[int, MultiPoly] = {}
+    for (i,), c in form.terms.items():
+        coeffs_h[i + 1] = c.homogenize(0, m + 1)
+    acc = MultiPoly.zero(ring, n + 1)
+    for glob, a in coeffs_h.items():
+        acc = acc + MultiPoly.var(ring, n + 1, glob) * a
+    coeffs_h[0] = -acc.exact_div(MultiPoly.var(ring, n + 1, 0))
+    return from_form(DiffForm(cone, 1, {(g,): c for g, c in coeffs_h.items()}))
 
 
 def multiplicity_along(f: MultiPoly, h: MultiPoly) -> int:
@@ -58,4 +81,4 @@ def glue_chart_divisors(ring, n: int, chart_fns: dict) -> Divisor:
         m = mults.pop()
         if m:
             items.append((h, m))
-    return Divisor._normalized(ring, n + 1, items, "proj")
+    return Divisor._normalized(cone_chart(ring, n), items)

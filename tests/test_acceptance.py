@@ -17,19 +17,17 @@ from pfol.exterior import (
     euler_field,
 )
 from pfol.foliation import (
+    Divisor,
     Foliation,
     analyze,
-    closed_defining_form,
     cartier_transform_foliation,
     degeneracy_divisor,
-    divisor_difference_of_closed_form,
     from_form,
     is_invariant_hypersurface,
     is_p_closed,
     log_foliation,
     p_kernel,
     predicted_degeneracy_degree,
-    projectivize,
 )
 from pfol.geommaps import (
     RationalMap,
@@ -43,11 +41,12 @@ from pfol.models import (
     IntegralModel,
     classify_integer_defect,
     integrability_defect_integer,
-    frobenius_power_form,
     prime_scan,
 )
 from pfol.mpoly import MultiPoly
 from pfol.rings import GF, NumberRing, QQ, ZZ
+
+from chart_reference import projectivize
 
 
 def random_poly(ring, nvars, rng, deg=2, nterms=3):
@@ -102,7 +101,7 @@ def test_log_p_curvature_identity_and_exhaustive_density():
             c = xyz3.exact_div(xs[i]).scale(lam[i])
             if c:
                 terms[(i,)] = c
-        fol = Foliation(DiffForm(chart, 1, terms), False, None)
+        fol = Foliation(DiffForm(chart, 1, terms), None)
         first = next(c for c in lam if c)
         normalized = [c / first for c in lam]
         in_prime_plane = all(c in prime_subfield for c in normalized)
@@ -208,7 +207,7 @@ def test_degree_one_degeneracy_is_sum_of_three_lines():
             (1,): (x0 * x2).scale(beta),
             (2,): (x0 * x1).scale(-alpha),
         })
-        fol = from_form(form, projective=True)
+        fol = from_form(form)
         delta = degeneracy_divisor(fol)
         assert delta.normalize() == [(x0, 1), (x1, 1), (x2, 1)]
         assert delta.degree() == 3
@@ -368,6 +367,13 @@ def test_irrational_log_scan_and_frobenius_conjugate_kernel():
 # 9. integer integrability defect golden value
 
 
+def frobenius_power_form(p: int) -> DiffForm:
+    """x^(p-1) dx + z^p y^(p-1) dy over Z in three variables."""
+    chart = affine_chart(ZZ, 3)
+    x, y, z = chart.vars()
+    return DiffForm(chart, 1, {(0,): x ** (p - 1), (1,): z**p * y ** (p - 1)})
+
+
 def test_integer_defect_golden_value():
     for p in (3, 5):
         form = frobenius_power_form(p)
@@ -423,7 +429,7 @@ def _criteria_examples():
             (1,): x0 * x2,
             (2,): (x0 * x1).scale(-t),
         })
-        examples.append((from_form(form, projective=True), [x0, x1, x2]))
+        examples.append((from_form(form), [x0, x1, x2]))
     # the degree-two projective foliations
     for p in (3, 5):
         F = GF(p)
@@ -450,8 +456,10 @@ def test_closed_form_divisor_congruence_and_invariance():
         delta = degeneracy_divisor(fol)
         support = [h for h, _ in delta.normalize()]
         if not fol.projective:
-            omega, f = closed_defining_form(fol)
-            diff = divisor_difference_of_closed_form(omega, f)
+            omega, f, chart = fol.form, fol.pcurvature.f, fol.chart
+            # poles minus zeros of omega / f
+            diff = (Divisor.of_polynomial(f, chart)
+                    - Divisor.of_polynomial(omega.content(), chart))
             residual = delta - diff
             assert all(m % p == 0 for _, m in residual.normalize())
         # known invariant hypersurfaces lie in the support of the divisor

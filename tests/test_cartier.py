@@ -2,22 +2,18 @@ import random
 
 import pytest
 
-from pfol.cartier import (
-    NotClosedError,
-    cartier_transform,
-    classify_closedness,
-)
+from pfol.cartier import NotClosedError, cartier_transform
 from pfol.exterior import DiffForm, affine_chart, cone_chart
 from pfol.foliation import (
     cartier_transform_foliation,
-    closed_defining_form,
     is_p_closed,
     log_foliation,
     p_kernel,
-    projectivize,
 )
 from pfol.mpoly import MultiPoly, gcd_multi
 from pfol.rings import GF
+
+from chart_reference import projectivize
 
 
 def random_poly(ring, nvars, rng, deg=3, nterms=4):
@@ -130,7 +126,7 @@ def clear_and_saturate(num, den):
 def rational_route(fol):
     """The saturated Cartier transform and kernel 2-form of a foliation,
     computed from the closed rational form omega / omega(v^p)."""
-    eta, q = cartier_rational_reference(*closed_defining_form(fol))
+    eta, q = cartier_rational_reference(fol.form, fol.pcurvature.f)
     return [clear_and_saturate(form, q) for form in (eta, fol.form.wedge(eta))]
 
 
@@ -217,31 +213,28 @@ def test_classify_not_closed():
     chart = affine_chart(GF(5), 2)
     x, y = chart.vars()
     form = DiffForm(chart, 1, {(0,): y})
-    res = classify_closedness(form)
-    assert res["status"] == "not_closed"
-    assert not res["witness"].is_zero
+    assert not form.d().is_zero
+    with pytest.raises(NotClosedError):
+        cartier_transform(form)
 
 
 def test_classify_exact():
+    # an exact form d f maps to 0
     rng = random.Random(3)
     F = GF(7)
     for _ in range(10):
         f = random_poly(F, 2, rng, deg=4)
-        res = classify_closedness(d_of(f))
-        assert res["status"] == "exact"
-        assert d_of(res["primitive"]) == d_of(f)
+        assert cartier_transform(d_of(f)).is_zero
 
 
 def test_classify_closed_not_exact():
-    # x^(p-1) dx is closed with no polynomial primitive
+    # x^(p-1) dx is closed with no polynomial primitive: it maps to dx
     p = 5
     F = GF(p)
     chart = affine_chart(F, 2)
     x, y = chart.vars()
     form = DiffForm(chart, 1, {(0,): x ** (p - 1)})
-    res = classify_closedness(form)
-    assert res["status"] == "closed_not_exact"
-    assert res["obstruction"] == form
+    assert cartier_transform(form) == chart.dx(0)
 
 
 def test_classify_two_forms():
@@ -249,13 +242,11 @@ def test_classify_two_forms():
     F = GF(p)
     chart = affine_chart(F, 3)
     x, y, z = chart.vars()
-    exact2 = DiffForm(chart, 2, {(0, 1): x * y}).d()  # a 3-form: skip
-    # d(x dy) = dx /\ dy is locally exact
+    # d(x dy) = dx /\ dy is locally exact: it maps to 0
     form = DiffForm(chart, 1, {(1,): x}).d()
-    res = classify_closedness(form)
-    assert res["status"] == "locally_exact"
+    assert cartier_transform(form).is_zero
     # (xy)^(p-1) dx /\ dy is closed but not locally exact
     form = DiffForm(chart, 2, {(0, 1): (x * y) ** (p - 1)})
-    res = classify_closedness(form)
-    assert res["status"] == "closed_not_exact"
-    assert not res["cartier_image"].is_zero
+    image = cartier_transform(form)
+    assert not image.is_zero
+    assert image == chart.dx(0).wedge(chart.dx(1))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from pfol.cli import main
+from pfol.foliation import Foliation
 
 DEG1 = """\
 field Fq:5^2:t^2+2
@@ -205,15 +206,12 @@ form omega = y*dx + z*dy + x*dz
 
 
 def test_broken_closedness_invariant_is_internal_error(tmp_path, monkeypatch, capsys):
-    # with the integrability check skipped, omega / omega(v^p) is not closed
-    # and the Cartier stage reports a broken invariant: exit 3, not 1 or 2
-    import functools
-
+    # a foliation built without validation from a non-integrable form:
+    # omega / omega(v^p) is not closed and the Cartier stage reports a
+    # broken invariant, exit 3, not 1 or 2
     import pfol.cli
 
-    monkeypatch.setattr(
-        pfol.cli, "from_form", functools.partial(pfol.cli.from_form, check_integrable=False)
-    )
+    monkeypatch.setattr(pfol.cli, "from_form", lambda form: Foliation(form, None))
     doc = write(tmp_path, "nonint.txt", NON_INTEGRABLE)
     assert main(["cartier", doc]) == 3
     captured = capsys.readouterr()

@@ -13,24 +13,20 @@ from pfol.foliation import (
     ValidationError,
     analyze,
     cartier_transform_foliation,
-    closed_defining_form,
     coprime_basis,
     degeneracy_divisor,
-    divisor_difference_of_closed_form,
     from_form,
     is_invariant_hypersurface,
     is_p_closed,
     koszul_fields,
     log_foliation,
-    p_curvature,
     p_kernel,
     predicted_degeneracy_degree,
-    projectivize,
 )
 from pfol.mpoly import MultiPoly, gcd_list
 from pfol.rings import GF
 
-from chart_reference import glue_chart_divisors
+from chart_reference import glue_chart_divisors, projectivize
 
 
 def test_coprime_basis():
@@ -58,41 +54,40 @@ def test_glue_chart_divisors():
 
 def assert_normal_form_kept(d):
     """The normal form a divisor keeps equals one computed afresh."""
-    assert d.normalize() == Divisor(d.ring, d.nvars, d.items, d.ambient).normalize()
+    assert d.normalize() == Divisor(d.chart, d.items).normalize()
 
 
 def test_divisor_arithmetic():
     F = GF(5)
-    x = MultiPoly.var(F, 2, 0)
-    y = MultiPoly.var(F, 2, 1)
-    d1 = Divisor.of_polynomial(x**2 * y)
-    d2 = Divisor.of_polynomial(x)
+    chart = affine_chart(F, 2)
+    x, y = chart.vars()
+    d1 = Divisor.of_polynomial(x**2 * y, chart)
+    d2 = Divisor.of_polynomial(x, chart)
     assert d1.degree() == 3
     assert (d1 - 2 * d2).normalize() == [(y.monic(), 1)]
     assert (d1 - d1).is_zero()
-    assert d1 == Divisor.of_polynomial(x * y * x)
+    assert d1 == Divisor.of_polynomial(x * y * x, chart)
     assert not (d1 - d2).is_effective() or (d1 - d2).is_effective()
     assert (d1 - 3 * d2).normalize() == [(x.monic(), -1), (y.monic(), 1)]
 
 
 def test_divisor_sums_start_from_kept_normal_forms(monkeypatch):
     F = GF(5)
-    x = MultiPoly.var(F, 3, 0)
-    y = MultiPoly.var(F, 3, 1)
-    z = MultiPoly.var(F, 3, 2)
-    d1 = Divisor.of_polynomial(x**2 * y * (x + y * z), "proj")
-    d2 = Divisor.of_polynomial(x * (x + y * z) * x * y, "proj")
-    d3 = Divisor.of_polynomial(x * y * z, "proj")
+    cone = cone_chart(F, 2)
+    x, y, z = cone.vars()
+    d1 = Divisor.of_polynomial(x**2 * y * (x + y * z), cone)
+    d2 = Divisor.of_polynomial(x * (x + y * z) * x * y, cone)
+    d3 = Divisor.of_polynomial(x * y * z, cone)
     combos = [d1 - d2, d1 + 2 * d3 - d2, -d3 + d1, 3 * d3]
     # the same sums from bare items, which are decomposed afresh
     fresh = [
-        Divisor(F, 3, d.items, "proj").normalize()
+        Divisor(cone, d.items).normalize()
         for d in (
-            Divisor(F, 3, d1.items + [(f, -m) for f, m in d2.items], "proj"),
-            Divisor(F, 3, d1.items + [(f, 2 * m) for f, m in d3.items]
-                    + [(f, -m) for f, m in d2.items], "proj"),
-            Divisor(F, 3, [(f, -m) for f, m in d3.items] + d1.items, "proj"),
-            Divisor(F, 3, [(f, 3 * m) for f, m in d3.items], "proj"),
+            Divisor(cone, d1.items + [(f, -m) for f, m in d2.items]),
+            Divisor(cone, d1.items + [(f, 2 * m) for f, m in d3.items]
+                    + [(f, -m) for f, m in d2.items]),
+            Divisor(cone, [(f, -m) for f, m in d3.items] + d1.items),
+            Divisor(cone, [(f, 3 * m) for f, m in d3.items]),
         )
     ]
     calls = []
@@ -107,6 +102,19 @@ def test_divisor_sums_start_from_kept_normal_forms(monkeypatch):
     assert d1 != d3
     assert [d.normalize() for d in combos] == fresh
     assert calls == []
+
+
+def test_divisors_on_different_charts_do_not_mix():
+    # A^3 and the cone over P^2 both have three variables
+    F = GF(5)
+    affine, cone = affine_chart(F, 3), cone_chart(F, 2)
+    x = affine.var(0)
+    on_affine = Divisor.of_polynomial(x, affine)
+    on_cone = Divisor.of_polynomial(x, cone)
+    with pytest.raises(ValueError, match="different ambient"):
+        on_affine + on_cone
+    with pytest.raises(ValueError, match="different ambient"):
+        on_affine == on_cone
 
 
 def test_log_foliation_p_closed_iff_ratios_in_fp():
@@ -155,7 +163,7 @@ def test_p_curvature_log_identity():
                 comps[j] = xs[j].scale(-lam[0])
                 v = VectorField(chart, comps)
                 assert not fol.form.pair(v)
-                val = p_curvature(fol, v)
+                val = fol.form.pair(v.pth_power())
                 expected = xyz.scale(lam[j] ** p * lam[0] - lam[0] ** p * lam[j])
                 assert val == expected
 
@@ -164,17 +172,19 @@ def test_from_form_validation():
     F = GF(5)
     cone = cone_chart(F, 2)
     x0, x1, x2 = cone.vars()
-    # not annihilated by the radial field
+    # on the cone the radial field must annihilate the form
     bad = DiffForm(cone, 1, {(0,): x1, (1,): x0})
-    with pytest.raises(ValidationError):
-        from_form(bad, projective=True)
-    # unsaturated without auto_saturate
+    with pytest.raises(ValidationError, match="radial field"):
+        from_form(bad)
+    # the same coefficients on A^3 define an affine foliation
+    fol = from_form(DiffForm(affine_chart(F, 3), 1, {(0,): x1, (1,): x0}))
+    assert not fol.projective and fol.degree is None
+    # an unsaturated form comes back saturated
     chart = affine_chart(F, 2)
     x, y = chart.vars()
     unsat = DiffForm(chart, 1, {(0,): x * y, (1,): x * x})
-    with pytest.raises(ValidationError):
-        from_form(unsat)
-    fol = from_form(unsat, auto_saturate=True)
+    fol = from_form(unsat)
+    assert fol.form == DiffForm(chart, 1, {(0,): y, (1,): x})
     assert fol.form.content().is_constant
 
 
@@ -191,7 +201,7 @@ def test_projective_form_needs_homogeneous_coefficients():
     assert not form.pair(euler_field(cone))
     assert form.content().is_constant
     with pytest.raises(ValidationError, match="homogeneous"):
-        from_form(form, projective=True, check_integrable=False)
+        from_form(form)
 
 
 def test_degree_one_projective_degeneracy():
@@ -207,7 +217,7 @@ def test_degree_one_projective_degeneracy():
             (1,): (x0 * x2).scale(beta),
             (2,): (x0 * x1).scale(-alpha),
         })
-        fol = from_form(form, projective=True)
+        fol = from_form(form)
         assert fol.degree == 1
         assert not is_p_closed(fol)
         delta = degeneracy_divisor(fol)
@@ -236,13 +246,13 @@ def test_closed_defining_form_and_divisor_congruence():
     chart = affine_chart(F, 3)
     xs = chart.vars()
     fol = log_foliation(xs, [F.generator(), F.one(), F.one()])
-    omega, f = closed_defining_form(fol)
+    omega, f = fol.form, fol.pcurvature.f
     # omega / f is closed: d(omega / f) = (f d(omega) - df /\ omega) / f^2
     df = DiffForm(chart, 0, {(): f}).d()
     assert (omega.d() * f - df.wedge(omega)).is_zero
     # zeros minus poles of the closed form agrees with Delta modulo p
     delta = degeneracy_divisor(fol)
-    diff = divisor_difference_of_closed_form(omega, f)
+    diff = Divisor.of_polynomial(f, chart) - Divisor.of_polynomial(omega.content(), chart)
     residual = delta - diff
     assert all(m % p == 0 for _, m in residual.normalize())
 
@@ -254,8 +264,10 @@ def test_p_closed_has_no_degeneracy():
     fol = log_foliation(xs, [F.coerce(2), F.one(), F.one()])
     with pytest.raises(PClosedError):
         degeneracy_divisor(fol)
+    # no omega(v^p) is nonzero, so there is no closed defining form
+    assert fol.pcurvature.f is None
     with pytest.raises(PClosedError):
-        closed_defining_form(fol)
+        fol.pcurvature.eta
 
 
 def test_p_kernel_properties():
@@ -298,7 +310,7 @@ def test_invariant_hypersurfaces():
         (1,): x0 * x2,
         (2,): (x0 * x1).scale(-t),
     })
-    fol = from_form(form, projective=True)
+    fol = from_form(form)
     for h in (x0, x1, x2):
         assert is_invariant_hypersurface(fol.form, h)
     assert not is_invariant_hypersurface(fol.form, x0 + x1)
@@ -310,7 +322,7 @@ def test_cartier_transform_rejects_non_closed_defining_form():
     F = GF(3)
     chart = affine_chart(F, 3)
     x, y, z = chart.vars()
-    fol = Foliation(DiffForm(chart, 1, {(0,): y, (1,): z, (2,): x}), False, None)
+    fol = Foliation(DiffForm(chart, 1, {(0,): y, (1,): z, (2,): x}), None)
     assert not is_p_closed(fol)
     with pytest.raises(InternalError, match="failed to be closed") as info:
         cartier_transform_foliation(fol)
@@ -482,7 +494,8 @@ def test_affine_degeneracy_keeps_its_normal_form():
             if is_p_closed(fol):
                 continue
             delta = degeneracy_divisor(fol)
-            assert delta.ambient == "affine" and not delta.is_zero()
+            assert delta.chart == fol.chart and not delta.chart.is_cone
+            assert not delta.is_zero()
             assert_normal_form_kept(delta)
             cases += 1
     assert cases >= 4
@@ -516,7 +529,7 @@ def test_analyze_report():
         (1,): x0 * x2,
         (2,): (x0 * x1).scale(-t),
     })
-    fol = from_form(form, projective=True)
+    fol = from_form(form)
     report = analyze(fol)
     assert report.p == p
     assert report.ambient == "P^2"

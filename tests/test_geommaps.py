@@ -12,7 +12,6 @@ from pfol.foliation import (
 from pfol.geommaps import (
     RationalMap,
     linear_hyperplane_embedding,
-    monomial_cover,
     pullback,
     pullback_divisor,
     pullback_foliation,
@@ -82,7 +81,8 @@ def rf_ramification_reference(comps, nvars: int) -> Divisor:
     num, den = rf_jacobian_det(comps, nvars)
     if not num:
         raise ValueError("Jacobian vanishes identically")
-    return Divisor.of_polynomial(num) - Divisor.of_polynomial(den)
+    chart = affine_chart(num.ring, nvars)
+    return Divisor.of_polynomial(num, chart) - Divisor.of_polynomial(den, chart)
 
 
 def chart_ramification_reference(phi: RationalMap) -> Divisor:
@@ -117,6 +117,12 @@ def random_form(ring, nvars: int, degree: int, rng) -> MultiPoly:
         if sum(e) == degree and rng.random() < 0.6:
             acc = acc + MultiPoly.monomial(ring, nvars, e, ring.random(rng))
     return acc
+
+
+def monomial_cover(ring, n: int, exponent: int) -> RationalMap:
+    """The cover of P^n raising every homogeneous coordinate to a power."""
+    cone = cone_chart(ring, n)
+    return RationalMap(cone, cone, [v**exponent for v in cone.vars()])
 
 
 def power_map(ring, ell):
@@ -191,9 +197,10 @@ def test_cone_ramification_restricts_to_chart_zero():
                     with pytest.raises(ValueError, match="vanishes identically"):
                         ramification_divisor(phi)
                     continue
-                expected = expected + (n + 1) * Divisor.of_polynomial(chart[0])
+                patch = affine_chart(F, n)
+                expected = expected + (n + 1) * Divisor.of_polynomial(chart[0], patch)
                 ram = ramification_divisor(phi).normalize()
-                assert Divisor(F, n, [(h.set_var_one(0), m) for h, m in ram]) == expected
+                assert Divisor(patch, [(h.set_var_one(0), m) for h, m in ram]) == expected
                 found += 1
                 checked += degree == p
     assert checked == 8
@@ -241,7 +248,7 @@ def test_pullback_divisor():
     F = GF(5)
     phi = monomial_cover(F, 2, 2)
     x0, x1, x2 = phi.target.vars()
-    div = Divisor.of_polynomial(x0 * (x1 + x2), "proj")
+    div = Divisor.of_polynomial(x0 * (x1 + x2), phi.target)
     pulled = pullback_divisor(phi, div)
     assert pulled.degree() == 2 * div.degree()
 
@@ -294,7 +301,7 @@ def test_affine_ramification_of_polynomial_and_rational_maps():
     F = GF(5)
     chart = affine_chart(F, 2)
     x, y = chart.vars()
-    div_x, div_y = Divisor.of_polynomial(x), Divisor.of_polynomial(y)
+    div_x, div_y = Divisor.of_polynomial(x, chart), Divisor.of_polynomial(y, chart)
     # (x, y^3): Jacobian 3 y^2, a polynomial
     assert ramification_divisor(RationalMap(chart, chart, [x, y**3])) == 2 * div_y
     # (x, y^2 / x): Jacobian 2 y / x, a rational function

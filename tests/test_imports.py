@@ -1,12 +1,17 @@
 """Every name a module of the package imports is used in that module, and
-every private module-level function or class is used in the package."""
+every module-level function or class is used in the package: a private one
+by the package itself, a public one by the package or the README's
+examples."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pfol"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pfol"
+README = ROOT / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -55,22 +60,25 @@ def test_unused_imports_finds_dead_names():
     assert unused_imports(source) == ["osp (line 2)", "compile (line 3)"]
 
 
-def dead_private_definitions(sources: dict[str, str]) -> list[str]:
-    """Module-level functions and classes named ``_name`` (not dunders)
-    that no module of ``sources`` refers to outside their own definition.
+def unreferenced_definitions(sources: dict[str, str], readers=()) -> list[str]:
+    """Module-level functions and classes (dunders aside) of ``sources``
+    that no module of ``sources`` and no code in ``readers`` refers to
+    outside their own definition.
 
-    ``sources`` maps a module name to its source.  A reference is an
-    identifier or an attribute name, so ``mod._helper`` counts; a call of a
-    function from its own body does not.
+    ``sources`` maps a module name to its source; ``readers`` are further
+    sources that only count as references.  A reference is an identifier
+    or an attribute name, so ``mod._helper`` counts; a call of a function
+    from its own body, a bare import and a string literal do not.
     """
     defined: list[tuple[str, str, int]] = []
     used: set[str] = set()
-    for module, source in sources.items():
+    for module, source in [*sources.items(), *((None, r) for r in readers)]:
         for stmt in ast.parse(source).body:
             own = None
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 own = stmt.name
-                if own.startswith("_") and not own.endswith("__"):
+                dunder = own.startswith("__") and own.endswith("__")
+                if module is not None and not dunder:
                     defined.append((module, own, stmt.lineno))
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
@@ -85,9 +93,30 @@ def dead_private_definitions(sources: dict[str, str]) -> list[str]:
             if name not in used]
 
 
+def dead_private_definitions(sources: dict[str, str]) -> list[str]:
+    """The unreferenced definitions of ``sources`` named ``_name``."""
+    return [d for d in unreferenced_definitions(sources)
+            if d.partition(":")[2].startswith("_")]
+
+
+def package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def readme_examples() -> list[str]:
+    """The Python code blocks of the README."""
+    return re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+
+
 def test_package_has_no_dead_private_definitions():
-    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert dead_private_definitions(sources) == []
+    assert dead_private_definitions(package_sources()) == []
+
+
+def test_package_has_no_unreferenced_public_definitions():
+    # the public API is what the package and the README's examples use
+    examples = readme_examples()
+    assert examples
+    assert unreferenced_definitions(package_sources(), examples) == []
 
 
 def test_dead_private_definitions_finds_unreferenced_helpers():
@@ -106,4 +135,22 @@ def test_dead_private_definitions_finds_unreferenced_helpers():
     assert dead_private_definitions({"helpers": helpers, "user": user}) == [
         "helpers:_dead (line 3)",
         "helpers:_recursive (line 5)",
+    ]
+
+
+def test_unreferenced_definitions_counts_readers_not_strings():
+    module = (
+        "def named_in_a_string():\n    return 1\n"
+        "def used_by_a_reader():\n    return 2\n"
+        "class Unused:\n    pass\n"
+        "def __getattr__(name):\n    raise AttributeError(name)\n"
+    )
+    reader = (
+        "from mod import used_by_a_reader\n"
+        "NOTE = 'named_in_a_string'\n"
+        "used_by_a_reader()\n"
+    )
+    assert unreferenced_definitions({"mod": module}, [reader]) == [
+        "mod:named_in_a_string (line 1)",
+        "mod:Unused (line 5)",
     ]

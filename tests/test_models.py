@@ -9,7 +9,6 @@ from pfol.models import (
     classify_integer_defect,
     integrability_defect_integer,
     kronecker_probe,
-    frobenius_power_form,
     prime_scan,
     reduce_model,
     reduction_field,
@@ -31,7 +30,7 @@ def log_model():
         (1,): x * z,
         (2,): x * y,
     })
-    return IntegralModel(form, name="log-with-irrational-weight")
+    return IntegralModel(form)
 
 
 def test_model_validation():
@@ -126,6 +125,13 @@ def test_kronecker_probe():
     assert res["density"] == 1.0
 
 
+def frobenius_power_form(p: int) -> DiffForm:
+    """x^(p-1) dx + z^p y^(p-1) dy over Z in three variables."""
+    chart = affine_chart(ZZ, 3)
+    x, y, z = chart.vars()
+    return DiffForm(chart, 1, {(0,): x ** (p - 1), (1,): z**p * y ** (p - 1)})
+
+
 def test_power_form_defect():
     for p in (3, 5):
         form = frobenius_power_form(p)
@@ -139,6 +145,16 @@ def test_power_form_defect():
         assert cls["monomial"]
         assert cls["content"] == p
         assert cls["p_content"] == 1
+
+
+def test_scan_validates_every_reduction():
+    # the power form is not integrable over Z, its defect being
+    # -p (x y z)^(p-1): only its reduction modulo p is a foliation
+    rows = prime_scan(IntegralModel(frobenius_power_form(3)), 7)
+    notes = {r.p: r.note for r in rows}
+    assert notes[3] == ""
+    for q in (2, 5, 7):
+        assert notes[q] == f"validation lost modulo {q}: form is not integrable"
 
 
 def test_integer_defect_of_integrable_form_is_zero():

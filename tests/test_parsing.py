@@ -179,7 +179,7 @@ def test_document_parsing():
         weights lam = (t, 1, 1)
         """
     )
-    assert doc.projective and doc.n == 2
+    assert doc.chart.is_cone and doc.n == 2
     assert doc.chart.names == ("x0", "x1", "x2")
     assert doc.the_form().q == 1
     comps, den = doc.the_map()
