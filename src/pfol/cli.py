@@ -15,6 +15,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -53,7 +54,12 @@ def _load(args) -> Document:
     return parse_document(_read_text(args.doc), field_override=args.field)
 
 
-def _foliation(doc: Document) -> Foliation:
+def _foliation(doc: Document, command: str) -> Foliation:
+    if not doc.ring.is_field:
+        raise ParseError(
+            f"{command} needs a coefficient field; "
+            "use scan for an integral model over Z or NR:<minpoly>"
+        )
     return from_form(doc.the_form())
 
 
@@ -79,7 +85,7 @@ def _emit(payload: dict, args, human: list[str]) -> None:
 
 def cmd_analyze(args) -> int:
     doc = _load(args)
-    fol = _foliation(doc)
+    fol = _foliation(doc, args.command)
     report = analyze(fol)
     if args.json:
         print(report.to_json())
@@ -107,7 +113,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_cartier(args) -> int:
     doc = _load(args)
-    fol = _foliation(doc)
+    fol = _foliation(doc, args.command)
     try:
         eta, integrable = cartier_transform_foliation(fol)
     except PClosedError:
@@ -127,7 +133,7 @@ def cmd_cartier(args) -> int:
 
 def cmd_degeneracy(args) -> int:
     doc = _load(args)
-    fol = _foliation(doc)
+    fol = _foliation(doc, args.command)
     try:
         delta = degeneracy_divisor(fol)
     except PClosedError:
@@ -148,7 +154,7 @@ def cmd_degeneracy(args) -> int:
 
 def cmd_pullback(args) -> int:
     doc = _load(args)
-    fol = _foliation(doc)
+    fol = _foliation(doc, args.command)
     comps, den = doc.the_map()
     phi = RationalMap(doc.chart, doc.chart, comps, den)
     result = verify_pullback_degeneracy(phi, fol)
@@ -183,7 +189,7 @@ def cmd_restrict(args) -> int:
     doc = _load(args)
     if not doc.chart.is_cone:
         raise ParseError("restriction requires a projective document")
-    fol = _foliation(doc)
+    fol = _foliation(doc, args.command)
     h = doc.the_hyperplane()
     n = doc.n
     coeffs = []
@@ -256,7 +262,7 @@ def cmd_scan(args) -> int:
 
 def cmd_distmin2(args) -> int:
     doc = _load(args)
-    fol = _foliation(doc)
+    fol = _foliation(doc, args.command)
     result = distmin.distmin2(fol, delta_max=args.delta_max, seed=args.seed)
     payload = {
         "delta": result.delta,
@@ -295,7 +301,9 @@ def cmd_defect(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", help="override the field line of the document")
     common.add_argument("--json", action="store_true", help="emit JSON")

@@ -8,17 +8,25 @@ upward and accepts the first solution with unit content and rank 2, tested
 exactly by the vanishing of its 4x4 Pfaffians.  The integrability of the
 witness's kernel is the polynomial identity (i_{d/dx_k} Theta) /\\ dTheta = 0
 for every k, which characterises integrability for decomposable 2-forms.
+
+The constraint rows are written in closed form from the coefficients of
+omega, with no form built per unknown (:func:`_constraint_rows`).
+:func:`rref` keeps its pivot rows fully reduced, so each new row is
+reduced in one pass over its pivot columns.  Random combinations of a
+solution basis are drawn only after every basis form has been rejected.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from operator import add
 
 from . import InternalError
-from .exterior import DiffForm, VectorField, euler_field
+from .exterior import DiffForm, VectorField, _sort_sign
 from .foliation import Foliation
 from .mpoly import MultiPoly
 from .rings import GF
@@ -29,33 +37,32 @@ from .rings import GF
 
 
 def rref(rows: list[dict]) -> dict[int, dict]:
-    """Reduced row echelon form; returns {pivot column: reduced row}."""
+    """Reduced row echelon form; returns {pivot column: reduced row}.
+
+    The stored pivot rows stay fully reduced: each vanishes in every other
+    pivot column.  Clearing one pivot column of a new row therefore leaves
+    its entries in the other pivot columns alone, and one pass over the
+    pivot columns the row starts with reduces it completely.
+    """
     pivots: dict[int, dict] = {}
     for row in rows:
         row = dict(row)
-        # reduce against existing pivots
-        changed = True
-        while changed:
-            changed = False
-            for col in sorted(row):
-                if col in pivots:
-                    factor = row[col]
-                    for c, v in pivots[col].items():
-                        nv = row.get(c)
-                        nv = -factor * v if nv is None else nv - factor * v
-                        if nv:
-                            row[c] = nv
-                        else:
-                            row.pop(c, None)
-                    changed = True
-                    break
+        for col in [c for c in row if c in pivots]:
+            factor = row[col]
+            for c, v in pivots[col].items():
+                nv = row.get(c)
+                nv = -factor * v if nv is None else nv - factor * v
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
         if not row:
             continue
         lead = min(row)
         inv_val = row[lead]
         row = {c: v / inv_val for c, v in row.items()}
         # eliminate the new pivot from stored rows
-        for pc, prow in pivots.items():
+        for prow in pivots.values():
             if lead in prow:
                 factor = prow[lead]
                 for c, v in row.items():
@@ -107,8 +114,51 @@ class SubdistributionSystem:
     basis: list  # solution 2-forms
 
 
+def _constraint_rows(fol: Foliation, delta: int) -> tuple[list, list[dict]]:
+    """The unknowns of degree delta and the rows of their linear system.
+
+    The unknowns are the coefficients of x^m dx_i/\\dx_j (i < j, |m| =
+    delta+1), and the rows are written from the coefficients of omega
+    without building a form per unknown:
+
+    - i_R(x^m dx_i/\\dx_j) = x^m x_i dx_j - x^m x_j dx_i gives +1 in row
+      ("r", (j,), m+e_i) and -1 in row ("r", (i,), m+e_j);
+    - for each term v x^e of a_k, k not in {i, j}, x^m dx_i/\\dx_j /\\ a_k dx_k
+      gives +-v in row ("w", sorted (i, j, k), m+e), signed by the sort.
+
+    The rows come sorted by the repr of these keys.
+    """
+    n1 = fol.chart.nvars
+    one = fol.ring.one()
+    minus_one = -one
+    pairs = list(itertools.combinations(range(n1), 2))
+    monos = list(_monomials(n1, delta + 1))
+    unknowns = [(pair, m) for pair in pairs for m in monos]
+    omega = [(k, list(c.terms.items())) for (k,), c in fol.form.terms.items()]
+    constraints: defaultdict = defaultdict(dict)
+    # every (row, unknown) entry is written once: no two terms meet
+    col = 0
+    for i, j in pairs:
+        wedge_terms = []
+        for k, terms in omega:
+            if k != i and k != j:
+                idx, sign = _sort_sign((i, j, k))
+                wedge_terms.append(
+                    (idx, terms if sign > 0 else [(e, -v) for e, v in terms])
+                )
+        for m in monos:
+            constraints["r", (j,), m[:i] + (m[i] + 1,) + m[i + 1:]][col] = one
+            constraints["r", (i,), m[:j] + (m[j] + 1,) + m[j + 1:]][col] = minus_one
+            for idx, terms in wedge_terms:
+                for e, v in terms:
+                    constraints["w", idx, tuple(map(add, m, e))][col] = v
+            col += 1
+    return unknowns, [constraints[k] for k in sorted(constraints, key=repr)]
+
+
 def subdistribution_space(fol: Foliation, delta: int) -> SubdistributionSystem:
-    """Assemble and solve the linear system for degree-delta candidates."""
+    """Assemble and solve the linear system for degree-delta candidates:
+    i_R Theta = 0 and Theta /\\ omega = 0, rows from :func:`_constraint_rows`."""
     if not fol.projective:
         raise ValueError("the subdistribution search is projective")
     if delta < 0:
@@ -116,34 +166,7 @@ def subdistribution_space(fol: Foliation, delta: int) -> SubdistributionSystem:
     chart = fol.chart
     ring = chart.ring
     n1 = chart.nvars
-    pairs = list(itertools.combinations(range(n1), 2))
-    monos = list(_monomials(n1, delta + 1))
-    unknowns = [(pair, m) for pair in pairs for m in monos]
-    index = {u: i for i, u in enumerate(unknowns)}
-    radial = euler_field(chart)
-    constraints: dict = {}
-
-    def add(key, col, val):
-        row = constraints.setdefault(key, {})
-        cur = row.get(col)
-        cur = val if cur is None else cur + val
-        if cur:
-            row[col] = cur
-        else:
-            row.pop(col, None)
-
-    for u_idx, (pair, m) in enumerate(unknowns):
-        basis_form = DiffForm(chart, 2, {pair: MultiPoly.monomial(ring, n1, m)})
-        contracted = basis_form.contract(radial)
-        for idx, c in contracted.terms.items():
-            for e, v in c.terms.items():
-                add(("r", idx, e), u_idx, v)
-        wedged = basis_form.wedge(fol.form)
-        for idx, c in wedged.terms.items():
-            for e, v in c.terms.items():
-                add(("w", idx, e), u_idx, v)
-
-    rows = [constraints[k] for k in sorted(constraints, key=repr)]
+    unknowns, rows = _constraint_rows(fol, delta)
     kernel = nullspace(rows, len(unknowns), ring.one())
     basis = []
     for vec in kernel:
@@ -205,15 +228,34 @@ class DistminResult:
     candidates_checked: int = 0
 
 
+def _span_combinations(basis: list, chart, rng: random.Random):
+    """Ten random combinations of the basis forms (none for a basis of at
+    most one form), drawn from ``rng`` one at a time as they are asked for."""
+    if len(basis) < 2:
+        return
+    ring = chart.ring
+    for _ in range(10):
+        combo = chart.zero_form(2)
+        for b in basis:
+            if isinstance(ring, GF):
+                c = ring.random(rng)
+            else:
+                c = Fraction(rng.randint(-9, 9))
+            combo = combo + b * c
+        yield combo
+
+
 def distmin2(fol: Foliation, delta_max: int | None = None, seed: int = 0) -> DistminResult:
     """The minimal degree of a codimension-two subdistribution, with witness.
 
     Sweeps delta from 0 to delta_max (default deg F, which always carries
     the obvious subdistributions omega /\\ dl).  A delta is accepted when
     some solution has unit content and rank 2.  The candidates are the basis
-    of the solution space and, when it has more than one element, ten random
-    combinations of it drawn from ``random.Random(seed)``: a witness may
-    exist in the span when no basis vector qualifies.
+    of the solution space and then, only once every basis form has failed
+    and the basis has more than one element, ten random combinations of it
+    drawn from ``random.Random(seed)``: a witness may exist in the span when
+    no basis vector qualifies.  The generator is shared across the sweep,
+    so the draws depend only on the deltas whose basis failed.
     """
     if not fol.projective:
         raise ValueError("the subdistribution search is projective")
@@ -231,20 +273,9 @@ def distmin2(fol: Foliation, delta_max: int | None = None, seed: int = 0) -> Dis
                 "distmin.distmin2", "solution dimension decreased with delta"
             )
         dims.append(system.dimension)
-        candidates = list(system.basis)
-        # a witness may hide in the span even if no basis vector qualifies
-        if len(system.basis) > 1:
-            ring = fol.ring
-            for _ in range(10):
-                combo = fol.chart.zero_form(2)
-                for b in system.basis:
-                    if isinstance(ring, GF):
-                        c = ring.random(rng)
-                    else:
-                        c = Fraction(rng.randint(-9, 9))
-                    combo = combo + b * c
-                if combo:
-                    candidates.append(combo)
+        candidates = itertools.chain(
+            system.basis, _span_combinations(system.basis, fol.chart, rng)
+        )
         for theta in candidates:
             if theta.is_zero:
                 continue

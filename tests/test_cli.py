@@ -420,3 +420,77 @@ def test_distmin2_on_affine_document_is_input_error(monkeypatch, capsys, extra):
     assert run(monkeypatch, capsys, ["distmin2", *extra], AFFINE_LOG) == (
         2, "", "error: the subdistribution search is projective\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once per process
+
+
+def test_cached_parser_prints_what_fresh_parsers_print(tmp_path, monkeypatch, capsys):
+    import pfol.cli
+
+    deg1 = write(tmp_path, "deg1.txt", DEG1)
+    dm = write(tmp_path, "dm.txt", DISTMIN)
+    calls = [
+        ["analyze", "--json", deg1],
+        ["analyze", deg1],
+        ["distmin2", "--seed", "3", "--json", dm],
+        ["distmin2", "--delta-max", "1", dm],
+        ["degeneracy", "--field", "Fq:7^2:t^2+1", deg1],
+        ["analyze", "--seed", "5", deg1],
+        ["cartier", deg1],
+        ["scan", "--pmax", "7"],
+        ["degeneracy", deg1],
+    ]
+
+    def run_all():
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    assert pfol.cli.build_parser() is pfol.cli.build_parser()
+    cached = run_all()
+    monkeypatch.setattr(pfol.cli, "build_parser", pfol.cli.build_parser.__wrapped__)
+    assert run_all() == cached
+    assert [code for code, _, _ in cached] == [0, 0, 0, 1, 0, 2, 0, 2, 0]
+
+
+# ---------------------------------------------------------------------------
+# documents over a ring that is not a field are refused up front
+
+Z_FORM = """\
+field Z
+ambient affine 2
+form omega = 2*x*dx + 4*y*dy
+"""
+
+Z_CONE_FORM = """\
+field Z
+ambient proj 3
+vars x0 x1 x2 x3
+form omega = x1*x2*x3*dx0 + x0*x2*x3*dx1 + x0*x1*x3*dx2 - 3*x0*x1*x2*dx3
+"""
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("analyze", Z_FORM),
+        ("cartier", Z_FORM),
+        ("degeneracy", Z_FORM),
+        ("pullback", Z_FORM),
+        ("restrict", Z_CONE_FORM),
+        ("distmin2", Z_CONE_FORM),
+    ],
+)
+def test_document_over_z_needs_a_coefficient_field(monkeypatch, capsys, command, text):
+    assert run(monkeypatch, capsys, [command], text) == (
+        2, "", f"error: {command} needs a coefficient field; "
+        "use scan for an integral model over Z or NR:<minpoly>\n"
+    )

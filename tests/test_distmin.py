@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+import pfol.distmin
+from distmin_reference import (
+    constraint_rows_reference,
+    distmin2_reference,
+    rref_reference,
+)
 from pfol.distmin import (
+    _constraint_rows,
     distmin2,
     is_rank_two,
     nullspace,
@@ -260,3 +267,118 @@ def test_rank_four_and_zero_forms_are_not_rank_two(ring):
     assert not is_rank_two(theta)
     assert rank_reference(theta) == 4
     assert not is_rank_two(chart.zero_form(2))
+
+
+# ---------------------------------------------------------------------------
+# the closed-form rows, the one-pass elimination and the lazy span
+# combinations against the routes they replaced (tests/distmin_reference.py)
+
+FIXTURE_FIELDS = [
+    (GF(2), "F2"), (GF(3), "F3"), (GF(5), "F5"), (GF(3, 2), "F9"),
+    (GF(101), "F101"), (QQ, "Q"),
+]
+
+# the pencil's first quadric is a square over GF(2), and the pullback's
+# weight 2 vanishes there: only three_component is a foliation over GF(2)
+ROW_CASES = [
+    pytest.param(make, ring, id=f"{make.__name__}-{label}")
+    for make in (quadric_pencil, three_component, linear_pullback)
+    for ring, label in FIXTURE_FIELDS
+    if label != "F2" or make is three_component
+]
+
+
+@pytest.mark.parametrize("make,ring", ROW_CASES)
+def test_closed_form_rows_and_one_pass_rref_match_reference(make, ring, monkeypatch):
+    fol = make(ring)
+    for delta in range(3):
+        unknowns, rows = _constraint_rows(fol, delta)
+        assert (unknowns, rows) == constraint_rows_reference(fol, delta)
+        assert rref(rows) == rref_reference(rows)
+        basis = nullspace(rows, len(unknowns), ring.one())
+        with monkeypatch.context() as patch:
+            patch.setattr(pfol.distmin, "rref", rref_reference)
+            assert nullspace(rows, len(unknowns), ring.one()) == basis
+
+
+def test_one_pass_rref_on_rows_that_need_several_pivots():
+    F = GF(7)
+    rows = [
+        {0: F.coerce(1), 1: F.coerce(2), 4: F.coerce(1)},
+        {1: F.coerce(1), 2: F.coerce(3)},
+        {2: F.coerce(1), 3: F.coerce(5)},
+        {0: F.coerce(3), 1: F.coerce(1), 2: F.coerce(2), 3: F.coerce(6)},
+        {0: F.coerce(1), 3: F.coerce(4), 4: F.coerce(2)},
+    ]
+    assert rref(rows) == rref_reference(rows)
+    for pc, prow in rref(rows).items():
+        assert prow[pc] == F.one()
+
+
+SPAN_FIELDS = [(GF(3), "F3"), (GF(5), "F5"), (GF(7), "F7"), (GF(101), "F101"), (QQ, "Q")]
+
+
+def reject_basis_forms(monkeypatch, reject_all=False):
+    """Make ``is_rank_two`` reject every basis form of a solution space
+    (every candidate, with reject_all), so that the search goes on to the
+    span combinations; returns the list of combinations it was asked about."""
+    real_space = pfol.distmin.subdistribution_space
+    real_rank_two = pfol.distmin.is_rank_two
+    basis_forms = set()
+    combos_checked = []
+
+    def recording_space(fol, delta):
+        system = real_space(fol, delta)
+        basis_forms.update(system.basis)
+        return system
+
+    def rejecting_rank_two(theta):
+        if theta in basis_forms:
+            return False
+        combos_checked.append(theta)
+        return not reject_all and real_rank_two(theta)
+
+    monkeypatch.setattr(pfol.distmin, "subdistribution_space", recording_space)
+    monkeypatch.setattr(pfol.distmin, "is_rank_two", rejecting_rank_two)
+    return combos_checked
+
+
+@pytest.mark.parametrize(
+    "make,ring",
+    [
+        pytest.param(make, ring, id=f"{make.__name__}-{label}")
+        for make in (quadric_pencil, three_component, linear_pullback)
+        for ring, label in SPAN_FIELDS
+    ],
+)
+def test_lazy_span_combinations_match_eager_reference(make, ring, monkeypatch):
+    # no fixture reaches the span unaided: its first basis form is accepted
+    fol = make(ring)
+    assert distmin2(fol).candidates_checked == 1
+    combos_checked = reject_basis_forms(monkeypatch)
+    delta_max = fol.degree + 1
+    for seed in (0, 1, 5):
+        lazy = distmin2(fol, delta_max=delta_max, seed=seed)
+        lazy_combos = combos_checked[:]
+        combos_checked.clear()
+        assert lazy == distmin2_reference(fol, delta_max=delta_max, seed=seed)
+        assert lazy.candidates_checked > 1
+        assert lazy_combos and lazy_combos == combos_checked
+        combos_checked.clear()
+
+
+@pytest.mark.parametrize("ring", [GF(5), QQ], ids=["F5", "Q"])
+def test_lazy_span_draws_carry_over_rejected_deltas(ring, monkeypatch):
+    # solution dimensions [1, 5, 14]: with every candidate rejected, the
+    # draws for delta 2 continue the generator where those of delta 1 ended
+    fol = linear_pullback(ring)
+    combos_checked = reject_basis_forms(monkeypatch, reject_all=True)
+    for seed in (0, 1, 5):
+        lazy = distmin2(fol, delta_max=2, seed=seed)
+        lazy_combos = combos_checked[:]
+        combos_checked.clear()
+        assert lazy == distmin2_reference(fol, delta_max=2, seed=seed)
+        assert lazy.delta is None and lazy.dimensions == [1, 5, 14]
+        assert len(lazy_combos) > 10
+        assert lazy_combos == combos_checked
+        combos_checked.clear()
