@@ -21,7 +21,7 @@ from functools import cached_property
 import json
 
 from . import InternalError
-from .cartier import cartier_transform
+from .cartier import cartier_of_product
 from .exterior import (
     Chart,
     DiffForm,
@@ -399,6 +399,12 @@ class PCurvature:
 
     @cached_property
     def eta(self) -> DiffForm:
+        """C(f^(p-1) omega), once omega / f is checked to be closed.
+
+        Taken by ``cartier_of_product``, which multiplies the last factor f
+        only against the terms of f^(p-2) omega that land in the residue
+        class the operator keeps, so f^(p-1) omega is never formed.
+        """
         f, omega = self.f, self.omega
         if f is None:
             raise PClosedError("foliation is p-closed; no closed defining form")
@@ -408,7 +414,7 @@ class PCurvature:
             raise InternalError(
                 "foliation.PCurvature.eta", "omega / omega(v^p) failed to be closed"
             )
-        return cartier_transform(omega * f ** (self.p - 1), check_closed=False)
+        return cartier_of_product(f, self.p - 1, omega)
 
 
 def is_p_closed(fol: Foliation) -> bool:

@@ -120,11 +120,30 @@ def pullback(phi: RationalMap, form: DiffForm) -> DiffForm:
 
 
 def pullback_foliation(phi: RationalMap, fol: Foliation) -> Foliation:
-    """phi^* of a foliation: the saturated numerator of the pulled-back form."""
+    """phi^* of a foliation: the saturated numerator of the pulled-back form.
+
+    The numerator carries a high power of the denominator of phi, which is
+    divided out by trial division first, so that the content gcd of
+    ``from_form`` sees only what is left.
+    """
     pb = pullback(phi, fol.form)
     if pb.is_zero:
         raise ValueError("pullback form vanishes; map not generically transverse")
+    if not phi.den.is_constant:
+        pb = _divide_out(pb, phi.den)
     return from_form(pb)
+
+
+def _divide_out(form: DiffForm, g: MultiPoly) -> DiffForm:
+    """form / g^k for the largest k such that g^k divides every coefficient."""
+    while True:
+        quotients = {}
+        for idx, c in form.terms.items():
+            q, r = c.divmod_poly(g)
+            if r:
+                return form
+            quotients[idx] = q
+        form = DiffForm(form.chart, form.q, quotients)
 
 
 def pullback_divisor(phi: RationalMap, div: Divisor) -> Divisor:

@@ -10,7 +10,11 @@ multivariate gcd over a field and squarefree decomposition (with the
 characteristic-p p-th power branch).  The gcd dehomogenizes two forms at
 x_0, runs Euclid on dense coefficient lists when the inputs use one
 variable, and keeps a primitive pseudo-remainder sequence only for
-inhomogeneous inputs in two or more variables.
+inhomogeneous inputs in two or more variables; its pseudo-remainders work
+on the univariate view, one coefficient product at a time.  The gcd of a
+list, which also gives every content, folds from its sparsest entry and
+settles an entry by one trial division when the running gcd divides it,
+so a pairwise gcd runs only where the running gcd must shrink.
 
 The arithmetic loops work on plain dicts and wrap each result once.
 ``MultiPoly(ring, nvars, terms)`` checks every term; the private
@@ -24,7 +28,7 @@ updates one working dict in place.
 
 from __future__ import annotations
 
-from operator import add, sub
+from operator import add, le, sub
 
 from .rings import GF, GFElem, NRElem
 
@@ -315,13 +319,15 @@ class MultiPoly:
             return q
         raise ArithmeticError("cannot divide coefficients in this ring")
 
-    def divmod_poly(self, g: "MultiPoly"):
-        """Division with remainder by a single polynomial, graded-lex order.
+    def _divide(self, g: "MultiPoly", exact: bool):
+        """The quotient and remainder terms of the division by g.
 
         The graded-lex leading term of the working dict is divided by the
         leading term of g; when the coefficients do not divide (over Z) the
         term goes to the remainder, as does a term that the leading
-        monomial of g does not divide.
+        monomial of g does not divide.  A remainder term is never cancelled
+        later, since every later working term is smaller in graded-lex
+        order, so with ``exact`` the division returns None at the first one.
         """
         if g.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -335,11 +341,15 @@ class MultiPoly:
             e = max(work, key=_grlex_key)
             c = work.pop(e)
             if any(a < b for a, b in zip(e, ge)):
+                if exact:
+                    return None
                 rem[e] = c
                 continue
             try:
                 qc = self._coeff_div(c, gc)
             except ArithmeticError:
+                if exact:
+                    return None
                 rem[e] = c
                 continue
             qe = tuple(map(sub, e, ge))
@@ -352,17 +362,24 @@ class MultiPoly:
                     work[t] = s
                 else:
                     del work[t]
+        return q, rem
+
+    def divmod_poly(self, g: "MultiPoly"):
+        """Division with remainder by a single polynomial, graded-lex order
+        (see ``_divide``)."""
+        q, rem = self._divide(g, False)
         return (
             MultiPoly._new(self.ring, self.nvars, q),
             MultiPoly._new(self.ring, self.nvars, rem),
         )
 
     def divides(self, f: "MultiPoly") -> bool:
-        """Whether self divides f exactly."""
+        """Whether self divides f exactly: the division of f by self, stopped
+        at the first remainder term (over Z, a coefficient that does not
+        divide is one)."""
         if self.is_zero:
             return f.is_zero
-        _, r = f.divmod_poly(self)
-        return r.is_zero
+        return f._divide(self, True) is not None
 
     def exact_div(self, g: "MultiPoly") -> "MultiPoly":
         q, r = self.divmod_poly(g)
@@ -483,28 +500,43 @@ def _univar_view(f: MultiPoly, v: int) -> dict[int, MultiPoly]:
 
 
 def _content_in(f: MultiPoly, v: int) -> MultiPoly:
-    view = _univar_view(f, v)
-    acc = MultiPoly.zero(f.ring, f.nvars)
-    for c in view.values():
-        acc = gcd_multi(acc, c)
-    return acc
-
-
-def _lead_in(f: MultiPoly, v: int):
-    view = _univar_view(f, v)
-    d = max(view)
-    return d, view[d]
+    """The content of f as a polynomial in v: the gcd of its coefficients."""
+    return gcd_list(_univar_view(f, v).values())
 
 
 def _prem(a: MultiPoly, b: MultiPoly, v: int) -> MultiPoly:
-    """Pseudo-remainder of a by b with respect to variable v."""
-    db, lb = _lead_in(b, v)
-    r = a
-    xv = MultiPoly.var(a.ring, a.nvars, v)
-    while not r.is_zero and r.degree_in(v) >= db:
-        dr, lr = _lead_in(r, v)
-        r = r * lb - b * lr * xv ** (dr - db)
-    return r
+    """Pseudo-remainder of a by b with respect to variable v.
+
+    Works on the univariate views, degree in v -> coefficient: each step
+    replaces r by lc(b) r - lc(r) x_v^(deg r - deg b) b, whose degree-(deg
+    r) coefficients cancel, by one product per coefficient.
+    """
+    bv = _univar_view(b, v)
+    db = max(bv)
+    lb = bv.pop(db)
+    r = _univar_view(a, v)
+    while r:
+        dr = max(r)
+        if dr < db:
+            break
+        lr = r.pop(dr)
+        shift = dr - db
+        # the coefficients of r are nonzero, and so are their products with lb
+        nxt = {d: c * lb for d, c in r.items()}
+        for d, c in bv.items():
+            t = d + shift
+            s = nxt.get(t)
+            s = -(lr * c) if s is None else s - lr * c
+            if s:
+                nxt[t] = s
+            else:
+                nxt.pop(t, None)
+        r = nxt
+    terms = {}
+    for d, c in r.items():
+        for e, coef in c.terms.items():
+            terms[e[:v] + (d,) + e[v + 1:]] = coef
+    return MultiPoly._new(a.ring, a.nvars, terms)
 
 
 def _univariate_gcd(f: MultiPoly, g: MultiPoly, v: int) -> MultiPoly:
@@ -593,13 +625,41 @@ def gcd_multi(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 def gcd_list(polys) -> MultiPoly:
+    """Monic gcd of a list of polynomials over a coefficient field.
+
+    Zero entries are skipped, and the running gcd starts from the entry
+    with the fewest terms.  When the running gcd g divides the next entry
+    f, gcd(g, f) = g, so one trial division settles it and ``gcd_multi``
+    runs only when it does not.  The division is tried only when no degree
+    of g in a variable exceeds that of f.  The fold stops at a constant.
+    A list of zeros has gcd zero.
+    """
     polys = list(polys)
     if not polys:
         raise ValueError("gcd of an empty list")
-    acc = MultiPoly.zero(polys[0].ring, polys[0].nvars)
-    for f in polys:
-        acc = gcd_multi(acc, f)
+    ring, nvars = polys[0].ring, polys[0].nvars
+    if any(f.nvars != nvars or (f.ring is not ring and f.ring != ring) for f in polys):
+        raise ValueError("polynomials over different contexts")
+    if not ring.is_field:
+        raise ArithmeticError("gcd requires a coefficient field")
+    nonzero = sorted((f for f in polys if f), key=lambda f: len(f.terms))
+    if not nonzero:
+        return MultiPoly.zero(ring, nvars)
+    acc = nonzero[0].monic()
+    degs = _degrees(acc)
+    for f in nonzero[1:]:
+        if not any(degs):
+            break
+        # a divisor has no larger degree in any variable
+        if not (all(map(le, degs, _degrees(f))) and acc.divides(f)):
+            acc = gcd_multi(acc, f)
+            degs = _degrees(acc)
     return acc
+
+
+def _degrees(f: MultiPoly) -> tuple:
+    """The degree of a nonzero f in each variable."""
+    return tuple(map(max, zip(*f.terms)))
 
 
 def pth_root_poly(f: MultiPoly) -> MultiPoly:

@@ -1,8 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from pfol.cartier import NotClosedError, cartier_transform
+from pfol.cartier import NotClosedError, cartier_of_product, cartier_transform
 from pfol.exterior import DiffForm, affine_chart, cone_chart
 from pfol.foliation import (
     cartier_transform_foliation,
@@ -11,7 +12,7 @@ from pfol.foliation import (
     p_kernel,
 )
 from pfol.mpoly import MultiPoly, gcd_multi
-from pfol.rings import GF
+from pfol.rings import GF, QQ
 
 from chart_reference import projectivize
 
@@ -89,6 +90,64 @@ def test_cartier_golden_value():
         assert image == expected
         # the image fails integrability
         assert not image.wedge(image.d()).is_zero
+
+
+PRUNED_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(3, 2), GF(5, 2)]
+
+
+def pruned_cases(F, rng):
+    """(h, form) pairs on affine and cone charts in 2-4 variables, 1-forms
+    and 2-forms.  Each form has a part whose image under C(h^(p-1) .) is
+    nonzero (C(h^(p-1) u^p dh) = u dh and C((hg)^(p-1) u^p dh /\\ dg) =
+    u dh /\\ dg) plus random terms, and h runs over a random polynomial,
+    a monomial and a constant."""
+    p = F.characteristic
+    for nvars in (2, 3, 4):
+        for chart in (affine_chart(F, nvars), cone_chart(F, nvars - 1)):
+            xs = chart.vars()
+            for h in (
+                random_poly(F, nvars, rng, deg=2, nterms=3) + xs[0],
+                xs[-1] * xs[0],
+                chart.coerce(F.random_nonzero(rng)),
+            ):
+                g = random_poly(F, nvars, rng, deg=1, nterms=2) + xs[1]
+                u = random_poly(F, nvars, rng, deg=1, nterms=2)
+                dh = DiffForm(chart, 0, {(): h}).d()
+                dg = DiffForm(chart, 0, {(): g}).d()
+                noise = {
+                    idx: random_poly(F, nvars, rng, deg=p, nterms=3)
+                    for q in (1, 2)
+                    for idx in combinations(range(nvars), q)
+                }
+                one_noise = DiffForm(chart, 1, {i: c for i, c in noise.items() if len(i) == 1})
+                two_noise = DiffForm(chart, 2, {i: c for i, c in noise.items() if len(i) == 2})
+                yield h, dh * u**p + one_noise
+                yield h, dh.wedge(dg) * (g ** (p - 1) * u**p) + two_noise
+                yield h, one_noise
+                yield h, DiffForm(chart, 2, {})
+
+
+@pytest.mark.parametrize("F", PRUNED_FIELDS, ids=repr)
+def test_pruned_cartier_product_matches_the_operator_on_the_full_product(F):
+    # C(h^k form) without forming h^k form, against the operator applied
+    # to the full product; no form needs to be closed, since both routes act
+    # monomial by monomial.  eta takes k = p - 1, which is 1 at p = 2
+    rng = random.Random(31)
+    p = F.characteristic
+    nonzero = 0
+    for h, form in pruned_cases(F, rng):
+        for k in sorted({1, p - 1, p + 1}):
+            expected = cartier_transform(form * h**k, check_closed=False)
+            assert cartier_of_product(h, k, form) == expected
+            nonzero += k == p - 1 and not expected.is_zero
+    assert nonzero >= 24
+
+
+def test_pruned_cartier_product_rejects_characteristic_zero():
+    chart = affine_chart(QQ, 2)
+    x, y = chart.vars()
+    with pytest.raises(ArithmeticError, match="characteristic p"):
+        cartier_of_product(x, 1, chart.dx(0))
 
 
 def cartier_rational_reference(num, den):

@@ -4,7 +4,7 @@ import pytest
 
 import pfol.foliation
 from pfol import InternalError
-from pfol.cartier import cartier_transform
+from pfol.cartier import cartier_of_product
 from pfol.exterior import DiffForm, VectorField, affine_chart, cone_chart, euler_field
 from pfol.foliation import (
     Divisor,
@@ -336,11 +336,11 @@ def test_analyze_runs_the_cartier_operator_once(monkeypatch):
 
     calls = []
 
-    def counting(form, check_closed=True):
+    def counting(h, k, form):
         calls.append(form)
-        return cartier_transform(form, check_closed)
+        return cartier_of_product(h, k, form)
 
-    monkeypatch.setattr(pfol.foliation, "cartier_transform", counting)
+    monkeypatch.setattr(pfol.foliation, "cartier_of_product", counting)
     F = GF(5, 2)
     t = F.generator()
     x0, x1, x2, x3 = cone_chart(F, 3).vars()

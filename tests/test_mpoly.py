@@ -480,3 +480,100 @@ def test_arithmetic_results_keep_the_new_contract(ring):
             if nvars > 1:
                 for pos in range(nvars):
                     assert_clean((f - g).set_var_one(pos), nvars - 1)
+
+
+# ---------------------------------------------------------------------------
+# the gcd shortcuts against the routes they replace
+
+
+def nonzero_scalar(ring, rng):
+    return next(c for c in iter(lambda: ring.random(rng), None) if c)
+
+
+def gcd_list_reference(polys):
+    """A plain left fold of the reference gcd, from zero."""
+    acc = MultiPoly.zero(polys[0].ring, polys[0].nvars)
+    for f in polys:
+        acc = gcd_prs_reference(acc, f)
+    return acc
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=repr)
+def test_gcd_list_matches_left_fold_of_reference(ring):
+    rng = random.Random(41)
+    # the reference's PRS over Q swells in three variables
+    for nvars in (1, 2) if ring.characteristic == 0 else (1, 2, 3):
+        zero = MultiPoly.zero(ring, nvars)
+        unit = MultiPoly.const(ring, nvars, nonzero_scalar(ring, rng))
+        for _ in range(3):
+            a, b, d = (random_poly(ring, nvars, rng, deg=2, nterms=3) for _ in range(3))
+            c = random_poly(ring, nvars, rng, deg=1, nterms=2) + MultiPoly.var(ring, nvars, 0)
+            lists = [
+                [a * c, zero, b * c, zero, d * c],  # zero entries
+                [zero, zero, zero],  # all zero
+                [unit, a * c],  # a constant
+                [c, a * c, b * c, c * c],  # the first element is the gcd
+                [a * c * c, b * c * d, zero, c * d * a],
+                [b * c],
+                [d * c, (d * c).scale(nonzero_scalar(ring, rng))],
+            ]
+            for polys in lists:
+                assert gcd_list(polys) == gcd_list_reference(polys)
+                assert gcd_list(polys[::-1]) == gcd_list_reference(polys)
+
+
+def test_gcd_list_refuses_what_gcd_multi_refuses():
+    x = MultiPoly.var(ZZ, 2, 0)
+    with pytest.raises(ArithmeticError, match="coefficient field"):
+        gcd_list([x, x * x])
+    with pytest.raises(ArithmeticError, match="coefficient field"):
+        gcd_list([x - x])
+    with pytest.raises(ValueError, match="empty"):
+        gcd_list([])
+    with pytest.raises(ValueError, match="different contexts"):
+        gcd_list([MultiPoly.var(GF(3), 2, 0), MultiPoly.var(GF(5), 2, 0)])
+    with pytest.raises(ValueError, match="different contexts"):
+        gcd_list([MultiPoly.var(GF(3), 2, 0), MultiPoly.var(GF(3), 3, 0)])
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(3), GF(7), GF(3, 2), GF(5, 2), QQ, ZZ], ids=repr)
+def test_divides_matches_the_remainder_of_division(ring):
+    rng = random.Random(42)
+    hits = 0
+    for nvars in (1, 2, 3):
+        zero = MultiPoly.zero(ring, nvars)
+        for _ in range(10):
+            f = random_poly(ring, nvars, rng, deg=3, nterms=5)
+            g = random_poly(ring, nvars, rng, deg=2, nterms=3)
+            two_g = g.scale(2)
+            pairs = [(g, f), (g, f * g), (g, f * g + f), (f, f * g), (g, zero),
+                     (zero, f), (zero, zero), (two_g, f * g), (g, f * two_g)]
+            for a, b in pairs:
+                expected = b.is_zero if a.is_zero else b.divmod_poly(a)[1].is_zero
+                assert a.divides(b) == expected
+                hits += expected
+    assert hits >= 60
+
+
+def test_divides_over_z_counts_an_inexact_coefficient_as_a_remainder():
+    x = MultiPoly.var(ZZ, 2, 0)
+    y = MultiPoly.var(ZZ, 2, 1)
+    g = x.scale(2) + y
+    assert not g.divides(x * x * 3 + x * y)
+    assert g.divides(x * x * 4 + x * y * 2)
+    assert not g.divides(x * x * 4 + x * y * 2 + 1)
+    assert not (x * 2).divides(x * 3)
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(5), GF(3, 2), QQ, ZZ], ids=repr)
+def test_prem_on_univariate_views_matches_whole_polynomial_reference(ring):
+    rng = random.Random(43)
+    for nvars in (1, 2, 3):
+        for _ in range(8):
+            a = random_poly(ring, nvars, rng, deg=4, nterms=6)
+            b = random_poly(ring, nvars, rng, deg=2, nterms=3)
+            if b.is_zero:
+                continue
+            for v in range(nvars):
+                for dividend in (a, a * b, b):
+                    assert mpoly._prem(dividend, b, v) == _prs_prem(dividend, b, v)
