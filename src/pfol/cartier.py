@@ -7,11 +7,15 @@ case it maps to c^(1/p) * x^{(A - (p-1) e_{i_1} - ...)/p} dx_{i_1} /\\ ...
 
 Forms have polynomial coefficients only.  The operator is p^-1-linear,
 C(g^p a) = g C(a), so a closed rational form a / g never needs a rational
-Cartier operator: C(a / g) = C(g^(p-1) a) / g.  ``cartier_transform`` is
-the operator on a form.  The foliation code takes eta = C(f^(p-1) omega)
-from ``cartier_of_product``, which never forms f^(p-1) omega: since the
-operator keeps one residue class of exponents mod p, the last factor f
-is multiplied only against the terms that land in that class.
+Cartier operator: C(a / g) = C(g^(p-1) a) / g.  One loop applies the
+operator, ``cartier_of_product``, which gives C(h^k form) without forming
+h^k form: since the operator keeps one residue class of exponents mod p,
+the last factor h is multiplied only against the terms that land in that
+class.  The foliation code takes eta = C(f^(p-1) omega) from it, and
+``cartier_transform``, the operator on a form, always checks that the form
+is closed and then takes h = 1, k = 1.  The loop sums raw coefficients
+through the helpers of :mod:`pfol.mpoly`, which hold the GF(p) int-code
+path.
 """
 
 from __future__ import annotations
@@ -19,44 +23,20 @@ from __future__ import annotations
 from operator import add
 
 from .exterior import DiffForm
-from .mpoly import MultiPoly, _prime_modulus
+from .mpoly import MultiPoly, _from_raw, _raw_terms
 
 
 class NotClosedError(ValueError):
     pass
 
 
-def cartier_transform(form: DiffForm, check_closed: bool = True) -> DiffForm:
+def cartier_transform(form: DiffForm) -> DiffForm:
     """Apply the Cartier operator to a closed polynomial form."""
-    p = form.chart.ring.characteristic
-    if p == 0:
+    if form.chart.ring.characteristic == 0:
         raise ArithmeticError("the Cartier operator needs characteristic p")
-    if check_closed and form.d():
+    if form.d():
         raise NotClosedError("form is not closed")
-    ring, n = form.chart.ring, form.chart.nvars
-    out: dict = {}
-    for idx, c in form.terms.items():
-        acc: dict = {}
-        for e, coef in c.terms.items():
-            ok = True
-            ne = []
-            for m, a in enumerate(e):
-                if m in idx:
-                    if a % p != p - 1:
-                        ok = False
-                        break
-                    ne.append((a - (p - 1)) // p)
-                else:
-                    if a % p != 0:
-                        ok = False
-                        break
-                    ne.append(a // p)
-            if not ok:
-                continue
-            acc[tuple(ne)] = ring.pth_root(coef)
-        if acc:
-            out[idx] = MultiPoly(ring, n, acc)
-    return DiffForm(form.chart, form.q, out)
+    return cartier_of_product(MultiPoly.one(form.chart.ring, form.chart.nvars), 1, form)
 
 
 def cartier_of_product(h: MultiPoly, k: int, form: DiffForm) -> DiffForm:
@@ -69,28 +49,23 @@ def cartier_of_product(h: MultiPoly, k: int, form: DiffForm) -> DiffForm:
     so each term of h meets one group only.  With B = p B' + R and
     E = p E' + S (0 <= R, S < p), the surviving exponent (B + E - (p-1) 1_I)
     / p is B' + E' + carry, where carry_m = 1 exactly when m is not in I
-    and S_m > 0 (then R_m + S_m = p).  Both routes act monomial by
-    monomial, so the result equals ``cartier_transform(form * h ** k)``.
+    and S_m > 0 (then R_m + S_m = p).  The coefficient of a surviving
+    exponent is the p-th root of the sum of its products.
     """
     chart = form.chart
     ring, n = chart.ring, chart.nvars
     p = ring.characteristic
     if p == 0:
         raise ArithmeticError("the Cartier operator needs characteristic p")
-    prime = _prime_modulus(ring)
     quo, rem = p.__rfloordiv__, p.__rmod__
-    h_terms = [
-        (tuple(map(quo, e)), tuple(map(rem, e)), c.code if prime else c)
-        for e, c in h.terms.items()
-    ]
+    h_terms = [(tuple(map(quo, e)), tuple(map(rem, e)), c) for e, c in _raw_terms(h)]
     hk = h ** (k - 1)
+    root = ring.pth_root
     out: dict = {}
     for idx, a in form.terms.items():
         groups: dict = {}
-        for e, c in (hk * a).terms.items():
-            groups.setdefault(tuple(map(rem, e)), []).append(
-                (tuple(map(quo, e)), c.code if prime else c)
-            )
+        for e, c in _raw_terms(hk * a):
+            groups.setdefault(tuple(map(rem, e)), []).append((tuple(map(quo, e)), c))
         acc: dict = {}
         get = acc.get
         for eq, er, ch in h_terms:
@@ -108,18 +83,7 @@ def cartier_of_product(h: MultiPoly, k: int, form: DiffForm) -> DiffForm:
                 e = tuple(map(add, bq, shift))
                 s = get(e)
                 acc[e] = cb * ch if s is None else s + cb * ch
-        terms = {}
-        if prime:
-            make = ring._make
-            for e, s in acc.items():
-                s %= p
-                if s:
-                    terms[e] = make(s)
-        else:
-            root = ring.pth_root
-            for e, s in acc.items():
-                if s:
-                    terms[e] = root(s)
+        terms = {e: root(c) for e, c in _from_raw(ring, n, acc.items()).terms.items()}
         if terms:
             out[idx] = MultiPoly._new(ring, n, terms)
     return DiffForm(chart, form.q, out)

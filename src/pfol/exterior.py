@@ -12,6 +12,10 @@ x_i = N_i / den.
 The same machinery is used for honest affine charts and for the cone over
 a projective space (homogeneous coordinates); the :class:`Chart` a form
 lives on is the package's one record of which of the two it is.
+
+``VectorField.pth_power`` iterates a derivation in one loop for every
+ring; the raw-coefficient helpers of :mod:`pfol.mpoly`, the one home of
+the GF(p) int-code path, decide how its coefficients are held.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .mpoly import MultiPoly, _prime_modulus, default_names, gcd_list, poly_str
+from .mpoly import (
+    MultiPoly, _from_raw, _raw_terms, _reduce_raw, default_names, gcd_list, poly_str,
+)
 
 
 @dataclass(frozen=True)
@@ -373,7 +379,7 @@ class VectorField:
         a*e_j*x^(e - u_j)*c_j for every j with e_j not divisible by p, and
         the zero sums are dropped once at the end of the step.  Over a
         prime field GF(p) the coefficients stay int codes through all
-        p - 1 steps and become field elements once.
+        p - 1 steps and become field elements once (see :mod:`pfol.mpoly`).
         """
         chart = self.chart
         p = chart.ring.characteristic
@@ -399,21 +405,16 @@ def _iterate_derivation(g: MultiPoly, support, m: int) -> MultiPoly:
     e_j are taken mod p = the characteristic, so that a term whose
     derivative in x_j vanishes is skipped before any product is formed.
     """
-    ring, nvars = g.ring, g.nvars
+    ring = g.ring
     p = ring.characteristic
-    code_p = _prime_modulus(ring)
-    if code_p:
-        terms = {e: c.code for e, c in g.terms.items()}
-        support = [(j, [(e, c.code) for e, c in cj.terms.items()]) for j, cj in support]
-    else:
-        terms = g.terms
-        support = [(j, list(cj.terms.items())) for j, cj in support]
+    terms = _raw_terms(g)
+    support = [(j, list(_raw_terms(cj))) for j, cj in support]
     for _ in range(m):
         if not terms:
             break
         acc: dict = {}
         get = acc.get
-        for e, a in terms.items():
+        for e, a in terms:
             for j, cterms in support:
                 k = e[j] % p
                 if not k:
@@ -424,18 +425,8 @@ def _iterate_derivation(g: MultiPoly, support, m: int) -> MultiPoly:
                     t = tuple(map(add, de, ec))
                     s = get(t)
                     acc[t] = ak * c if s is None else s + ak * c
-        if code_p:
-            terms = {}
-            for e, s in acc.items():
-                s %= code_p
-                if s:
-                    terms[e] = s
-        else:
-            terms = {e: s for e, s in acc.items() if s}
-    if code_p:
-        make = ring._make
-        terms = {e: make(c) for e, c in terms.items()}
-    return MultiPoly._new(ring, nvars, terms)
+        terms = _reduce_raw(ring, acc.items())
+    return _from_raw(ring, g.nvars, terms)
 
 
 def euler_field(chart: Chart) -> VectorField:

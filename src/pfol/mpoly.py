@@ -20,17 +20,24 @@ The arithmetic loops work on plain dicts and wrap each result once.
 ``MultiPoly(ring, nvars, terms)`` checks every term; the private
 ``MultiPoly._new`` checks nothing and is used only for terms the code has
 just built, whose keys are tuples of length ``nvars`` and whose
-coefficients are all nonzero.  Over a prime field GF(p) a product sums the
-int codes of the coefficients for each monomial and reduces mod p once at
-the end; every other ring multiplies ring elements.  ``divmod_poly``
-updates one working dict in place.
+coefficients are all nonzero.  ``divmod_poly`` updates one working dict
+in place.
+
+The GF(p) int-code path of the package lives here and nowhere else.  The
+product, the iterated derivation of :mod:`pfol.exterior` and the Cartier
+operator of :mod:`pfol.cartier` each sum products of raw coefficients per
+monomial in one loop for every ring.  ``_raw_terms`` hands the loop
+(exponent, coefficient) pairs, with the int codes of the coefficients over
+GF(p) and the ring elements over every other ring; ``_reduce_raw`` reduces
+the sums mod p and drops the zero ones, and ``_from_raw`` turns them back
+into a polynomial.
 """
 
 from __future__ import annotations
 
 from operator import add, le, sub
 
-from .rings import GF, GFElem, NRElem
+from .rings import GF, GFElem, NRElem, _power
 
 
 def _grlex_key(e):
@@ -38,12 +45,45 @@ def _grlex_key(e):
 
 
 def _prime_modulus(ring) -> int:
-    """p when ``ring`` is a prime field GF(p), else 0.
-
-    Over GF(p) the arithmetic loops compute with the int codes of the
-    coefficients and map the reduced sums back through ``ring._make``.
-    """
+    """p when ``ring`` is a prime field GF(p), else 0."""
     return ring.p if ring.__class__ is GF and ring.k == 1 else 0
+
+
+def _raw_terms(f: "MultiPoly"):
+    """The (exponent, raw coefficient) pairs of f: int codes over GF(p),
+    ring elements otherwise."""
+    if _prime_modulus(f.ring):
+        return [(e, c.code) for e, c in f.terms.items()]
+    return f.terms.items()
+
+
+def _reduce_raw(ring, sums) -> list:
+    """The pairs of ``sums`` (exponent, raw sum) with a nonzero sum, reduced
+    mod p over GF(p)."""
+    p = _prime_modulus(ring)
+    if not p:
+        return [(e, s) for e, s in sums if s]
+    # a plain loop beats a comprehension on the few terms typical here
+    terms = []
+    for e, s in sums:
+        s %= p
+        if s:
+            terms.append((e, s))
+    return terms
+
+
+def _from_raw(ring, nvars: int, sums) -> "MultiPoly":
+    """The polynomial with the nonzero pairs (exponent, raw sum) of ``sums``."""
+    p = _prime_modulus(ring)
+    if not p:
+        return MultiPoly._new(ring, nvars, {e: s for e, s in sums if s})
+    make = ring._make
+    terms = {}
+    for e, s in sums:
+        s %= p
+        if s:
+            terms[e] = make(s)
+    return MultiPoly._new(ring, nvars, terms)
 
 
 class MultiPoly:
@@ -209,53 +249,22 @@ class MultiPoly:
         o = self._coerce_operand(other)
         if o is NotImplemented:
             return NotImplemented
-        ring = self.ring
-        p = _prime_modulus(ring)
-        if p:
-            sums: dict = {}
-            get = sums.get
-            other_codes = [(e2, c2.code) for e2, c2 in o.terms.items()]
-            for e1, c1 in self.terms.items():
-                a = c1.code
-                for e2, b in other_codes:
-                    e = tuple(map(add, e1, e2))
-                    sums[e] = get(e, 0) + a * b
-            make = ring._make
-            terms = {}
-            for e, s in sums.items():
-                s %= p
-                if s:
-                    terms[e] = make(s)
-            return MultiPoly._new(ring, self.nvars, terms)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                c = c1 * c2
-                if not c:
-                    continue
+        sums: dict = {}
+        get = sums.get
+        other_terms = _raw_terms(o)
+        for e1, a in _raw_terms(self):
+            for e2, b in other_terms:
                 e = tuple(map(add, e1, e2))
-                s = terms.get(e)
-                s = c if s is None else s + c
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return MultiPoly._new(ring, self.nvars, terms)
+                s = get(e)
+                sums[e] = a * b if s is None else s + a * b
+        return _from_raw(self.ring, self.nvars, sums.items())
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.one(self.ring, self.nvars)
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e, MultiPoly.one(self.ring, self.nvars))
 
     def __eq__(self, other):
         o = self._coerce_operand(other)

@@ -476,8 +476,10 @@ class GF:
         return self.coerce(c) ** self.p
 
     def pth_root(self, c: GFElem) -> GFElem:
-        """The unique p-th root; inverse of Frobenius, so c**(p^(k-1))."""
-        return self.coerce(c) ** (self.p ** (self.k - 1))
+        """The unique p-th root; inverse of Frobenius, so c**(p^(k-1)).
+        Over GF(p) every element is its own p-th root."""
+        c = self.coerce(c)
+        return c if self.k == 1 else c ** (self.p ** (self.k - 1))
 
     def elements(self):
         """All elements, in the order of their codes."""
@@ -770,16 +772,15 @@ def factor_mod_p(coeffs, p: int) -> list[tuple[list[int], int]]:
                 g, _ = up_divmod(g, gd, p)
 
     def split_equal_degree(g, d):
-        # g is a product of distinct monic irreducibles, all of degree d
+        # g is a product of distinct monic irreducibles, all of degree d, so
+        # a monic degree-d divisor of it is one of them
         if len(g) - 1 == d:
             return [g]
-        if d == 1:
-            if p > 2_000_000:
-                raise NotImplementedError("root search over a huge prime field")
-            roots = [a for a in range(p) if up_mod(g, [(-a) % p, 1], p) == []]
-            return [[(-a) % p, 1] for a in sorted(roots)]
         if p**d > 2_000_000:
-            raise NotImplementedError("equal-degree splitting beyond search range")
+            raise ArithmeticError(
+                f"splitting a degree-{len(g) - 1} factor into degree-{d} "
+                f"factors mod {p} needs a search over {p}^{d} candidates"
+            )
         out = []
         rem = list(g)
         for code in range(p**d):
@@ -789,8 +790,6 @@ def factor_mod_p(coeffs, p: int) -> list[tuple[list[int], int]]:
                 cand.append(c % p)
                 c //= p
             cand.append(1)
-            if not up_is_irreducible(cand, p):
-                continue
             q, r = up_divmod(rem, cand, p)
             if not r:
                 out.append(cand)

@@ -14,6 +14,7 @@ from pfol.foliation import (
 from pfol.mpoly import MultiPoly, gcd_multi
 from pfol.rings import GF, QQ
 
+from cartier_reference import cartier_reference
 from chart_reference import projectivize
 
 
@@ -129,18 +130,47 @@ def pruned_cases(F, rng):
 
 @pytest.mark.parametrize("F", PRUNED_FIELDS, ids=repr)
 def test_pruned_cartier_product_matches_the_operator_on_the_full_product(F):
-    # C(h^k form) without forming h^k form, against the operator applied
-    # to the full product; no form needs to be closed, since both routes act
-    # monomial by monomial.  eta takes k = p - 1, which is 1 at p = 2
+    # C(h^k form) without forming h^k form, against the term-by-term
+    # operator applied to the full product; no form needs to be closed,
+    # since both routes act monomial by monomial.  eta takes k = p - 1,
+    # which is 1 at p = 2
     rng = random.Random(31)
     p = F.characteristic
     nonzero = 0
     for h, form in pruned_cases(F, rng):
         for k in sorted({1, p - 1, p + 1}):
-            expected = cartier_transform(form * h**k, check_closed=False)
+            expected = cartier_reference(form * h**k)
             assert cartier_of_product(h, k, form) == expected
             nonzero += k == p - 1 and not expected.is_zero
     assert nonzero >= 24
+
+
+@pytest.mark.parametrize("F", PRUNED_FIELDS, ids=repr)
+def test_cartier_transform_matches_the_reference(F):
+    # closed forms h^(p-1) u^p dh, dg, d(g dh) and (x_0 x_1)^(p-1) u^p
+    # dx_0 /\ dx_1 on the charts of the pruned cases
+    rng = random.Random(32)
+    p = F.characteristic
+    nonzero = 0
+    for h, form in pruned_cases(F, rng):
+        chart = form.chart
+        xs = chart.vars()
+        g = random_poly(F, chart.nvars, rng, deg=p + 1, nterms=4)
+        u = random_poly(F, chart.nvars, rng, deg=1, nterms=2)
+        dh = DiffForm(chart, 0, {(): h}).d()
+        dg = DiffForm(chart, 0, {(): g}).d()
+        area = chart.dx(0).wedge(chart.dx(1))
+        for closed in (
+            dh * (h ** (p - 1) * u**p),
+            dg,
+            (dh * g).d(),
+            area * ((xs[0] * xs[1]) ** (p - 1) * u**p),
+        ):
+            assert closed.d().is_zero
+            image = cartier_transform(closed)
+            assert image == cartier_reference(closed)
+            nonzero += not image.is_zero
+    assert nonzero >= 80
 
 
 def test_pruned_cartier_product_rejects_characteristic_zero():
@@ -148,6 +178,14 @@ def test_pruned_cartier_product_rejects_characteristic_zero():
     x, y = chart.vars()
     with pytest.raises(ArithmeticError, match="characteristic p"):
         cartier_of_product(x, 1, chart.dx(0))
+
+
+def test_cartier_transform_checks_the_characteristic_before_closedness():
+    chart = affine_chart(QQ, 2)
+    x, y = chart.vars()
+    # y dx is not closed, but characteristic zero is reported first
+    with pytest.raises(ArithmeticError, match="characteristic p"):
+        cartier_transform(chart.dx(0) * y)
 
 
 def cartier_rational_reference(num, den):

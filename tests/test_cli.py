@@ -158,6 +158,17 @@ def test_scan_deterministic(tmp_path, capsys):
     assert first == second
 
 
+def test_scan_beyond_the_factor_search_range_is_input_error(
+    tmp_path, capsys, monkeypatch
+):
+    # x^4 + 1 splits into two quadratics mod 1427, beyond the search range
+    doc = write(tmp_path, "model.txt", LOG_MODEL.replace("a^2+1", "a^4+1"))
+    monkeypatch.setattr("pfol.models.primes_upto", lambda n: [1427])
+    assert main(["scan", "--pmax", "1427", doc]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "1427" in captured.err
+
+
 def test_scan_minpoly_probe(capsys):
     assert main(["scan", "--pmax", "100", "--minpoly", "a^2+1"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -154,3 +154,43 @@ def test_unreferenced_definitions_counts_readers_not_strings():
         "mod:named_in_a_string (line 1)",
         "mod:Unused (line 5)",
     ]
+
+
+INT_CODE_HOMES = {"rings", "mpoly"}
+
+
+def int_code_readers(sources: dict[str, str]) -> list[str]:
+    """Where a module of ``sources`` other than ``rings`` and ``mpoly``
+    touches the GF(p) int-code path: reads the attribute ``code`` or
+    ``_make``, or imports ``_prime_modulus``."""
+    found = []
+    for module, source in sources.items():
+        if module in INT_CODE_HOMES:
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and node.attr in ("code", "_make"):
+                found.append((module, node.lineno, f".{node.attr}"))
+            elif isinstance(node, ast.ImportFrom) and any(
+                alias.name == "_prime_modulus" for alias in node.names
+            ):
+                found.append((module, node.lineno, "_prime_modulus"))
+    return [f"{module}: {what} (line {line})" for module, line, what in sorted(found)]
+
+
+def test_int_code_path_stays_in_rings_and_mpoly():
+    assert int_code_readers(package_sources()) == []
+
+
+def test_int_code_readers_finds_codes_makers_and_the_modulus():
+    rings = "def add(a, b):\n    return a.field._make(a.code + b.code)\n"
+    loop = (
+        "from .mpoly import MultiPoly, _prime_modulus\n"
+        "def codes(f):\n    return [c.code for c in f.terms.values()]\n"
+        "def make(ring):\n    return ring._make\n"
+        "CODE = 'code'\n"
+    )
+    assert int_code_readers({"rings": rings, "mpoly": rings, "loop": loop}) == [
+        "loop: _prime_modulus (line 1)",
+        "loop: .code (line 3)",
+        "loop: ._make (line 5)",
+    ]

@@ -12,7 +12,7 @@ from pfol.mpoly import (
     pth_root_poly,
     squarefree_decomposition,
 )
-from pfol.rings import GF, QQ, TABLE_LIMIT, ZZ
+from pfol.rings import GF, QQ, TABLE_LIMIT, ZZ, NumberRing
 
 from chart_reference import multiplicity_along
 
@@ -338,7 +338,8 @@ def test_univariate_gcd_matches_reference(ring, monkeypatch):
 
 def ring_element_mul(f, g):
     """f * g by multiplying coefficients as ring elements, one product and
-    one sum at a time (the route every ring but GF(p) still takes)."""
+    one sum at a time, skipping zero products and dropping zero sums as
+    they arise."""
     terms = {}
     for e1, c1 in f.terms.items():
         for e2, c2 in g.terms.items():
@@ -384,29 +385,43 @@ def divmod_reference(f, g):
 
 
 PRIME_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(13), GF(65537)]
+# a^2 - 1 is reducible: (a - 1)(a + 1) = 0, so products of nonzero
+# coefficients can vanish in NR:a^2-1
+MUL_RINGS = PRIME_FIELDS + [
+    GF(3, 2), GF(5, 2), GF(257, 2), QQ, ZZ, NumberRing([-1, 0, 1])
+]
 
 
 def test_prime_field_mul_matches_ring_element_loop():
     assert GF(65537).order > TABLE_LIMIT
+    assert GF(257, 2).order > TABLE_LIMIT
     rng = random.Random(21)
-    for F in PRIME_FIELDS:
+    for R in MUL_RINGS:
         for nvars in (1, 2, 3, 4):
-            zero = MultiPoly.zero(F, nvars)
-            const = MultiPoly.const(F, nvars, F.random_nonzero(rng))
-            x = MultiPoly.var(F, nvars, 0)
-            y = MultiPoly.var(F, nvars, nvars - 1)
+            zero = MultiPoly.zero(R, nvars)
+            const = MultiPoly.zero(R, nvars)
+            while not const:
+                const = MultiPoly.const(R, nvars, R.random(rng))
+            x = MultiPoly.var(R, nvars, 0)
+            y = MultiPoly.var(R, nvars, nvars - 1)
             # (x + y)(x - y): the cross terms cancel; in characteristic 2
             # (x + y)^2 loses its middle term the same way
             cases = [(zero, const), (const, const), (x + y, x - y), (x + y, x + y)]
             for _ in range(6):
-                f = random_poly(F, nvars, rng, deg=3, nterms=5)
-                g = random_poly(F, nvars, rng, deg=2, nterms=4)
+                f = random_poly(R, nvars, rng, deg=3, nterms=5)
+                g = random_poly(R, nvars, rng, deg=2, nterms=4)
                 cases += [(f, g), (f, zero), (const, g), (f, f)]
+            if isinstance(R, NumberRing):
+                a = R.generator()
+                u, v = x * (a - 1), x * (a + 1)
+                cases += [(u + y, v), (u, y * (a + 1) + 1)]
             for f, g in cases:
                 expected = ring_element_mul(f, g)
                 assert (f * g).terms == expected.terms
                 assert (g * f).terms == expected.terms
             assert (x + y) * (x - y) == x * x - y * y
+            if isinstance(R, NumberRing):
+                assert u * v == zero
 
 
 DIVMOD_RINGS = [GF(2), GF(5), GF(3, 2), QQ, ZZ]

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from pfol.rings import (
     parse_descriptor,
     parse_up,
     primes_upto,
+    up_divmod,
     up_is_irreducible,
     up_mod,
     up_mul,
@@ -105,6 +107,61 @@ def test_factor_product_reconstruction():
             for _ in range(m):
                 prod = up_mul(prod, g, p)
         assert prod == [c % p for c in f]
+
+
+@functools.cache
+def monic_irreducibles(p, d):
+    candidates = ([code // p**i % p for i in range(d)] + [1] for code in range(p**d))
+    return [g for g in candidates if up_is_irreducible(g, p)]
+
+
+def factor_by_trial_division(coeffs, p):
+    """Monic irreducible factors mod p with multiplicities: every monic
+    irreducible of degree up to half the degree is divided out as often as
+    it divides, and what remains is irreducible."""
+    f = [c % p for c in coeffs]
+    while not f[-1]:
+        f.pop()
+    lead = pow(f[-1], p - 2, p)
+    f = [c * lead % p for c in f]
+    factors = []
+    for d in range(1, (len(f) - 1) // 2 + 1):
+        for cand in monic_irreducibles(p, d):
+            m = 0
+            while len(f) > d and not up_mod(f, cand, p):
+                f = up_divmod(f, cand, p)[0]
+                m += 1
+            if m:
+                factors.append((cand, m))
+    if len(f) > 1:
+        factors.append((f, 1))
+    return sorted(factors, key=lambda gm: (len(gm[0]), gm[0]))
+
+
+def test_factor_mod_p_matches_trial_division():
+    # random polynomials of degree up to 6, and products g^2 h that have
+    # repeated factors, over small primes
+    rng = random.Random(5)
+    cases = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for _ in range(12):
+            deg = rng.randint(1, 6 if p < 11 else 4)
+            f = [rng.randrange(-20, 21) for _ in range(deg)] + [rng.randrange(1, 4)]
+            g = [rng.randrange(p) for _ in range(2)] + [1]
+            h = [rng.randrange(p) for _ in range(2)] + [1]
+            for coeffs in (f, up_mul(up_mul(g, g, p), h, p)):
+                if not any(c % p for c in coeffs):
+                    continue
+                assert factor_mod_p(coeffs, p) == factor_by_trial_division(coeffs, p)
+                cases += 1
+    assert cases >= 130
+
+
+def test_factor_mod_p_search_limit_is_an_arithmetic_error():
+    # x^4 + 1 splits into two quadratics mod 1427, and 1427^2 candidates
+    # exceed the search range
+    with pytest.raises(ArithmeticError, match="1427"):
+        factor_mod_p([1, 0, 0, 0, 1], 1427)
 
 
 def test_number_ring():
