@@ -275,7 +275,7 @@ class Foliation:
     @cached_property
     def pcurvature(self) -> "PCurvature":
         """The p-curvature record, computed once per foliation."""
-        return PCurvature(self)
+        return PCurvature(self.form, self.p, _koszul_pcurvatures(self.form))
 
     def __repr__(self):
         kind = f"P^{self.n}" if self.projective else f"A^{self.n}"
@@ -366,25 +366,28 @@ def _koszul_pcurvatures(form: DiffForm):
 class PCurvature:
     """The p-curvature data every invariant of a foliation is read from.
 
-    ``f`` is omega(v^p) for the first Koszul field v where it does not
-    vanish, or None when the foliation is p-closed.  The values omega(v^p)
-    are polynomials, formed from the polynomial p-th powers v^p; the
-    construction stops at f, and ``values`` computes the remaining ones
-    once, for the degeneracy divisor.  For a projective foliation these
-    are the values on the cone, and their gcd is the degeneracy divisor on
-    every standard chart as well (see ``degeneracy_divisor``).
-    ``eta`` is C(f^(p-1) omega) =
+    ``values`` yields omega(v^p) for the Koszul fields v of the form omega,
+    in the order of ``koszul_fields``; it may also yield 0 for a field
+    that vanishes, which neither ``f`` nor the degeneracy divisor reads.
+    ``f`` is the first nonzero value, or None when the foliation is
+    p-closed.  The construction stops at f, and ``values`` takes the
+    remaining ones once, for the degeneracy divisor.  For a projective
+    foliation these are the values on the cone, and their gcd is the
+    degeneracy divisor on every standard chart as well (see
+    ``degeneracy_divisor``).  ``eta`` is C(f^(p-1) omega) =
     f C(omega / f): the Cartier transform of the closed defining form
     omega / f, cleared of its denominator by C(g^p a) = g C(a).
-    Read it through ``Foliation.pcurvature``, which builds it once.
+    Read it through ``Foliation.pcurvature``, which builds it once from
+    the p-th powers of the Koszul fields; a prime scan builds it from one
+    derivation pass shared by every prime (see :mod:`pfol.models`).
     """
 
-    def __init__(self, fol: Foliation):
-        self.omega = fol.form
-        self.p = fol.p
+    def __init__(self, omega: DiffForm, p: int, values):
+        self.omega = omega
+        self.p = p
         self.f = None
         self._computed = []
-        self._rest = _koszul_pcurvatures(fol.form)
+        self._rest = iter(values)
         for val in self._rest:
             self._computed.append(val)
             if val:
@@ -393,13 +396,14 @@ class PCurvature:
 
     @cached_property
     def values(self) -> list[MultiPoly]:
-        """omega(v^p) for every Koszul field v, in order."""
+        """omega(v^p) for every Koszul field v, in order (zeros included)."""
         self._computed.extend(self._rest)
         return self._computed
 
     @cached_property
     def eta(self) -> DiffForm:
-        """C(f^(p-1) omega), once omega / f is checked to be closed.
+        """C(f^(p-1) omega), once omega / f is checked to be closed; the
+        check also guards values that a prime scan hands in.
 
         Taken by ``cartier_of_product``, which multiplies the last factor f
         only against the terms of f^(p-2) omega that land in the residue

@@ -5,6 +5,28 @@ integrability defect.
 A model is its form alone, and a reduction keeps the form's chart over the
 residue field.  ``from_form`` validates every reduction: a non-integrable
 integral form can become integrable modulo p (see the integer defect).
+
+A prime scan makes one derivation pass for all its primes.  For each
+Koszul field v = a_j d_i - a_i d_j of the model's form omega, taken over
+the model's own ring R, it keeps v^m(c_i) for the components c_i of v and
+raises m one step at a time; a row at the prime p, once its reduction has
+succeeded, raises m to p - 1 and reads
+
+    omega_p(v_p^p) = sum_i a_{i,p} * (v^(p-1)(c_i) mod P),
+
+for P the prime of the row.  This is exact: reduction R -> F_q modulo P is
+a ring map that commutes with every d/dx_j, so it carries v^(p-1)(c_i) to
+v_p^(p-1)(c_{i,p}) = v_p^p(x_i), and the Koszul fields of the reduced form
+are the reductions of the model's.  A field that vanishes modulo P gives
+the value 0, which neither ``PCurvature.f`` (the first nonzero value) nor
+the degeneracy divisor (which drops zeros) reads.  Over R a step
+multiplies by the exponent e_j itself: a term with e_j divisible by p is
+not skipped, since other primes need it.  Every integer of the pass, each
+coordinate of an ``NRElem`` over Z[a]/(f), is kept reduced modulo M, the
+product of the scan's primes from p on.  That is exact too, since every
+later reduction is modulo a prime dividing M, and it bounds the
+coefficients, which otherwise grow like m!.  A scan thus makes pmax
+derivation steps where one foliation per prime makes the sum of the primes.
 """
 
 from __future__ import annotations
@@ -12,16 +34,20 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, asdict
+from operator import mul
 
-from .exterior import Chart, DiffForm
+from .exterior import Chart, DiffForm, VectorField
 from .foliation import (
     Foliation,
+    PCurvature,
     ValidationError,
     cartier_transform_foliation,
     degeneracy_divisor,
     from_form,
     is_p_closed,
+    koszul_fields,
 )
 from .mpoly import MultiPoly
 from .rings import (
@@ -74,22 +100,27 @@ def reduction_field(model: IntegralModel, p: int, g=None):
         g = up_trim([c % p for c in list(g)])
         k = len(g) - 1
         field = GF(p, k, g if k > 1 else None)
-        if k == 1:
-            t = field.coerce(-g[0])
-        else:
-            t = field.generator()
+    else:
+        field = GF(p, 1)
+    return field, _embedding(ring, field, g)
 
-        def embed(c: NRElem):
-            acc = field.zero()
-            power = field.one()
-            for coef in c.coeffs:
-                acc = acc + field.coerce(coef) * power
-                power = power * t
-            return acc
 
-        return field, embed
-    field = GF(p, 1)
-    return field, field.coerce
+def _embedding(ring, field: GF, g):
+    """The map from the model's ring onto ``field``, its residue field at
+    the factor g (reduced mod p) of the minimal polynomial; Z maps onto F_p."""
+    if not isinstance(ring, NumberRing):
+        return field.coerce
+    t = field.generator() if field.k > 1 else field.coerce(-g[0])
+
+    def embed(c: NRElem):
+        acc = field.zero()
+        power = field.one()
+        for coef in c.coeffs:
+            acc = acc + field.coerce(coef) * power
+            power = power * t
+        return acc
+
+    return embed
 
 
 def reduce_model(model: IntegralModel, p: int, g=None) -> Foliation:
@@ -129,20 +160,105 @@ class ScanRow:
     note: str = ""
 
 
+def _derive(terms, support, base: int, modulus: int) -> list:
+    """One step g <- sum_j c_j dg/dx_j over Z or Z[a]/(f), on the pairs
+    (packed exponent, coefficient) of g, each sum reduced mod ``modulus``.
+
+    An exponent e is packed as the int sum_j e_j base^j (see
+    ``_SharedPass``), and ``support`` lists the pairs (base^j, packed terms
+    of c_j) with c_j nonzero.  Unlike the step over GF(p) in
+    :mod:`pfol.exterior`, a term is skipped only when e_j is 0.
+    """
+    acc: dict = {}
+    get = acc.get
+    for e, a in terms:
+        for w, cterms in support:
+            k = e // w % base
+            if not k:
+                continue
+            ak = a * k
+            de = e - w
+            for ec, c in cterms:
+                t = de + ec
+                s = get(t)
+                acc[t] = ak * c if s is None else s + ak * c
+    out = []
+    for e, s in acc.items():
+        s %= modulus
+        if s:
+            out.append((e, s))
+    return out
+
+
+class _SharedPass:
+    """The derivation pass of a prime scan (see the module docstring): for
+    each Koszul field v of the model's form, the support of v and the
+    iterates v^m(c_i) of its nonzero components c_i, at one shared m that
+    starts at 0 and reaches at most ``steps``.
+
+    Exponents are packed into ints in the base B = d + steps * (d - 1) + 1,
+    d >= 1 the largest degree of a coefficient of the form (B = 1 when
+    d = 0): a step changes the degree of a term by at most d - 1, so no
+    exponent of an iterate reaches B, and adding packed exponents never
+    carries from one variable into the next.
+    """
+
+    def __init__(self, form: DiffForm, steps: int):
+        d = form.max_coeff_degree()
+        self.base = base = d + steps * max(d - 1, 0) + 1
+        self.weights = [base**j for j in range(form.chart.nvars)]
+        self.m = 0
+        self.fields = []
+        for v in koszul_fields(form):
+            iterates = [
+                (j, [(sum(map(mul, e, self.weights)), a) for e, a in c.terms.items()])
+                for j, c in enumerate(v.comps) if c
+            ]
+            support = [(self.weights[j], terms) for j, terms in iterates]
+            self.fields.append((support, iterates))
+
+    def values(self, fol: Foliation, embed, ahead: int) -> list[MultiPoly]:
+        """omega_p(v_p^p) for every Koszul field v, for the reduction fol at
+        the prime p, with ``embed`` its coefficient map; m is raised to
+        p - 1 first, modulo ``ahead``, the product of the scan's primes
+        from p on."""
+        base, weights = self.base, self.weights
+        for _ in range(self.m, fol.p - 1):
+            for support, iterates in self.fields:
+                iterates[:] = [
+                    (i, _derive(t, support, base, ahead)) for i, t in iterates
+                ]
+        self.m = max(self.m, fol.p - 1)
+        chart, field, n = fol.chart, fol.ring, fol.chart.nvars
+        out = []
+        for _, iterates in self.fields:
+            comps = [0] * n
+            for i, terms in iterates:
+                comps[i] = MultiPoly(field, n, {
+                    tuple(e // w % base for w in weights): embed(a) for e, a in terms
+                })
+            out.append(fol.form.pair(VectorField(chart, comps)))
+        return out
+
+
 def prime_scan(model: IntegralModel, pmax: int) -> list[ScanRow]:
     """One row per (prime <= pmax, irreducible factor of the minimal
-    polynomial mod p); bad primes are flagged in the note column."""
+    polynomial mod p); bad primes, including those where the minimal
+    polynomial cannot be factored, are flagged in the note column.  The
+    p-curvature of every row comes from one shared derivation pass."""
     rows: list[ScanRow] = []
     minpoly = model.minpoly
-    for p in primes_upto(pmax):
-        if minpoly is None:
-            choices = [(None, 1)]
-        else:
+    primes = primes_upto(pmax)
+    shared = _SharedPass(model.form, primes[-1] - 1 if primes else 0)
+    ahead = math.prod(primes)
+    for p in primes:
+        choices = [(None, 1)]
+        if minpoly is not None:
             try:
                 choices = factor_mod_p(minpoly, p)
-            except ValueError as exc:
+            except (ValueError, ArithmeticError) as exc:
                 rows.append(ScanRow(p, "", 0, None, None, None, None, str(exc)))
-                continue
+                choices = []
         for g, _mult in choices:
             factor_str = format_up(g, "t") if g is not None else ""
             k = len(g) - 1 if g is not None else 1
@@ -153,6 +269,8 @@ def prime_scan(model: IntegralModel, pmax: int) -> list[ScanRow]:
                     ScanRow(p, factor_str, k, None, None, None, None, str(exc))
                 )
                 continue
+            embed = _embedding(model.ring, fol.ring, g)
+            fol.pcurvature = PCurvature(fol.form, p, shared.values(fol, embed, ahead))
             closed = is_p_closed(fol)
             if closed:
                 rows.append(ScanRow(p, factor_str, k, True, None, None, None))
@@ -163,6 +281,7 @@ def prime_scan(model: IntegralModel, pmax: int) -> list[ScanRow]:
             rows.append(
                 ScanRow(p, factor_str, k, False, delta.degree(), squarefree, integrable)
             )
+        ahead //= p
     return rows
 
 

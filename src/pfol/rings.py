@@ -19,6 +19,12 @@ returns them from every operation; a prime field computes with ints mod p,
 an extension field looks products, sums, inverses and powers up in the
 log/antilog (Zech) tables it builds at construction.  A larger extension
 field multiplies the digits of two codes in F_p[t] and inverts as a^(q-2).
+
+Dense polynomials over F_p are little-endian int lists.  Their kernel sums
+products as plain ints and reduces each coefficient mod p once: ``up_mul``
+after all products, ``up_divmod`` after working down from the top
+coefficient.  ``up_pow_mod`` makes the modulus monic once and powers left
+to right.
 """
 
 from __future__ import annotations
@@ -91,11 +97,10 @@ def up_mul(a, b, p):
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return up_trim(out)
+        if ai:
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return up_trim([c % p for c in out])
 
 
 def up_scale(a, c, p):
@@ -103,22 +108,26 @@ def up_scale(a, c, p):
     return up_trim([ai * c % p for ai in a])
 
 
+def _divide(s, b, inv_lead, p):
+    """Divide the int list s in place by b, whose leading coefficient has
+    the inverse inv_lead mod p, from the top coefficient down: s[d:]
+    becomes the quotient, and the remainder, reduced once at the end, is
+    returned."""
+    d = len(b) - 1
+    for k in range(len(s) - 1, d - 1, -1):
+        c = s[k] = s[k] * inv_lead % p
+        if c:
+            for i in range(d):
+                s[k - d + i] -= c * b[i]
+    return up_trim([c % p for c in s[:d]])
+
+
 def up_divmod(a, b, p):
     if not b:
         raise ZeroDivisionError("univariate division by zero")
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and up_trim(a):
-        if len(a) < len(b):
-            break
-        c = a[-1] * inv_lead % p
-        k = len(a) - len(b)
-        q[k] = c
-        for i, bi in enumerate(b):
-            a[i + k] = (a[i + k] - c * bi) % p
-        up_trim(a)
-    return up_trim(q), up_trim(a)
+    s = list(a)
+    r = _divide(s, b, pow(b[-1], p - 2, p), p)
+    return up_trim(s[len(b) - 1:]), r
 
 
 def up_mod(a, b, p):
@@ -135,14 +144,33 @@ def up_gcd(a, b, p):
 
 
 def up_pow_mod(a, e, mod, p):
-    result = [1]
-    a = up_mod(a, mod, p)
-    while e > 0:
-        if e & 1:
-            result = up_mod(up_mul(result, a, p), mod, p)
-        a = up_mod(up_mul(a, a, p), mod, p)
-        e >>= 1
-    return result
+    """a^e mod ``mod``, left to right: the modulus is made monic once, a
+    square sums each cross product once and doubles it, and a step by the
+    base x is a shift and one reduction step."""
+    if not e:
+        return [1]
+    m = up_scale(mod, pow(mod[-1], p - 2, p), p)
+    a = up_mod(a, m, p)
+    by_x = a == [0, 1]
+    r = a
+    for bit in bin(e)[3:]:
+        sq = [0] * (2 * len(r) - 1)
+        for i, ri in enumerate(r):
+            if ri:
+                sq[2 * i] += ri * ri
+                ri += ri
+                for j in range(i + 1, len(r)):
+                    sq[i + j] += ri * r[j]
+        r = _divide(sq, m, 1, p)
+        if bit == "1":
+            if not by_x:
+                r = _divide(up_mul(r, a, p), m, 1, p)
+            elif len(r) == len(m) - 1:
+                c = r[-1]
+                r = up_trim([(x - c * y) % p for x, y in zip([0] + r, m)])
+            elif r:
+                r = [0] + r
+    return r
 
 
 def up_deriv(a, p):
@@ -150,25 +178,14 @@ def up_deriv(a, p):
 
 
 def up_is_irreducible(g: list[int], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F_p."""
-    k = len(g) - 1
-    if k <= 0:
+    """Whether the monic g of degree k is irreducible over F_p: no
+    gcd(x^(p^d) - x, g) with d <= k/2 is a nonconstant factor."""
+    if len(g) < 2:
         return False
-    if k == 1:
-        return True
-    x = [0, 1]
-    # x^(p^k) == x mod g
-    h = x
-    for _ in range(k):
+    h = [0, 1]
+    for _ in range((len(g) - 1) // 2):
         h = up_pow_mod(h, p, g, p)
-    if up_trim(up_sub(h, x, p)):
-        return False
-    # gcd(x^(p^(k/q)) - x, g) == 1 for all prime divisors q of k
-    for q in sorted({d for d in range(2, k + 1) if k % d == 0 and is_prime(d)}):
-        h = x
-        for _ in range(k // q):
-            h = up_pow_mod(h, p, g, p)
-        if len(up_gcd(up_sub(h, x, p), g, p)) > 1:
+        if len(up_gcd(up_sub(h, [0, 1], p), g, p)) > 1:
             return False
     return True
 
@@ -279,8 +296,8 @@ class GFElem:
             return f._exp[self.log + o.log]
         if f.k == 1:
             return f._make(self.code * o.code % f.p)
-        prod = up_mod(up_mul(f._digits(self.code), f._digits(o.code), f.p), f.modulus, f.p)
-        return f._make(f._code(prod))
+        prod = up_mul(f._digits(self.code), f._digits(o.code), f.p)
+        return f._make(f._code(_divide(prod, f.modulus, 1, f.p)))
 
     __rmul__ = __mul__
 
@@ -404,7 +421,7 @@ class GF:
             spread[c] = spread[c // p] << b | c % p
         unspread = dict(zip(spread, range(q)))
         low = p ** (k // 2)
-        tab = [spread[self._code(up_mod(up_mul(self._digits(c), g, p), m, p))]
+        tab = [spread[self._code(_divide(up_mul(self._digits(c), g, p), m, 1, p))]
                for c in [*range(low), *range(0, q, low)]]
         low_tab, high_tab = tab[:low], tab[low:]
         # adding bias sets the top bit of exactly the slots holding p or more
@@ -648,6 +665,10 @@ class NRElem:
         return NRElem(self.ring, prod[:d])
 
     __rmul__ = __mul__
+
+    def __mod__(self, m: int):
+        """The element with every coefficient reduced mod the integer m."""
+        return NRElem(self.ring, [c % m for c in self.coeffs])
 
     def __pow__(self, e: int):
         if e < 0:

@@ -158,15 +158,23 @@ def test_scan_deterministic(tmp_path, capsys):
     assert first == second
 
 
-def test_scan_beyond_the_factor_search_range_is_input_error(
+def test_scan_flags_a_prime_beyond_the_factor_search_range(
     tmp_path, capsys, monkeypatch
 ):
-    # x^4 + 1 splits into two quadratics mod 1427, beyond the search range
+    # x^4 + 1 splits into linear factors mod 17 and into two quadratics mod
+    # 1427, beyond the search range: that prime is a bad row, and the rows
+    # of 17 are kept
     doc = write(tmp_path, "model.txt", LOG_MODEL.replace("a^2+1", "a^4+1"))
-    monkeypatch.setattr("pfol.models.primes_upto", lambda n: [1427])
-    assert main(["scan", "--pmax", "1427", doc]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "1427" in captured.err
+    monkeypatch.setattr("pfol.models.primes_upto", lambda n: [17, 1427])
+    assert main(["scan", "--pmax", "1427", doc]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert [line.split(",")[:2] for line in lines[1:5]] == [
+        ["17", "t+2"], ["17", "t+8"], ["17", "t+9"], ["17", "t+15"]
+    ]
+    assert lines[5:] == [
+        "1427,,0,bad:splitting a degree-4 factor into degree-2 factors mod 1427"
+        " needs a search over 1427^2 candidates,,,"
+    ]
 
 
 def test_scan_minpoly_probe(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from pfol.exterior import DiffForm, affine_chart
+from pfol.exterior import DiffForm, affine_chart, cone_chart
 from pfol.foliation import degeneracy_divisor, is_p_closed
 from pfol.models import (
     BadReductionError,
@@ -16,7 +16,8 @@ from pfol.models import (
     scan_to_json,
 )
 from pfol.mpoly import MultiPoly
-from pfol.rings import GF, NumberRing, ZZ, factor_mod_p
+from pfol.rings import GF, NumberRing, ZZ, factor_mod_p, primes_upto
+from scan_reference import reference_scan
 
 
 def log_model():
@@ -164,3 +165,134 @@ def test_integer_defect_of_integrable_form_is_zero():
     form = DiffForm(chart, 1, {(0,): y * z, (1,): x * z, (2,): x * y})
     assert integrability_defect_integer(form).is_zero
     assert classify_integer_defect(integrability_defect_integer(form), 3)["zero"]
+
+
+# ---------------------------------------------------------------------------
+# the shared derivation pass of a scan against the per-prime route
+
+
+def plane_z_model():
+    # (1 - xy) dx + x^2 dy: p-closed at some primes, not at others
+    chart = affine_chart(ZZ, 2)
+    x, y = chart.vars()
+    return IntegralModel(DiffForm(chart, 1, {(0,): 1 - x * y, (1,): x * x}))
+
+
+def log_z_model():
+    # yz dx + 5xz dy + xy dz: saturation is lost modulo 5
+    chart = affine_chart(ZZ, 3)
+    x, y, z = chart.vars()
+    return IntegralModel(DiffForm(chart, 1, {
+        (0,): y * z, (1,): (x * z).scale(5), (2,): x * y,
+    }))
+
+
+def projective_z_model():
+    # i_R i_X (dx0 dx1 dx2) for a linear field X: degree one on P^2
+    cone = cone_chart(ZZ, 2)
+    x0, x1, x2 = cone.vars()
+    X = [x1 + x2.scale(2), x0.scale(3) - x2, x0 + x1 - x2]
+    return IntegralModel(DiffForm(cone, 1, {
+        (0,): x1 * X[2] - x2 * X[1],
+        (1,): x2 * X[0] - x0 * X[2],
+        (2,): x0 * X[1] - x1 * X[0],
+    }))
+
+
+def cubic_ring_model():
+    # a yz dx + xz dy + 2xy dz over Z[a]/(a^3+a+1): a^3+a+1 is irreducible
+    # mod 2, 5 and 7, and a line times a conic mod 3
+    R = NumberRing([1, 1, 0, 1])
+    chart = affine_chart(R, 3)
+    x, y, z = chart.vars()
+    return IntegralModel(DiffForm(chart, 1, {
+        (0,): (y * z).scale(R.generator()),
+        (1,): x * z,
+        (2,): (x * y).scale(R.coerce(2)),
+    }))
+
+
+def vanishing_field_model():
+    # the pullback of A du + B dv along u = y2 + 5 y0, v = y3 + 5 y1: modulo
+    # 5 the dy0 and dy1 coefficients vanish, and with them the Koszul field
+    # a_1 d_0 - a_0 d_1, while the reduction stays a foliation
+    chart = affine_chart(ZZ, 4)
+    y0, y1, y2, y3 = chart.vars()
+    u, v = y2 + y0.scale(5), y3 + y1.scale(5)
+    A, B = 1 + u + (v * v).scale(2), u * u - v.scale(3) + 1
+    return IntegralModel(DiffForm(chart, 1, {
+        (0,): A.scale(5), (1,): B.scale(5), (2,): A, (3,): B,
+    }))
+
+
+def dense_plane_model():
+    # dense coefficients of degree two over Z
+    chart = affine_chart(ZZ, 2)
+    x, y = chart.vars()
+    a = 1 + x.scale(2) - y + (x * x).scale(3) + x * y - (y * y).scale(2)
+    b = -1 + x + y.scale(3) + x * x - (x * y).scale(4) + y * y
+    return IntegralModel(DiffForm(chart, 1, {(0,): a, (1,): b}))
+
+
+def scan_with_values(model, pmax, monkeypatch, stop_at_values=False):
+    """``prime_scan``'s rows, and the p-curvature values (zeros included)
+    of each row whose reduction succeeded.  With ``stop_at_values`` every
+    such row is cut short as p-closed once its values are read."""
+    seen = []
+
+    def record(fol):
+        seen.append(list(fol.pcurvature.values))
+        return True if stop_at_values else is_p_closed(fol)
+
+    with monkeypatch.context() as m:
+        m.setattr("pfol.models.is_p_closed", record)
+        rows = prime_scan(model, pmax)
+    return rows, seen
+
+
+@pytest.mark.parametrize("make_model, pmax", [
+    (plane_z_model, 23),
+    (log_z_model, 13),
+    (projective_z_model, 13),
+    (log_model, 13),
+    (cubic_ring_model, 7),
+    (lambda: IntegralModel(frobenius_power_form(3)), 7),
+    (vanishing_field_model, 5),
+], ids=["plane_z", "log_z", "projective_z", "nr_a2_plus_1", "nr_a3_a_1",
+        "not_integrable_over_z", "vanishing_koszul_field"])
+def test_prime_scan_matches_the_per_prime_route(make_model, pmax, monkeypatch):
+    model = make_model()
+    rows, seen = scan_with_values(model, pmax, monkeypatch)
+    ref_rows, ref_values = reference_scan(model, pmax)
+    assert rows == ref_rows
+    assert [[v for v in vals if v] for vals in seen] == ref_values
+
+
+def test_the_scans_cover_every_kind_of_row(monkeypatch):
+    # the models above reach bad primes, p-closed and p-dense rows, linear
+    # and higher-degree factors, and a Koszul field that vanishes
+    rows = prime_scan(log_z_model(), 13)
+    assert any(r.note.startswith("saturation lost") for r in rows)
+    rows = prime_scan(cubic_ring_model(), 7)
+    assert {r.k for r in rows} == {1, 2, 3}
+    assert {r.p_closed for r in rows} >= {True, False}
+    model = vanishing_field_model()
+    rows, seen = scan_with_values(model, 5, monkeypatch)
+    assert [r.p for r in rows] == [2, 3, 5]
+    assert rows[-1].p_closed is False
+    # the scan reads six Koszul fields at every prime, the reduction mod 5
+    # has only five
+    assert [len(vals) for vals in seen] == [6, 6, 6]
+    assert len(reduce_model(model, 5).pcurvature.values) == 5
+
+
+def test_dense_plane_model_pcurvature_matches_the_per_prime_route(monkeypatch):
+    # p-curvature alone: the degeneracy and Cartier stages of a dense model
+    # grow too fast with p for a test
+    model = dense_plane_model()
+    rows, seen = scan_with_values(model, 40, monkeypatch, stop_at_values=True)
+    primes = primes_upto(40)
+    assert [r.p for r in rows] == primes and not any(r.note for r in rows)
+    for p, vals in zip(primes, seen):
+        expected = reduce_model(model, p).pcurvature.values
+        assert [v for v in vals if v] == [v for v in expected if v]

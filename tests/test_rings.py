@@ -1,8 +1,10 @@
 import functools
+import itertools
 import random
 
 import pytest
 
+import up_reference
 from pfol.rings import (
     GF,
     TABLE_LIMIT,
@@ -17,9 +19,11 @@ from pfol.rings import (
     parse_up,
     primes_upto,
     up_divmod,
+    up_gcd,
     up_is_irreducible,
     up_mod,
     up_mul,
+    up_pow_mod,
 )
 
 
@@ -155,6 +159,42 @@ def test_factor_mod_p_matches_trial_division():
                 assert factor_mod_p(coeffs, p) == factor_by_trial_division(coeffs, p)
                 cases += 1
     assert cases >= 130
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 2857])
+def test_up_kernel_matches_the_reference(p):
+    # dividends with trailing zero coefficients, divisors that are constant
+    # or not monic, and the powers e = 0, 1, p and random ones of a zero
+    # base, the base x (also with trailing zeros) and bases of higher degree
+    # than the modulus
+    rng = random.Random(p)
+
+    def poly(length, trailing=0):
+        return [rng.randrange(p) for _ in range(length)] + [0] * trailing
+
+    moduli = [[0, 0, 1], [0, 0, 0, p - 1], [rng.randrange(1, p)]]
+    for i in range(60):
+        a = poly(rng.randrange(9), rng.randrange(3))
+        b = poly(rng.randrange(6)) + [rng.randrange(1, p)]
+        assert up_mul(a, b, p) == up_reference.up_mul(a, b, p)
+        assert up_mul(b, a, p) == up_reference.up_mul(b, a, p)
+        assert up_divmod(a, b, p) == up_reference.up_divmod(a, b, p)
+        assert up_gcd(a, b, p) == up_reference.up_gcd(a, b, p)
+        high = poly(len(b) + rng.randrange(3), 1) + [rng.randrange(1, p)]
+        for m in (b, moduli[i % 3]):
+            for base in (a, [], [0, 1], [0, 1, 0], high):
+                for e in (0, 1, 2, p, rng.randrange(3, 300), rng.randrange(10**6)):
+                    got = up_pow_mod(base, e, m, p)
+                    assert got == up_reference.up_pow_mod(base, e, m, p)
+        assert up_pow_mod(a, 0, b, p) == [1]
+
+
+@pytest.mark.parametrize("p, kmax", [(2, 7), (3, 5), (5, 4), (7, 3), (13, 2)])
+def test_irreducibility_matches_rabins_test(p, kmax):
+    for k in range(kmax + 1):
+        for low in itertools.product(range(p), repeat=k):
+            g = [*low, 1]
+            assert up_is_irreducible(g, p) == up_reference.up_is_irreducible(g, p)
 
 
 def test_factor_mod_p_search_limit_is_an_arithmetic_error():
