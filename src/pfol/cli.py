@@ -40,7 +40,7 @@ from .geommaps import (
 )
 from .mpoly import poly_str
 from .parsing import Document, ParseError, parse_document, print_form
-from .rings import NumberRing, ZZ, parse_up
+from .rings import NumberRing, ZZ, is_prime, parse_up
 
 
 def _read_text(path: str) -> str:
@@ -282,6 +282,8 @@ def cmd_distmin2(args) -> int:
 
 
 def cmd_defect(args) -> int:
+    if not is_prime(args.p):
+        raise ValueError(f"--p must be a prime, got {args.p}")
     doc = _load(args)
     form = doc.the_form()
     defect = models.integrability_defect_integer(form)

@@ -13,15 +13,17 @@ The same machinery is used for honest affine charts and for the cone over
 a projective space (homogeneous coordinates); the :class:`Chart` a form
 lives on is the package's one record of which of the two it is.
 
-``VectorField.pth_power`` iterates a derivation in one loop for every
-ring; the raw-coefficient helpers of :mod:`pfol.mpoly`, the one home of
-the GF(p) int-code path, decide how its coefficients are held.
+A derivation g <- sum_j c_j dg/dx_j is iterated by one step,
+``_derivation_step``, on exponents packed into ints (``_packing``).  It
+serves ``VectorField.pth_power``, whose coefficients are held by the
+raw-coefficient helpers of :mod:`pfol.mpoly`, the one home of the GF(p)
+int-code path, and the prime scan of :mod:`pfol.models`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import mul
 
 from .mpoly import (
     MultiPoly, _from_raw, _raw_terms, _reduce_raw, default_names, gcd_list, poly_str,
@@ -53,9 +55,6 @@ class Chart:
 
     def vars(self) -> list[MultiPoly]:
         return [self.var(i) for i in range(self.nvars)]
-
-    def poly(self, terms: dict) -> MultiPoly:
-        return MultiPoly(self.ring, self.nvars, terms)
 
     def zero_form(self, q: int) -> "DiffForm":
         return DiffForm(self, q, {})
@@ -374,21 +373,26 @@ class VectorField:
         """The p-fold iterated derivation v^p (again a derivation).
 
         Its components are v^p(x_i) = v^(p-1)(c_i) for the components c_i
-        of v, each step being g <- sum_j c_j dg/dx_j.  Each step is one
-        accumulation into a dict of terms: a term a*x^e of g contributes
-        a*e_j*x^(e - u_j)*c_j for every j with e_j not divisible by p, and
-        the zero sums are dropped once at the end of the step.  Over a
-        prime field GF(p) the coefficients stay int codes through all
-        p - 1 steps and become field elements once (see :mod:`pfol.mpoly`).
+        of v: p - 1 packed steps, each skipping the terms whose e_j is
+        divisible by p and reducing its sums once.  Over a prime field
+        GF(p) the coefficients stay int codes through all p - 1 steps and
+        become field elements once (see :mod:`pfol.mpoly`).
         """
-        chart = self.chart
-        p = chart.ring.characteristic
+        chart, ring = self.chart, self.chart.ring
+        p = ring.characteristic
         if p == 0:
             raise ArithmeticError("p-th powers need positive characteristic")
-        support = [(j, c) for j, c in enumerate(self.comps) if c]
-        return VectorField(
-            chart, [_iterate_derivation(g, support, p - 1) for g in self.comps]
-        )
+        degree = max(c.total_degree() for c in self.comps)
+        base, weights = _packing(degree, p - 1, chart.nvars)
+        packed = [_pack(_raw_terms(c), weights) for c in self.comps]
+        support = [(weights[j], terms) for j, terms in enumerate(packed) if terms]
+        comps = []
+        for terms in packed:
+            for _ in range(p - 1):
+                sums = _derivation_step(terms, support, base, p)
+                terms = _reduce_raw(ring, sums.items())
+            comps.append(_from_raw(ring, chart.nvars, _unpack(terms, base, weights)))
+        return VectorField(chart, comps)
 
     def __repr__(self):
         names = self.chart.names
@@ -398,35 +402,54 @@ class VectorField:
         return " + ".join(parts) if parts else "0"
 
 
-def _iterate_derivation(g: MultiPoly, support, m: int) -> MultiPoly:
-    """Apply the polynomial derivation sum_j c_j d/dx_j to g m times.
+def _packing(degree: int, steps: int, nvars: int) -> tuple[int, list[int]]:
+    """The base B and weights B^j that pack an exponent e into the int
+    sum_j e_j B^j, for ``steps`` iterates of a derivation whose components,
+    like the polynomial iterated, have degree at most ``degree`` = d.
 
-    ``support`` lists the pairs (j, c_j) with c_j nonzero.  The exponents
-    e_j are taken mod p = the characteristic, so that a term whose
-    derivative in x_j vanishes is skipped before any product is formed.
+    B = d + steps * (d - 1) + 1, and B = 1 for d <= 0 (a zero or constant
+    field: every iterate is a constant).  A step changes the degree of a
+    term by at most d - 1, so no exponent of an iterate reaches B: adding
+    packed exponents never carries, subtracting B^j when e_j >= 1 never
+    borrows, and e // B^j % B is e_j.
     """
-    ring = g.ring
-    p = ring.characteristic
-    terms = _raw_terms(g)
-    support = [(j, list(_raw_terms(cj))) for j, cj in support]
-    for _ in range(m):
-        if not terms:
-            break
-        acc: dict = {}
-        get = acc.get
-        for e, a in terms:
-            for j, cterms in support:
-                k = e[j] % p
-                if not k:
-                    continue
-                ak = a * k
-                de = e[:j] + (e[j] - 1,) + e[j + 1:]
-                for ec, c in cterms:
-                    t = tuple(map(add, de, ec))
-                    s = get(t)
-                    acc[t] = ak * c if s is None else s + ak * c
-        terms = _reduce_raw(ring, acc.items())
-    return _from_raw(ring, g.nvars, terms)
+    base = max(degree, 0) + steps * max(degree - 1, 0) + 1
+    return base, [base**j for j in range(nvars)]
+
+
+def _pack(terms, weights) -> list:
+    """The pairs (exponent, coefficient) of ``terms`` with packed exponents."""
+    return [(sum(map(mul, e, weights)), a) for e, a in terms]
+
+
+def _unpack(terms, base: int, weights) -> list:
+    """The pairs (packed exponent, coefficient) of ``terms``, unpacked."""
+    return [(tuple(e // w % base for w in weights), a) for e, a in terms]
+
+
+def _derivation_step(terms, support, base: int, period: int) -> dict:
+    """One step g <- sum_j c_j dg/dx_j on the pairs (packed exponent, raw
+    coefficient) of g: the unreduced sums, which the caller reduces.
+
+    ``support`` lists the pairs (B^j, packed terms of c_j) for c_j nonzero.
+    A term a x^e gives a e_j x^(e - u_j) c_j for each j with e_j not
+    divisible by ``period``: p in ``pth_power``, so vanishing derivatives
+    form no product, and B in the prime scan, so only e_j = 0 is skipped.
+    """
+    acc: dict = {}
+    get = acc.get
+    for e, a in terms:
+        for w, cterms in support:
+            k = e // w % base % period
+            if not k:
+                continue
+            ak = a * k
+            de = e - w
+            for ec, c in cterms:
+                t = de + ec
+                s = get(t)
+                acc[t] = ak * c if s is None else s + ak * c
+    return acc
 
 
 def euler_field(chart: Chart) -> VectorField:

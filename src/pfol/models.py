@@ -19,14 +19,15 @@ a ring map that commutes with every d/dx_j, so it carries v^(p-1)(c_i) to
 v_p^(p-1)(c_{i,p}) = v_p^p(x_i), and the Koszul fields of the reduced form
 are the reductions of the model's.  A field that vanishes modulo P gives
 the value 0, which neither ``PCurvature.f`` (the first nonzero value) nor
-the degeneracy divisor (which drops zeros) reads.  Over R a step
-multiplies by the exponent e_j itself: a term with e_j divisible by p is
-not skipped, since other primes need it.  Every integer of the pass, each
-coordinate of an ``NRElem`` over Z[a]/(f), is kept reduced modulo M, the
-product of the scan's primes from p on.  That is exact too, since every
-later reduction is modulo a prime dividing M, and it bounds the
-coefficients, which otherwise grow like m!.  A scan thus makes pmax
-derivation steps where one foliation per prime makes the sum of the primes.
+the degeneracy divisor (which drops zeros) reads.  A step is the one of
+``VectorField.pth_power`` (``pfol.exterior._derivation_step``), but over R
+it skips only the terms with e_j = 0, since other primes need those with
+e_j divisible by p.  Every integer of the pass, each coordinate of an
+``NRElem`` over Z[a]/(f), is kept reduced modulo M, the product of the
+scan's primes from p on.  That is exact too, since every later reduction
+is modulo a prime dividing M, and it bounds the coefficients, which
+otherwise grow like m!.  A scan thus makes pmax derivation steps where one
+foliation per prime makes the sum of the primes.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ import io
 import json
 import math
 from dataclasses import dataclass, asdict
-from operator import mul
 
-from .exterior import Chart, DiffForm, VectorField
+from .exterior import (
+    Chart, DiffForm, VectorField, _derivation_step, _pack, _packing, _unpack,
+)
 from .foliation import (
     Foliation,
     PCurvature,
@@ -55,12 +57,10 @@ from .rings import (
     NRElem,
     NumberRing,
     ZZ,
+    _distinct_degree,
     factor_mod_p,
     format_up,
     primes_upto,
-    up_gcd,
-    up_pow_mod,
-    up_sub,
     up_trim,
 )
 
@@ -160,58 +160,23 @@ class ScanRow:
     note: str = ""
 
 
-def _derive(terms, support, base: int, modulus: int) -> list:
-    """One step g <- sum_j c_j dg/dx_j over Z or Z[a]/(f), on the pairs
-    (packed exponent, coefficient) of g, each sum reduced mod ``modulus``.
-
-    An exponent e is packed as the int sum_j e_j base^j (see
-    ``_SharedPass``), and ``support`` lists the pairs (base^j, packed terms
-    of c_j) with c_j nonzero.  Unlike the step over GF(p) in
-    :mod:`pfol.exterior`, a term is skipped only when e_j is 0.
-    """
-    acc: dict = {}
-    get = acc.get
-    for e, a in terms:
-        for w, cterms in support:
-            k = e // w % base
-            if not k:
-                continue
-            ak = a * k
-            de = e - w
-            for ec, c in cterms:
-                t = de + ec
-                s = get(t)
-                acc[t] = ak * c if s is None else s + ak * c
-    out = []
-    for e, s in acc.items():
-        s %= modulus
-        if s:
-            out.append((e, s))
-    return out
-
-
 class _SharedPass:
     """The derivation pass of a prime scan (see the module docstring): for
     each Koszul field v of the model's form, the support of v and the
     iterates v^m(c_i) of its nonzero components c_i, at one shared m that
-    starts at 0 and reaches at most ``steps``.
-
-    Exponents are packed into ints in the base B = d + steps * (d - 1) + 1,
-    d >= 1 the largest degree of a coefficient of the form (B = 1 when
-    d = 0): a step changes the degree of a term by at most d - 1, so no
-    exponent of an iterate reaches B, and adding packed exponents never
-    carries from one variable into the next.
+    starts at 0 and reaches at most ``steps``, with exponents packed by
+    ``pfol.exterior._packing`` for the largest degree of a coefficient of
+    the form.
     """
 
     def __init__(self, form: DiffForm, steps: int):
-        d = form.max_coeff_degree()
-        self.base = base = d + steps * max(d - 1, 0) + 1
-        self.weights = [base**j for j in range(form.chart.nvars)]
+        nvars = form.chart.nvars
+        self.base, self.weights = _packing(form.max_coeff_degree(), steps, nvars)
         self.m = 0
         self.fields = []
         for v in koszul_fields(form):
             iterates = [
-                (j, [(sum(map(mul, e, self.weights)), a) for e, a in c.terms.items()])
+                (j, _pack(c.terms.items(), self.weights))
                 for j, c in enumerate(v.comps) if c
             ]
             support = [(self.weights[j], terms) for j, terms in iterates]
@@ -225,9 +190,9 @@ class _SharedPass:
         base, weights = self.base, self.weights
         for _ in range(self.m, fol.p - 1):
             for support, iterates in self.fields:
-                iterates[:] = [
-                    (i, _derive(t, support, base, ahead)) for i, t in iterates
-                ]
+                for slot, (i, terms) in enumerate(iterates):
+                    sums = _derivation_step(terms, support, base, base).items()
+                    iterates[slot] = i, [(e, r) for e, s in sums if (r := s % ahead)]
         self.m = max(self.m, fol.p - 1)
         chart, field, n = fol.chart, fol.ring, fol.chart.nvars
         out = []
@@ -235,7 +200,7 @@ class _SharedPass:
             comps = [0] * n
             for i, terms in iterates:
                 comps[i] = MultiPoly(field, n, {
-                    tuple(e // w % base for w in weights): embed(a) for e, a in terms
+                    e: embed(a) for e, a in _unpack(terms, base, weights)
                 })
             out.append(fol.form.pair(VectorField(chart, comps)))
         return out
@@ -323,10 +288,8 @@ def kronecker_probe(minpoly, pmax: int) -> dict:
         if len(f) < 2:
             continue  # degree drop: bad prime
         good += 1
-        xp = up_pow_mod([0, 1], p, f, p)
-        diff = up_sub(xp, [0, 1], p)
-        if len(up_gcd(diff, f, p)) > 1:
-            with_root += 1
+        # f has a root iff its first distinct-degree part has d = 1
+        with_root += next(_distinct_degree(f, p))[0] == 1
     if not good:
         raise ValueError("no good prime up to pmax")
     return {
@@ -357,8 +320,6 @@ def classify_integer_defect(defect: DiffForm, p: int) -> dict:
     if defect.is_zero:
         return {"zero": True}
     coeff = defect.coeff((0, 1, 2))
-    import math
-
     content = 0
     for c in coeff.terms.values():
         content = math.gcd(content, abs(c))

@@ -24,7 +24,9 @@ Dense polynomials over F_p are little-endian int lists.  Their kernel sums
 products as plain ints and reduces each coefficient mod p once: ``up_mul``
 after all products, ``up_divmod`` after working down from the top
 coefficient.  ``up_pow_mod`` makes the modulus monic once and powers left
-to right.
+to right.  The gcds with x^(p^d) - x are taken in one loop,
+``_distinct_degree``, which serves the irreducibility test, the
+factorization mod p and the root test of the Kronecker probe.
 """
 
 from __future__ import annotations
@@ -177,17 +179,34 @@ def up_deriv(a, p):
     return up_trim([(i * a[i]) % p for i in range(1, len(a))])
 
 
-def up_is_irreducible(g: list[int], p: int) -> bool:
-    """Whether the monic g of degree k is irreducible over F_p: no
-    gcd(x^(p^d) - x, g) with d <= k/2 is a nonconstant factor."""
-    if len(g) < 2:
-        return False
+def _distinct_degree(g: list[int], p: int):
+    """The parts (d, gcd(x^(p^d) - x, g)) of the nonconstant g over F_p,
+    for d = 1, 2, ... while 2d is at most the degree of g, each nonconstant
+    part divided out of g, and then (the degree of the rest, the rest).
+
+    The first part has the least degree d of an irreducible factor, and is
+    (k, g) for g of degree k exactly when g is irreducible.  For a monic
+    squarefree g a part is the product of the irreducible factors of its
+    degree, and the rest is irreducible.
+    """
     h = [0, 1]
-    for _ in range((len(g) - 1) // 2):
+    d = 0
+    while len(g) > 1:
+        d += 1
+        if 2 * d > len(g) - 1:
+            yield len(g) - 1, g
+            return
         h = up_pow_mod(h, p, g, p)
-        if len(up_gcd(up_sub(h, [0, 1], p), g, p)) > 1:
-            return False
-    return True
+        part = up_gcd(up_sub(h, [0, 1], p), g, p)
+        if len(part) > 1:
+            yield d, part
+            g, _ = up_divmod(g, part, p)
+
+
+def up_is_irreducible(g: list[int], p: int) -> bool:
+    """Whether g of degree k >= 1 is irreducible over F_p: its first
+    distinct-degree part is (k, g)."""
+    return len(g) > 1 and next(_distinct_degree(g, p))[0] == len(g) - 1
 
 
 def canonical_irreducible(p: int, k: int) -> list[int]:
@@ -776,21 +795,9 @@ def factor_mod_p(coeffs, p: int) -> list[tuple[list[int], int]]:
         factors[key] = factors.get(key, 0) + mult
 
     def split_squarefree(g, mult):
-        # distinct-degree splitting of a monic squarefree g
-        g = list(g)
-        h = [0, 1]
-        d = 0
-        while len(g) > 1:
-            d += 1
-            if 2 * d > len(g) - 1:
-                record(g, mult)
-                return
-            h = up_pow_mod(h, p, g, p)
-            gd = up_gcd(up_sub(h, [0, 1], p), g, p)
-            if len(gd) > 1:
-                for irr in split_equal_degree(gd, d):
-                    record(irr, mult)
-                g, _ = up_divmod(g, gd, p)
+        for d, part in _distinct_degree(g, p):
+            for irr in split_equal_degree(part, d):
+                record(irr, mult)
 
     def split_equal_degree(g, d):
         # g is a product of distinct monic irreducibles, all of degree d, so

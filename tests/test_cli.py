@@ -279,6 +279,14 @@ def test_defect(tmp_path, capsys):
     assert "p_content: 1" in out
 
 
+@pytest.mark.parametrize("p", ["1", "-1", "0", "4"])
+def test_defect_refuses_a_p_that_is_not_prime(tmp_path, capsys, p):
+    # 1 and -1 never divide the content down to 1, and 0 divides by zero
+    doc = write(tmp_path, "defect.txt", DEFECT_DOC)
+    assert main(["defect", "--p", p, doc]) == 2
+    assert capsys.readouterr() == ("", f"error: --p must be a prime, got {p}\n")
+
+
 def test_stdin_input(monkeypatch, capsys):
     import io
 

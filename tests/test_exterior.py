@@ -170,28 +170,61 @@ def pth_power_reference(v):
     )
 
 
+def homogeneous_poly(ring, nvars, rng, deg, nterms):
+    monomials = [e for e in itertools.product(range(deg + 1), repeat=nvars)
+                 if sum(e) == deg]
+    return MultiPoly(ring, nvars, {e: ring.random(rng)
+                                   for e in rng.sample(monomials, nterms)})
+
+
 def test_pth_power_matches_iterated_reference():
     rng = random.Random(11)
+
+    def check(v):
+        vp = v.pth_power()
+        assert vp == pth_power_reference(v)
+        for c in vp.comps:
+            # built by MultiPoly._new: clean tuple keys, no zeros
+            assert all(len(e) == v.chart.nvars and type(e) is tuple for e in c.terms)
+            assert all(c.terms.values())
+        return vp
+
     for F in (GF(2), GF(3), GF(5), GF(7), GF(3, 2), GF(5, 2), GF(11), GF(13)):
         # at p = 11 and 13 four variables give thousands of terms
-        for nvars in (2, 3, 4) if F.characteristic < 11 else (2, 3):
+        for nvars in (1, 2, 3, 4) if F.characteristic < 11 else (1, 2, 3):
             chart = affine_chart(F, nvars)
             # multilinear components in three or four variables keep the
             # reference fast
-            deg = 2 if nvars == 2 else 1
+            deg = 2 if nvars <= 2 else 1
             for trial in range(3):
                 comps = [random_poly(F, nvars, rng, deg) for _ in range(nvars)]
                 if trial == 0:
                     # a field with zero components
                     comps[rng.randrange(nvars)] = MultiPoly.zero(F, nvars)
                     comps[0] = MultiPoly.zero(F, nvars)
-                v = VectorField(chart, comps)
-                vp = v.pth_power()
-                assert vp == pth_power_reference(v)
-                for c in vp.comps:
-                    # built by MultiPoly._new: clean tuple keys, no zeros
-                    assert all(len(e) == nvars and type(e) is tuple for e in c.terms)
-                    assert all(c.terms.values())
+                check(VectorField(chart, comps))
+        # a zero field and a constant field: every iterate is a constant
+        chart = affine_chart(F, 2)
+        assert not check(VectorField(chart, [0, 0]))
+        assert not check(VectorField(chart, [F.random_nonzero(rng), F.one()]))
+    # GF(257^2) has no tables; affine linear components keep every iterate
+    # of degree at most 1 through the 256 steps
+    F = GF(257, 2)
+    for nvars in (1, 2):
+        chart = affine_chart(F, nvars)
+        comps = [random_poly(F, nvars, rng, 1, 4) for _ in range(nvars)]
+        comps = [MultiPoly(F, nvars, {e: a for e, a in c.terms.items() if sum(e) <= 1})
+                 for c in comps]
+        assert check(VectorField(chart, comps))
+    # homogeneous cubic components on a cone: v^(p-1)(c_i) has degree
+    # 3 + 2(p - 1), and an exponent of one variable reaches it, the largest
+    # exponent the packing of pth_power leaves room for
+    for F in (GF(3, 2), GF(5), GF(7)):
+        p = F.characteristic
+        chart = cone_chart(F, 2)
+        v = VectorField(chart, [homogeneous_poly(F, 3, rng, 3, 4) for _ in range(3)])
+        vp = check(v)
+        assert max(max(e) for c in vp.comps for e in c.terms) == 3 + 2 * (p - 1)
 
 
 def test_pth_power_needs_positive_characteristic():

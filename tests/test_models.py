@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pfol.exterior import DiffForm, affine_chart, cone_chart
@@ -124,6 +126,35 @@ def test_kronecker_probe():
     res = kronecker_probe([-1, 0, 1], 200)
     assert res["verdict"] == "rational-like"
     assert res["density"] == 1.0
+
+
+def test_kronecker_probe_counts_the_roots_a_search_finds():
+    # a prime is good when the minimal polynomial keeps a positive degree
+    # modulo it, and has a root when some residue is one
+    fixed = [
+        [2, -3, 0, 1],        # (a - 1)^2 (a + 2): a repeated root
+        [1, 4, 5, 4, 4],      # (2a + 1)^2 (a^2 + 1): not monic, a repeated root
+        [0, 0, 1, 1],         # a^2 (a + 1): the root 0
+        [1, 0, 6],            # 6a^2 + 1: constant modulo 2 and 3
+        [5, 3, 0, 10],        # 10a^3 + 3a + 5: degree 1 modulo 2 and 5
+        [7, 0, 0, 0, 0, 1],   # a^5 + 7
+    ]
+    rng = random.Random(3)
+    drawn = []
+    for _ in range(20):
+        f = [rng.randint(-20, 20) for _ in range(rng.randint(1, 5))]
+        drawn.append(f + [rng.choice([-6, -1, 1, 2, 3, 15])])
+    for f in fixed + drawn:
+        good = with_root = 0
+        for p in primes_upto(60):
+            if not any(c % p for c in f[1:]):
+                continue
+            good += 1
+            with_root += any(
+                sum(c * x**i for i, c in enumerate(f)) % p == 0 for x in range(p)
+            )
+        res = kronecker_probe(f, 60)
+        assert (res["good_primes"], res["primes_with_root"]) == (good, with_root), f
 
 
 def frobenius_power_form(p: int) -> DiffForm:
