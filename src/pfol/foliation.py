@@ -294,16 +294,25 @@ def from_form(form: DiffForm) -> Foliation:
     if form.is_zero:
         raise ValidationError("the zero form defines no foliation")
     form = form.saturate()
+    return _validated(
+        form, lambda: form.pair(euler_field(form.chart)), lambda: form.wedge(form.d())
+    )
+
+
+def _validated(form: DiffForm, radial, defect) -> Foliation:
+    """``from_form``'s checks on a saturated nonzero 1-form, in its order:
+    ``radial()`` and ``defect()`` are truthy exactly when i_R(form) and
+    form /\\ d(form) do not vanish, and are called only when needed."""
     chart = form.chart
     degree = None
     if chart.is_cone:
         d = form.max_coeff_degree()
         if not form.is_homogeneous_of(d):
             raise ValidationError("coefficients must be homogeneous of equal degree")
-        if form.pair(euler_field(chart)):
+        if radial():
             raise ValidationError("form is not annihilated by the radial field")
         degree = d - 1
-    if chart.nvars >= 3 and form.wedge(form.d()):
+    if chart.nvars >= 3 and defect():
         raise ValidationError("form is not integrable")
     return Foliation(form, degree)
 

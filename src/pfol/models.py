@@ -2,9 +2,10 @@
 modulo primes, prime scans, the Kronecker rationality probe and the integer
 integrability defect.
 
-A model is its form alone, and a reduction keeps the form's chart over the
-residue field.  ``from_form`` validates every reduction: a non-integrable
-integral form can become integrable modulo p (see the integer defect).
+A model is its form, with two identities computed from it (see below), and
+a reduction keeps the form's chart over the residue field.  Every reduction is validated as ``from_form`` would
+validate it: a non-integrable integral form can become integrable modulo p
+(see the integer defect).
 
 A prime scan makes one derivation pass for all its primes.  For each
 Koszul field v = a_j d_i - a_i d_j of the model's form omega, taken over
@@ -28,6 +29,41 @@ scan's primes from p on.  That is exact too, since every later reduction
 is modulo a prime dividing M, and it bounds the coefficients, which
 otherwise grow like m!.  A scan thus makes pmax derivation steps where one
 foliation per prime makes the sum of the primes.
+
+``reduce_model`` validates a row from two identities of the model's form,
+computed once over R: omega /\\ d(omega) in three or more variables, and the
+radial pairing i_R(omega) on the cone.  A row reads off their reductions
+modulo P, the checks in ``from_form``'s order and with its messages.  This
+is exact: reduction modulo P is a ring map that commutes with d, /\\ and
+contraction, so the identities of the reduced form are the reductions of
+the model's; and the row has passed its content check first, so the
+reduced form is saturated and is the form ``from_form`` would validate.
+Homogeneity stays a check on the reduced form, since reduction can drop the
+terms that break it.
+
+The Kronecker probe asks at each prime p <= pmax whether f mod p has a
+root, and serves all primes from one power ladder.  Let f have degree k
+and leading coefficient L, and let g(y) = L^(k-1) f(y/L) = sum_i f_i
+L^(k-1-i) y^i, monic over Z.  Since L^(k-1) f(x) = g(Lx), for p not
+dividing L the map x -> Lx takes the roots of f mod p one to one onto
+those of g mod p; and g mod p has a root exactly when gcd(y^p - y, g) is
+nonconstant over F_p, y^p - y being the product of the y - c for c in F_p.
+The probe keeps y^m mod g over Z and raises m by one per step: pop the top
+coefficient c, shift, subtract c * g.  Since g is monic, this commutes
+with reduction mod p, so y^p mod (p, g) is the ladder at m = p, reduced.
+The primes that divide L keep the distinct-degree test of f mod p.  The
+ladder stays exact until its top coefficient, which every coefficient
+becomes within k steps, has more bits than M, the product of the primes
+not dividing L from p on; then every coefficient is reduced mod M.  That
+is exact, since every later read is mod a prime dividing M, and it bounds
+the coefficients by M times the growth of k steps.  Until then they grow
+by about log2 of the largest absolute value of a root of g per step.  A
+probe thus makes pmax steps of k products of a small integer by a number
+of at most about log2 M bits, where powering x^p mod f afresh costs about
+log2 p products of polynomials at each prime.  Since log2 M falls from
+about 1.44 pmax, the ladder's bit operations grow like pmax^2: it is the
+faster route up to pmax in the tens of thousands, and slower beyond, the
+sooner the larger the roots of g.
 """
 
 from __future__ import annotations
@@ -40,14 +76,15 @@ from dataclasses import dataclass, asdict
 
 from .exterior import (
     Chart, DiffForm, VectorField, _derivation_step, _pack, _packing, _unpack,
+    euler_field,
 )
 from .foliation import (
     Foliation,
     PCurvature,
     ValidationError,
+    _validated,
     cartier_transform_foliation,
     degeneracy_divisor,
-    from_form,
     is_p_closed,
     koszul_fields,
 )
@@ -60,7 +97,10 @@ from .rings import (
     _distinct_degree,
     factor_mod_p,
     format_up,
+    is_prime,
     primes_upto,
+    up_gcd,
+    up_sub,
     up_trim,
 )
 
@@ -71,14 +111,24 @@ class BadReductionError(ArithmeticError):
 
 @dataclass
 class IntegralModel:
-    """A foliation form with integer or number-ring coefficients."""
+    """A foliation 1-form with integer or number-ring coefficients.
+
+    It keeps the identities that validate its reductions (see the module
+    docstring): ``_radial``, i_R(form) on the cone, and ``_defect``,
+    form /\\ d(form) in three or more variables; each is None elsewhere.
+    """
 
     form: DiffForm
 
     def __post_init__(self):
-        ring = self.form.chart.ring
-        if not isinstance(ring, (NumberRing, type(ZZ))):
+        form = self.form
+        chart = form.chart
+        if not isinstance(chart.ring, (NumberRing, type(ZZ))):
             raise ValidationError("integral models need Z or Z[a]/(f) coefficients")
+        if form.q != 1:
+            raise ValidationError("a defining form must be a 1-form")
+        self._radial = form.pair(euler_field(chart)) if chart.is_cone else None
+        self._defect = form.wedge(form.d()) if chart.nvars >= 3 else None
 
     @property
     def ring(self):
@@ -123,9 +173,17 @@ def _embedding(ring, field: GF, g):
     return embed
 
 
+def _survives(polys, embed) -> bool:
+    """Whether some coefficient of the polynomials ``polys`` over the
+    model's ring has a nonzero image under ``embed``."""
+    return any(embed(c) for f in polys for c in f.terms.values())
+
+
 def reduce_model(model: IntegralModel, p: int, g=None) -> Foliation:
     """Reduce an integral model modulo a prime (and a factor choice for
-    number-ring coefficients).  Bad primes raise BadReductionError."""
+    number-ring coefficients).  Bad primes raise BadReductionError.  The
+    reduced form is validated from the reductions of the model's
+    identities (see the module docstring)."""
     field, embed = reduction_field(model, p, g)
     src = model.form
     n = src.chart.nvars
@@ -143,7 +201,11 @@ def reduce_model(model: IntegralModel, p: int, g=None) -> Foliation:
     if not form.content().is_constant:
         raise BadReductionError(f"saturation lost modulo {p}")
     try:
-        return from_form(form)
+        return _validated(
+            form,
+            lambda: _survives([model._radial], embed),
+            lambda: _survives(model._defect.terms.values(), embed),
+        )
     except ValidationError as exc:
         raise BadReductionError(f"validation lost modulo {p}: {exc}") from exc
 
@@ -277,19 +339,41 @@ def scan_to_json(rows: list[ScanRow]) -> str:
 
 def kronecker_probe(minpoly, pmax: int) -> dict:
     """Fraction of good primes <= pmax where the minimal polynomial has a
-    root; density one characterizes (the reduction behavior of) a rational."""
-    minpoly = list(minpoly)
-    if len(up_trim(list(minpoly))) < 2:
+    root; density one characterizes (the reduction behavior of) a rational.
+    One power ladder serves every prime that does not divide the leading
+    coefficient (see the module docstring)."""
+    f = up_trim(list(minpoly))
+    if len(f) < 2:
         raise ValueError("minimal polynomial must be nonconstant")
-    good = 0
-    with_root = 0
-    for p in primes_upto(pmax):
-        f = up_trim([c % p for c in minpoly])
-        if len(f) < 2:
-            continue  # degree drop: bad prime
+    k, lead = len(f) - 1, f[-1]
+    # g(y) = lead^(k-1) f(y / lead), monic
+    g = [c * lead ** (k - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    g0, rest = g[0], g[1:k]
+    primes = primes_upto(pmax)
+    ahead = math.prod(p for p in primes if lead % p)
+    bits = ahead.bit_length()
+    ladder, m = [1] + [0] * (k - 1), 0  # y^m mod g
+    good = with_root = 0
+    for p in primes:
+        if lead % p:
+            for _ in range(m, p):
+                c = ladder[-1]
+                ladder = [-c * g0, *[a - c * b for a, b in zip(ladder, rest)]]
+                if c.bit_length() > bits:
+                    ladder = [a % ahead for a in ladder]
+            m = p
+            ahead //= p
+            bits = ahead.bit_length()
+            h = up_sub(up_trim([a % p for a in ladder]), [0, 1], p)
+            root = len(up_gcd(h, [c % p for c in g], p)) > 1
+        else:
+            fp = up_trim([c % p for c in f])
+            if len(fp) < 2:
+                continue  # degree drop to a constant: bad prime
+            # f has a root iff its first distinct-degree part has d = 1
+            root = next(_distinct_degree(fp, p))[0] == 1
         good += 1
-        # f has a root iff its first distinct-degree part has d = 1
-        with_root += next(_distinct_degree(f, p))[0] == 1
+        with_root += root
     if not good:
         raise ValueError("no good prime up to pmax")
     return {
@@ -317,6 +401,8 @@ def integrability_defect_integer(form: DiffForm) -> DiffForm:
 
 def classify_integer_defect(defect: DiffForm, p: int) -> dict:
     """Whether the defect is +-p * m * (monomial 3-form); reports p-content."""
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
     if defect.is_zero:
         return {"zero": True}
     coeff = defect.coeff((0, 1, 2))

@@ -7,14 +7,18 @@ then lex with the first variable largest).
 
 No general factorization is attempted: the only decompositions provided are
 multivariate gcd over a field and squarefree decomposition (with the
-characteristic-p p-th power branch).  The gcd dehomogenizes two forms at
-x_0, runs Euclid on dense coefficient lists when the inputs use one
-variable, and keeps a primitive pseudo-remainder sequence only for
-inhomogeneous inputs in two or more variables; its pseudo-remainders work
-on the univariate view, one coefficient product at a time.  The gcd of a
-list, which also gives every content, folds from its sparsest entry and
-settles an entry by one trial division when the running gcd divides it,
-so a pairwise gcd runs only where the running gcd must shrink.
+characteristic-p p-th power branch).  The gcd with a monomial is the
+monomial of the least exponents of both inputs, with no further work: a
+divisor of a monomial is a monomial, and x^d divides a polynomial exactly
+when d is at most the exponents of each of its terms.  Otherwise the gcd
+dehomogenizes two forms at x_0, runs Euclid on dense coefficient lists
+when the inputs use one variable, and keeps a primitive pseudo-remainder
+sequence only for inhomogeneous inputs in two or more variables; its
+pseudo-remainders work on the univariate view, one coefficient product at
+a time.  The gcd of a list, which also gives every content, folds from its
+sparsest entry and settles an entry by one trial division when the running
+gcd divides it, so a pairwise gcd runs only where the running gcd must
+shrink.
 
 The arithmetic loops work on plain dicts and wrap each result once.
 ``MultiPoly(ring, nvars, terms)`` checks every term; the private
@@ -581,8 +585,10 @@ def _univariate_gcd(f: MultiPoly, g: MultiPoly, v: int) -> MultiPoly:
 def gcd_multi(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Monic gcd over a coefficient field.
 
-    Two forms in two or more variables are dehomogenized at x_0: their gcd
-    is x_0^min(ord f, ord g) times the homogenized gcd of f|_{x_0=1} and
+    When f or g is a single term the gcd is the monomial whose exponent of
+    each variable is the least over the terms of both.  Two forms in two or
+    more variables are dehomogenized at x_0: their gcd is
+    x_0^min(ord f, ord g) times the homogenized gcd of f|_{x_0=1} and
     g|_{x_0=1}.  Inputs that together use one variable go to Euclid on
     dense coefficient lists.  The rest, inhomogeneous in two or more
     variables, take a primitive pseudo-remainder sequence in the last
@@ -599,6 +605,10 @@ def gcd_multi(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return f.monic()
     if f.is_constant or g.is_constant:
         return MultiPoly.one(f.ring, f.nvars)
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        # a divisor of a monomial is a monomial
+        least = tuple(map(min, zip(*f.terms, *g.terms)))
+        return MultiPoly._new(f.ring, f.nvars, {least: f.ring.one()})
     if f.nvars >= 2 and f.is_homogeneous() and g.is_homogeneous():
         # set_var_one cannot cancel terms of a form, so this is exact
         k = min(min(e[0] for e in f.terms), min(e[0] for e in g.terms))

@@ -19,7 +19,7 @@ from pfol.models import (
 )
 from pfol.mpoly import MultiPoly
 from pfol.rings import GF, NumberRing, ZZ, factor_mod_p, primes_upto
-from scan_reference import reference_scan
+from scan_reference import reference_kronecker_probe, reference_reduce_model, reference_scan
 
 
 def log_model():
@@ -128,23 +128,25 @@ def test_kronecker_probe():
     assert res["density"] == 1.0
 
 
+PROBE_MINPOLYS = [
+    [2, -3, 0, 1],        # (a - 1)^2 (a + 2): a repeated root
+    [1, 4, 5, 4, 4],      # (2a + 1)^2 (a^2 + 1): not monic, a repeated root
+    [0, 0, 1, 1],         # a^2 (a + 1): the root 0
+    [1, 0, 6],            # 6a^2 + 1: constant modulo 2 and 3
+    [5, 3, 0, 10],        # 10a^3 + 3a + 5: degree 1 modulo 2 and 5
+    [7, 0, 0, 0, 0, 1],   # a^5 + 7
+]
+
+
 def test_kronecker_probe_counts_the_roots_a_search_finds():
     # a prime is good when the minimal polynomial keeps a positive degree
     # modulo it, and has a root when some residue is one
-    fixed = [
-        [2, -3, 0, 1],        # (a - 1)^2 (a + 2): a repeated root
-        [1, 4, 5, 4, 4],      # (2a + 1)^2 (a^2 + 1): not monic, a repeated root
-        [0, 0, 1, 1],         # a^2 (a + 1): the root 0
-        [1, 0, 6],            # 6a^2 + 1: constant modulo 2 and 3
-        [5, 3, 0, 10],        # 10a^3 + 3a + 5: degree 1 modulo 2 and 5
-        [7, 0, 0, 0, 0, 1],   # a^5 + 7
-    ]
     rng = random.Random(3)
     drawn = []
     for _ in range(20):
         f = [rng.randint(-20, 20) for _ in range(rng.randint(1, 5))]
         drawn.append(f + [rng.choice([-6, -1, 1, 2, 3, 15])])
-    for f in fixed + drawn:
+    for f in PROBE_MINPOLYS + drawn:
         good = with_root = 0
         for p in primes_upto(60):
             if not any(c % p for c in f[1:]):
@@ -155,6 +157,45 @@ def test_kronecker_probe_counts_the_roots_a_search_finds():
             )
         res = kronecker_probe(f, 60)
         assert (res["good_primes"], res["primes_with_root"]) == (good, with_root), f
+
+
+def probe_outcome(probe, f, pmax):
+    try:
+        return probe(f, pmax)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("pmax", [2, 3, 60, 3000])
+def test_kronecker_probe_matches_the_per_prime_route(pmax):
+    rng = random.Random(11)
+    drawn = [
+        [rng.randint(-30, 30) for _ in range(rng.randint(1, 5))]
+        + [rng.choice([-6, -1, 1, 2, 3, 15])]
+        for _ in range(8)
+    ]
+    special = [
+        [-3, 2],              # 2a - 3: degree 1
+        [7, 1],               # a + 7: degree 1, monic
+        [1, 1, 0, 6],         # 6a^3 + a + 1: leading coefficient 6
+        [-2, 0, 5, 15],       # 15a^3 + 5a^2 - 2: leading coefficient 15
+        # a^2 - 10^40: the ladder's coefficients grow by 133 bits every
+        # second step, past the product of the primes within 70 steps
+        [-10**40, 0, 1],
+    ]
+    for f in PROBE_MINPOLYS + drawn + special:
+        expected = probe_outcome(reference_kronecker_probe, f, pmax)
+        assert probe_outcome(kronecker_probe, f, pmax) == expected, f
+    # 6a^2 + 1 is constant modulo 2 and 3
+    assert probe_outcome(kronecker_probe, [1, 0, 6], 3) == "no good prime up to pmax"
+
+
+def test_kronecker_probe_needs_a_good_prime():
+    for pmax in (1, 0, -5):
+        with pytest.raises(ValueError, match="no good prime"):
+            kronecker_probe([1, 0, 1], pmax)
+    with pytest.raises(ValueError, match="nonconstant"):
+        kronecker_probe([3, 0, 0], 50)
 
 
 def frobenius_power_form(p: int) -> DiffForm:
@@ -187,6 +228,14 @@ def test_scan_validates_every_reduction():
     assert notes[3] == ""
     for q in (2, 5, 7):
         assert notes[q] == f"validation lost modulo {q}: form is not integrable"
+
+
+@pytest.mark.parametrize("p", [1, -1, 0, 4])
+def test_classify_integer_defect_refuses_a_p_that_is_not_prime(p):
+    zero = DiffForm(affine_chart(ZZ, 3), 3, {})
+    for defect in (integrability_defect_integer(frobenius_power_form(3)), zero):
+        with pytest.raises(ValueError, match=f"p must be a prime, got {p}"):
+            classify_integer_defect(defect, p)
 
 
 def test_integer_defect_of_integrable_form_is_zero():
@@ -327,3 +376,71 @@ def test_dense_plane_model_pcurvature_matches_the_per_prime_route(monkeypatch):
     for p, vals in zip(primes, seen):
         expected = reduce_model(model, p).pcurvature.values
         assert [v for v in vals if v] == [v for v in expected if v]
+
+
+# ---------------------------------------------------------------------------
+# validation from the model's identities against from_form on each reduction
+
+
+def radial_mod_5_model():
+    # the projective model plus 5 x1^2 dx0: i_R(omega) = 5 x0 x1^2, which
+    # vanishes modulo 5 only
+    model = projective_z_model()
+    x1 = model.form.chart.vars()[1]
+    extra = DiffForm(model.form.chart, 1, {(0,): (x1 * x1).scale(5)})
+    return IntegralModel(model.form + extra)
+
+
+def homogeneous_mod_5_model():
+    # the projective model plus 5 x0 dx0: of degrees 1 and 2 over Z, and
+    # homogeneous modulo 5 only
+    model = projective_z_model()
+    x0 = model.form.chart.vars()[0]
+    return IntegralModel(model.form + DiffForm(model.form.chart, 1, {(0,): x0.scale(5)}))
+
+
+def ring_power_model():
+    # a x^2 dx + z^3 y^2 dy over Z[a]/(a^2+1): omega /\ d(omega) is
+    # -3a (xyz)^2 dx dy dz, so only the reductions over 3 are integrable
+    R = NumberRing([1, 0, 1])
+    chart = affine_chart(R, 3)
+    x, y, z = chart.vars()
+    return IntegralModel(DiffForm(chart, 1, {
+        (0,): (x * x).scale(R.generator()), (1,): z**3 * y * y,
+    }))
+
+
+def reduction_outcome(reduce, model, p, g):
+    try:
+        fol = reduce(model, p, g)
+    except BadReductionError as exc:
+        return str(exc)
+    return fol.form, fol.degree
+
+
+@pytest.mark.parametrize("make_model, pmax, expected", [
+    (lambda: IntegralModel(frobenius_power_form(3)), 13,
+     {3: None, 5: "validation lost modulo 5: form is not integrable"}),
+    (radial_mod_5_model, 13,
+     {5: None, 7: "validation lost modulo 7: form is not annihilated by the radial field"}),
+    (homogeneous_mod_5_model, 13,
+     {5: None, 7: "validation lost modulo 7: coefficients must be homogeneous of equal degree"}),
+    (ring_power_model, 13,
+     {3: None, 5: "validation lost modulo 5: form is not integrable"}),
+    (projective_z_model, 13, {}),
+    (log_model, 13, {}),
+    (cubic_ring_model, 7, {}),
+], ids=["not_integrable_over_z", "radial_mod_5", "homogeneous_mod_5",
+        "nr_not_integrable", "projective_z", "nr_a2_plus_1", "nr_a3_a_1"])
+def test_reduce_model_matches_from_form_on_the_reduced_form(make_model, pmax, expected):
+    model = make_model()
+    for p in primes_upto(pmax):
+        factors = [None]
+        if model.minpoly is not None:
+            factors = [g for g, _ in factor_mod_p(model.minpoly, p)]
+        for g in factors:
+            got = reduction_outcome(reduce_model, model, p, g)
+            assert got == reduction_outcome(reference_reduce_model, model, p, g), (p, g)
+            if p in expected:
+                message = got if isinstance(got, str) else None
+                assert message == expected[p], (p, g)

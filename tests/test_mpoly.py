@@ -592,3 +592,35 @@ def test_prem_on_univariate_views_matches_whole_polynomial_reference(ring):
             for v in range(nvars):
                 for dividend in (a, a * b, b):
                     assert mpoly._prem(dividend, b, v) == _prs_prem(dividend, b, v)
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(3, 2), GF(7), QQ], ids=repr)
+def test_gcd_with_a_monomial_matches_the_reference(ring):
+    rng = random.Random(44)
+    for nvars in (1, 2, 3):
+        one = MultiPoly.one(ring, nvars)
+        for _ in range(6):
+            exps = [tuple(rng.randrange(4) for _ in range(nvars)) for _ in range(3)]
+            monos = [
+                MultiPoly.monomial(ring, nvars, e, nonzero_scalar(ring, rng)) for e in exps
+            ]
+            m, m2 = monos[0], monos[1]
+            f = random_poly(ring, nvars, rng, deg=3, nterms=4)
+            if f.is_zero:
+                f = one + MultiPoly.var(ring, nvars, 0)
+            pairs = [
+                (m, f),                      # no monomial factor in general
+                (m, f * m2),                 # a monomial factor
+                (f * m * m2, m2),            # the monomial divides the polynomial
+                (m, m2),                     # two monomials
+                (m, MultiPoly.var(ring, nvars, nvars - 1) + one),  # exponents of 0
+                (MultiPoly.monomial(ring, nvars, (0,) * (nvars - 1) + (2,), 1), f),
+            ]
+            for a, b in pairs:
+                expected = gcd_prs_reference(a, b)
+                assert gcd_multi(a, b) == expected
+                assert gcd_multi(b, a) == expected
+            lists = [monos, [m, f * m, m2 * m], [m, MultiPoly.zero(ring, nvars), m2]]
+            for polys in lists:
+                assert gcd_list(polys) == gcd_list_reference(polys)
+                assert gcd_list(polys[::-1]) == gcd_list_reference(polys)
