@@ -9,11 +9,26 @@ exactly by the vanishing of its 4x4 Pfaffians.  The integrability of the
 witness's kernel is the polynomial identity (i_{d/dx_k} Theta) /\\ dTheta = 0
 for every k, which characterises integrability for decomposable 2-forms.
 
-The constraint rows are written in closed form from the coefficients of
-omega, with no form built per unknown (:func:`_constraint_rows`).
-:func:`rref` keeps its pivot rows fully reduced, so each new row is
-reduced in one pass over its pivot columns.  Random combinations of a
-solution basis are drawn only after every basis form has been rejected.
+The radial condition is solved in closed form.  The Koszul complex of
+x_0, ..., x_n, whose differential is i_R, is exact at the q-forms for
+every q >= 1 over every field (x_0, ..., x_n is a regular sequence), so
+the 2-forms with i_R Theta = 0 and coefficients of degree delta+1 are
+exactly the Theta = i_R Psi, Psi a 3-form with coefficients of degree
+delta.  For a projective foliation i_R omega = 0, and i_R is an
+antiderivation, so i_R(Psi /\\ omega) = (i_R Psi) /\\ omega - Psi /\\ i_R omega
+= Theta /\\ omega.  The search therefore solves the small system
+i_R(Psi /\\ omega) = 0 (:func:`_koszul_rows`): in four variables
+Psi /\\ omega is a top form, on which i_R is injective, so the condition is
+Psi /\\ omega = 0, one row per monomial; in three variables it is empty.
+The kernel is mapped through i_R, and :func:`rref` on the reversed columns
+reduces the image to the reduced echelon basis of the solution space with
+its pivots on the free columns: a basis fixed by the space alone, the one
+the full system's :func:`nullspace` gives.  :func:`rref` keeps its pivot
+rows fully reduced, so each new row is reduced in one pass over its pivot
+columns.  Random combinations of a solution basis are drawn only after
+every basis form has been rejected.  Over Q the unit content of a
+candidate is proved from one image mod a large prime when it can be
+(:func:`has_unit_content`).
 """
 
 from __future__ import annotations
@@ -28,8 +43,8 @@ from operator import add
 from . import InternalError
 from .exterior import DiffForm, VectorField, _sort_sign
 from .foliation import Foliation
-from .mpoly import MultiPoly
-from .rings import GF
+from .mpoly import MultiPoly, gcd_list
+from .rings import GF, QQ
 
 
 # ---------------------------------------------------------------------------
@@ -114,51 +129,68 @@ class SubdistributionSystem:
     basis: list  # solution 2-forms
 
 
-def _constraint_rows(fol: Foliation, delta: int) -> tuple[list, list[dict]]:
-    """The unknowns of degree delta and the rows of their linear system.
+def _koszul_rows(fol: Foliation, delta: int) -> tuple[list, list[dict]]:
+    """The unknowns of Psi in degree delta and the rows of i_R(Psi /\\ omega) = 0.
 
-    The unknowns are the coefficients of x^m dx_i/\\dx_j (i < j, |m| =
-    delta+1), and the rows are written from the coefficients of omega
-    without building a form per unknown:
-
-    - i_R(x^m dx_i/\\dx_j) = x^m x_i dx_j - x^m x_j dx_i gives +1 in row
-      ("r", (j,), m+e_i) and -1 in row ("r", (i,), m+e_j);
-    - for each term v x^e of a_k, k not in {i, j}, x^m dx_i/\\dx_j /\\ a_k dx_k
-      gives +-v in row ("w", sorted (i, j, k), m+e), signed by the sort.
-
-    The rows come sorted by the repr of these keys.
+    The unknowns are the coefficients of x^m dx_a/\\dx_b/\\dx_c (a < b < c,
+    |m| = delta).  For each term v x^e of a_k, k not in {a, b, c},
+    x^m dx_a/\\dx_b/\\dx_c /\\ a_k dx_k puts +-v at (sorted (a, b, c, k), m+e)
+    of Psi /\\ omega, signed by the sort; no two terms meet there.  In four
+    variables these 4-forms are top forms, on which i_R is injective, so
+    their coefficients are the rows.  In more variables i_R takes the entry
+    at (I, f) to (I without I_s, f+e_{I_s}) with sign (-1)^s, and entries
+    may meet and cancel.  In three variables there are no rows.
     """
     n1 = fol.chart.nvars
-    one = fol.ring.one()
-    minus_one = -one
-    pairs = list(itertools.combinations(range(n1), 2))
-    monos = list(_monomials(n1, delta + 1))
-    unknowns = [(pair, m) for pair in pairs for m in monos]
+    triples = list(itertools.combinations(range(n1), 3))
+    monos = list(_monomials(n1, delta))
+    unknowns = [(triple, m) for triple in triples for m in monos]
     omega = [(k, list(c.terms.items())) for (k,), c in fol.form.terms.items()]
-    constraints: defaultdict = defaultdict(dict)
-    # every (row, unknown) entry is written once: no two terms meet
+    wedge: defaultdict = defaultdict(dict)
     col = 0
-    for i, j in pairs:
+    for triple in triples:
         wedge_terms = []
         for k, terms in omega:
-            if k != i and k != j:
-                idx, sign = _sort_sign((i, j, k))
+            if k not in triple:
+                idx, sign = _sort_sign(triple + (k,))
                 wedge_terms.append(
                     (idx, terms if sign > 0 else [(e, -v) for e, v in terms])
                 )
         for m in monos:
-            constraints["r", (j,), m[:i] + (m[i] + 1,) + m[i + 1:]][col] = one
-            constraints["r", (i,), m[:j] + (m[j] + 1,) + m[j + 1:]][col] = minus_one
             for idx, terms in wedge_terms:
                 for e, v in terms:
-                    constraints["w", idx, tuple(map(add, m, e))][col] = v
+                    wedge[idx, tuple(map(add, m, e))][col] = v
             col += 1
-    return unknowns, [constraints[k] for k in sorted(constraints, key=repr)]
+    if n1 == 4:
+        return unknowns, list(wedge.values())
+    rows: defaultdict = defaultdict(dict)
+    for (idx, f), entries in wedge.items():
+        for s, i in enumerate(idx):
+            row = rows[idx[:s] + idx[s + 1:], f[:i] + (f[i] + 1,) + f[i + 1:]]
+            for c, v in entries.items():
+                if s % 2:
+                    v = -v
+                nv = row.get(c)
+                nv = v if nv is None else nv + v
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c)
+    return unknowns, [row for row in rows.values() if row]
 
 
 def subdistribution_space(fol: Foliation, delta: int) -> SubdistributionSystem:
-    """Assemble and solve the linear system for degree-delta candidates:
-    i_R Theta = 0 and Theta /\\ omega = 0, rows from :func:`_constraint_rows`."""
+    """The degree-delta candidates Theta, with i_R Theta = 0 and
+    Theta /\\ omega = 0, as Theta = i_R Psi with i_R(Psi /\\ omega) = 0.
+
+    The kernel of :func:`_koszul_rows` is mapped through i_R into the
+    unknowns x^m dx_i/\\dx_j (i < j, |m| = delta+1), and its image is
+    reduced with the columns reversed.  The kernel vector of the full
+    system for a free column f is 1 at f, 0 at the other free columns and
+    otherwise nonzero only at pivot columns below f: it is the reduced
+    echelon basis with the columns reversed, unique for the space.  So the
+    basis is one form per free column, in their order.
+    """
     if not fol.projective:
         raise ValueError("the subdistribution search is projective")
     if delta < 0:
@@ -166,17 +198,40 @@ def subdistribution_space(fol: Foliation, delta: int) -> SubdistributionSystem:
     chart = fol.chart
     ring = chart.ring
     n1 = chart.nvars
-    unknowns, rows = _constraint_rows(fol, delta)
-    kernel = nullspace(rows, len(unknowns), ring.one())
-    basis = []
-    for vec in kernel:
-        terms: dict = {}
+    pairs = list(itertools.combinations(range(n1), 2))
+    monos = list(_monomials(n1, delta + 1))
+    unknowns = [(pair, m) for pair in pairs for m in monos]
+    # reversed column of x^m dx_i/\dx_j: last - pair_col[i, j] - mono_col[m]
+    last = len(unknowns) - 1
+    pair_col = {pair: n * len(monos) for n, pair in enumerate(pairs)}
+    mono_col = {m: n for n, m in enumerate(monos)}
+    psi_unknowns, rows = _koszul_rows(fol, delta)
+    images = []
+    for vec in nullspace(rows, len(psi_unknowns), ring.one()):
+        image: dict = {}
         for col, val in vec.items():
-            pair, m = unknowns[col]
-            mono = MultiPoly.monomial(ring, n1, m, val)
-            cur = terms.get(pair)
-            terms[pair] = mono if cur is None else cur + mono
-        basis.append(DiffForm(chart, 2, terms))
+            (a, b, c), m = psi_unknowns[col]
+            # i_R(x^m dx_a/\dx_b/\dx_c)
+            #   = x^m (x_a dx_b/\dx_c - x_b dx_a/\dx_c + x_c dx_a/\dx_b)
+            for pair, i, v in (((b, c), a, val), ((a, c), b, -val), ((a, b), c, val)):
+                key = last - pair_col[pair] - mono_col[m[:i] + (m[i] + 1,) + m[i + 1:]]
+                nv = image.get(key)
+                nv = v if nv is None else nv + v
+                if nv:
+                    image[key] = nv
+                else:
+                    image.pop(key)
+        images.append(image)
+    echelon = rref(images)
+    basis = []
+    for lead in sorted(echelon, reverse=True):
+        terms: defaultdict = defaultdict(dict)
+        for key, val in echelon[lead].items():
+            pair, m = unknowns[last - key]
+            terms[pair][m] = val
+        basis.append(DiffForm(
+            chart, 2, {pair: MultiPoly(ring, n1, t) for pair, t in terms.items()}
+        ))
     return SubdistributionSystem(delta, unknowns, len(basis), basis)
 
 
@@ -217,6 +272,40 @@ def witness_integrability(theta: DiffForm) -> bool:
         if theta.contract(field).wedge(dtheta):
             return False
     return True
+
+
+# a prime above rings.TABLE_LIMIT, so GF(p) computes with ints and builds no tables
+CONTENT_PRIME = 2**31 - 1
+
+
+def has_unit_content(theta: DiffForm) -> bool:
+    """Whether the coefficients of a nonzero theta have a constant gcd.
+
+    Over Q one image mod p = ``CONTENT_PRIME`` proves it when p divides no
+    denominator and not the numerator of the leading coefficient of some
+    theta_ij: clearing denominators by their lcm L, the primitive integer
+    gcd g divides every L theta_ij in Z[x] (Gauss's lemma), so lc(g)
+    divides lc(L theta_ij), p does not divide lc(g), and g mod p keeps its
+    degree and divides every image.  A constant gcd of the images mod p
+    therefore makes g constant.  When the images share a factor, or p does
+    not qualify, the content is computed over Q.  Every other ring reads
+    ``theta.content()``.
+    """
+    coeffs = theta.terms.values()
+    if theta.chart.ring == QQ:
+        p = CONTENT_PRIME
+        if all(
+            v.denominator % p for c in coeffs for v in c.terms.values()
+        ) and any(c.leading()[1].numerator % p for c in coeffs):
+            field = GF(p)
+            images = [
+                MultiPoly(field, theta.chart.nvars,
+                          {e: field.coerce(v) for e, v in c.terms.items()})
+                for c in coeffs
+            ]
+            if gcd_list(images).is_constant:
+                return True
+    return theta.content().is_constant
 
 
 @dataclass
@@ -280,7 +369,7 @@ def distmin2(fol: Foliation, delta_max: int | None = None, seed: int = 0) -> Dis
             if theta.is_zero:
                 continue
             checked += 1
-            if not theta.content().is_constant:
+            if not has_unit_content(theta):
                 continue
             if not is_rank_two(theta):
                 continue

@@ -63,10 +63,11 @@ def tokenize(text: str, line: int | None = None):
     tokens = []
     pos = 0
     while pos < len(text):
-        if text[pos:].strip() == "":
-            break
         m = _TOKEN_RE.match(text, pos)
         if not m:
+            # only blanks may follow the last token
+            if text[pos:].strip() == "":
+                break
             raise ParseError(f"unexpected character {text[pos]!r}", pos, line)
         pos = m.end()
         if m.group("wedge"):
@@ -119,7 +120,8 @@ class ExprContext:
 class _ExprParser:
     """Recursive descent over pairs (value, den) standing for value / den:
     the value is a ``MultiPoly`` or a ``DiffForm``, den a monic
-    ``MultiPoly``."""
+    ``MultiPoly``.  The denominator 1 is always ``self.one``, and the
+    operations skip their products with it."""
 
     def __init__(self, tokens, ctx: ExprContext):
         self.tokens = tokens
@@ -193,8 +195,8 @@ class _ExprParser:
             if isinstance(val, DiffForm):
                 self.error("cannot raise a form to a power")
             if e < 0:
-                return self._div((self.one, self.one), (val**-e, den**-e))
-            return val**e, den**e
+                return self._div((self.one, self.one), (val**-e, self._den_pow(den, -e)))
+            return val**e, self._den_pow(den, e)
         return base
 
     def int_atom(self) -> int:
@@ -256,7 +258,7 @@ class _ExprParser:
         kind, text, _ = self.peek()
         if kind == "num":
             self.advance()
-            return self.one * text, self.one
+            return self._const(text), self.one
         if kind == "op" and text == "(":
             self.advance()
             val = self.expr()
@@ -270,7 +272,7 @@ class _ExprParser:
                 return ctx.chart.var(idx), self.one
             const = ctx.constant(text)
             if const is not None:
-                return self.one * const, self.one
+                return self._const(const), self.one
             if text.startswith("d") and len(text) > 1:
                 vidx = ctx.var_index(text[1:])
                 if vidx is not None:
@@ -282,12 +284,29 @@ class _ExprParser:
 
     # -- operations on pairs ---------------------------------------------
 
+    def _const(self, c) -> MultiPoly:
+        return MultiPoly.const(self.ctx.ring, self.ctx.chart.nvars, c)
+
+    def _den_mul(self, da, db):
+        if da is self.one:
+            return db
+        if db is self.one:
+            return da
+        return da * db
+
+    def _den_pow(self, den, e: int):
+        return self.one if den is self.one or not e else den**e
+
     def _add(self, x, y):
         (a, da), (b, db) = x, y
         if isinstance(a, DiffForm) != isinstance(b, DiffForm):
             self.error("cannot add a scalar and a form")
         if da == db:
             return a + b, da
+        if da is self.one:
+            return a * db + b, db
+        if db is self.one:
+            return a + b * da, da
         return a * db + b * da, da * db
 
     def _mul(self, x, y):
@@ -301,7 +320,7 @@ class _ExprParser:
             val = a.wedge(b)
         else:
             val = b * a if isinstance(b, DiffForm) else a * b
-        return val, da * db
+        return val, self._den_mul(da, db)
 
     def _div(self, x, y):
         """x / y = (a db) / (da b), with the denominator made monic."""
@@ -325,7 +344,7 @@ class _ExprParser:
         if not ring.is_field:
             raise ArithmeticError("rational functions need a coefficient field")
         inv = ring.inv(b.leading()[1])
-        return a * db.scale(inv), da * b.scale(inv)
+        return a * db.scale(inv), self._den_mul(da, b.scale(inv))
 
 
 def parse_expr(text: str, ctx: ExprContext):

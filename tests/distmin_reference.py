@@ -1,13 +1,15 @@
 """Distmin references: the routes the fast subdistribution search replaced.
 
-The package writes the constraint rows of ``subdistribution_space`` from
-the coefficients of omega, reduces each row in one pass over its pivot
+The package solves ``subdistribution_space`` for a 3-form Psi with
+Theta = i_R Psi, writing the rows of i_R(Psi /\\ omega) = 0 from the
+coefficients of omega; it reduces each row in one pass over its pivot
 columns, and draws random span combinations only after every basis form
-has failed.  The routes it replaced build a ``DiffForm`` per unknown,
-contract it with the Euler field and wedge it with omega; eliminate with a
-loop that restarts after every pivot column it clears; and draw the ten
-combinations before any candidate is checked.  The tests keep them to
-check the fast routes against.
+has failed.  The routes it replaced build a ``DiffForm`` per unknown of
+Theta, contract it with the Euler field and wedge it with omega, and take
+the kernel of those rows; eliminate with a loop that restarts after every
+pivot column it clears; and draw the ten combinations before any candidate
+is checked.  The tests keep them, and the rows of the Psi system built one
+form per unknown, to check the fast routes against.
 """
 
 import itertools
@@ -52,6 +54,31 @@ def constraint_rows_reference(fol, delta):
                 for e, v in c.terms.items():
                     add((tag, idx, e), col, v)
     return unknowns, [constraints[k] for k in sorted(constraints, key=repr)]
+
+
+def koszul_rows_reference(fol, delta):
+    """The unknowns of Psi and the rows of i_R(Psi /\\ omega) = 0, one form
+    per unknown; in four variables the rows of Psi /\\ omega = 0.  The rows
+    are keyed by (index tuple, exponent)."""
+    chart = fol.chart
+    ring = chart.ring
+    n1 = chart.nvars
+    unknowns = [
+        (triple, m)
+        for triple in itertools.combinations(range(n1), 3)
+        for m in distmin._monomials(n1, delta)
+    ]
+    radial = euler_field(chart)
+    rows: dict = {}
+    for col, (triple, m) in enumerate(unknowns):
+        psi = DiffForm(chart, 3, {triple: MultiPoly.monomial(ring, n1, m)})
+        image = psi.wedge(fol.form)
+        if n1 != 4:
+            image = image.contract(radial)
+        for idx, c in image.terms.items():
+            for e, v in c.terms.items():
+                rows.setdefault((idx, e), {})[col] = v
+    return unknowns, rows
 
 
 def _subtract_multiple(row, factor, other):

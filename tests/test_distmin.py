@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,20 +8,25 @@ import pfol.distmin
 from distmin_reference import (
     constraint_rows_reference,
     distmin2_reference,
+    koszul_rows_reference,
     rref_reference,
 )
 from pfol.distmin import (
-    _constraint_rows,
+    CONTENT_PRIME,
+    _koszul_rows,
+    _span_combinations,
     distmin2,
+    has_unit_content,
     is_rank_two,
     nullspace,
     rref,
     subdistribution_space,
     witness_integrability,
 )
-from pfol.exterior import VectorField, affine_chart, cone_chart, euler_field
-from pfol.foliation import log_foliation
+from pfol.exterior import DiffForm, VectorField, affine_chart, cone_chart, euler_field
+from pfol.foliation import from_form, log_foliation
 from pfol.mpoly import MultiPoly, gcd_list
+from pfol.parsing import parse_document
 from pfol.rings import GF, QQ
 
 
@@ -270,7 +277,7 @@ def test_rank_four_and_zero_forms_are_not_rank_two(ring):
 
 
 # ---------------------------------------------------------------------------
-# the closed-form rows, the one-pass elimination and the lazy span
+# the Koszul parametrization, the one-pass elimination and the lazy span
 # combinations against the routes they replaced (tests/distmin_reference.py)
 
 FIXTURE_FIELDS = [
@@ -288,17 +295,79 @@ ROW_CASES = [
 ]
 
 
+def row_multiset(rows):
+    return Counter(frozenset(row.items()) for row in rows)
+
+
+def basis_vectors(system):
+    """The basis forms of a solution space as sparse vectors over its unknowns."""
+    col = {unknown: n for n, unknown in enumerate(system.unknowns)}
+    return [
+        {col[pair, m]: v for pair, c in theta.terms.items() for m, v in c.terms.items()}
+        for theta in system.basis
+    ]
+
+
+def assert_koszul_basis_matches_reference(fol, deltas):
+    """The rows of the Psi system are those built one form per unknown, the
+    basis is the reduced echelon kernel basis of the reference rows of the
+    full system, and every basis form meets both constraints."""
+    radial = euler_field(fol.chart)
+    for delta in deltas:
+        psi_unknowns, psi_rows = _koszul_rows(fol, delta)
+        expected_unknowns, expected_rows = koszul_rows_reference(fol, delta)
+        assert psi_unknowns == expected_unknowns
+        assert row_multiset(psi_rows) == row_multiset(expected_rows.values())
+        unknowns, rows = constraint_rows_reference(fol, delta)
+        system = subdistribution_space(fol, delta)
+        assert system.unknowns == unknowns
+        assert basis_vectors(system) == nullspace(rows, len(unknowns), fol.ring.one())
+        assert system.dimension == len(system.basis)
+        for theta in system.basis:
+            assert theta.contract(radial).is_zero
+            assert theta.wedge(fol.form).is_zero
+
+
 @pytest.mark.parametrize("make,ring", ROW_CASES)
 def test_closed_form_rows_and_one_pass_rref_match_reference(make, ring, monkeypatch):
     fol = make(ring)
+    assert_koszul_basis_matches_reference(fol, range(4))
     for delta in range(3):
-        unknowns, rows = _constraint_rows(fol, delta)
-        assert (unknowns, rows) == constraint_rows_reference(fol, delta)
+        unknowns, rows = constraint_rows_reference(fol, delta)
         assert rref(rows) == rref_reference(rows)
         basis = nullspace(rows, len(unknowns), ring.one())
         with monkeypatch.context() as patch:
             patch.setattr(pfol.distmin, "rref", rref_reference)
             assert nullspace(rows, len(unknowns), ring.one()) == basis
+
+
+OTHER_DIMENSIONS = [
+    # P^2: Psi /\ omega is a 4-form in three variables, so there are no rows
+    pytest.param("Fp:5", "x y z", "y*z*dx - 2*x*z*dy + x*y*dz", 3, id="P2-F5"),
+    # P^4: the rows are those of i_R(Psi /\ omega), whose entries may cancel
+    pytest.param("Fp:3", "x0 x1 x2 x3 x4", "x1*dx0 - x0*dx1", 3, id="P4-F3"),
+    pytest.param("Q", "x0 x1 x2 x3 x4", "x1*dx0 - x0*dx1", 2, id="P4-Q"),
+    pytest.param(
+        "Fq:3^2:t^2+1", "x0 x1 x2 x3 x4",
+        "x1*(x2 + x3 + x4)*dx0 + x0*(x2 + x3 + x4)*dx1 - 2*x0*x1*(dx2 + dx3 + dx4)",
+        2, id="P4-log-F9",
+    ),
+    pytest.param(
+        "Q", "x0 x1 x2 x3 x4",
+        "x1*(x2 + x3 + x4)*dx0 + x0*(x2 + x3 + x4)*dx1 - 2*x0*x1*(dx2 + dx3 + dx4)",
+        1, id="P4-log-Q",
+    ),
+]
+
+
+@pytest.mark.parametrize("field,names,form,delta_max", OTHER_DIMENSIONS)
+def test_koszul_basis_matches_reference_on_p2_and_p4(field, names, form, delta_max):
+    n = len(names.split()) - 1
+    doc = parse_document(
+        f"field {field}\nambient proj {n}\nvars {names}\nform omega = {form}\n"
+    )
+    fol = from_form(doc.the_form())
+    assert_koszul_basis_matches_reference(fol, range(delta_max + 1))
 
 
 def test_one_pass_rref_on_rows_that_need_several_pivots():
@@ -382,3 +451,63 @@ def test_lazy_span_draws_carry_over_rejected_deltas(ring, monkeypatch):
         assert len(lazy_combos) > 10
         assert lazy_combos == combos_checked
         combos_checked.clear()
+
+
+# ---------------------------------------------------------------------------
+# the unit-content test over Q from one image mod a prime
+
+
+def content_cases(fol, rng):
+    """Basis forms of the fixture's solution spaces up to its degree, random
+    span combinations of them, and both times a linear form."""
+    x0, x1 = fol.chart.var(0), fol.chart.var(1)
+    for delta in range(fol.degree + 1):
+        basis = subdistribution_space(fol, delta).basis
+        for theta in [*basis, *_span_combinations(basis, fol.chart, rng)]:
+            if theta:
+                yield theta
+                yield theta * (x0 + x1 * 3)
+
+
+@pytest.mark.parametrize("make", [quadric_pencil, three_component, linear_pullback])
+def test_unit_content_agrees_with_the_content_over_q(make):
+    fol = make(QQ)
+    seen = {True: 0, False: 0}
+    for seed in (0, 1):
+        for theta in content_cases(fol, random.Random(seed)):
+            unit = theta.content().is_constant
+            assert has_unit_content(DiffForm(fol.chart, 2, theta.terms)) == unit
+            seen[unit] += 1
+    assert seen[True] and seen[False]
+
+
+def test_unit_content_falls_back_when_the_prime_does_not_qualify():
+    chart = cone_chart(QQ, 3)
+    x0, x1, x2, x3 = chart.vars()
+    p = CONTENT_PRIME
+    cases = [
+        # coprime over Q, both x0 mod p: the image shares a factor
+        ({(0, 1): x0 + x1 * p, (2, 3): x0}, True),
+        # p divides a denominator
+        ({(0, 1): x0 * Fraction(1, p) + x1, (2, 3): x2}, True),
+        # p divides every leading numerator: the content p*x0 + 1 has the
+        # constant image 1, so the images alone would read a unit content
+        ({(0, 1): x2 * (x0 * p + 1), (2, 3): x3 * (x0 * p + 1)}, False),
+        ({(0, 1): x0 * p + x1, (2, 3): x2 * p + x3}, True),
+        ({(0, 1): x0 * (x0 + x1 * p), (2, 3): x2 * (x0 + x1 * p)}, False),
+    ]
+    for terms, unit in cases:
+        theta = DiffForm(chart, 2, terms)
+        assert theta.content().is_constant == unit
+        assert has_unit_content(DiffForm(chart, 2, terms)) == unit
+
+
+def test_span_walk_over_q_rejects_every_basis_form_up_to_delta_three(monkeypatch):
+    # the unit-content test of 10 combinations of 14 forms at delta 3: about
+    # 3 s each when every content is a gcd over Q
+    fol = quadric_pencil(QQ)
+    combos_checked = reject_basis_forms(monkeypatch, reject_all=True)
+    res = distmin2(fol, delta_max=3)
+    assert res.delta is None and res.dimensions == [0, 0, 4, 14]
+    assert res.candidates_checked == 4 + 10 + 14 + 10
+    assert len(combos_checked) == 20

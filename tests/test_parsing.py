@@ -1,7 +1,11 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+import pfol.parsing
+from parsing_reference import ExprParserReference, tokenize_reference
 from pfol.exterior import DiffForm, affine_chart, cone_chart
 from pfol.mpoly import MultiPoly, gcd_multi
 from pfol.parsing import (
@@ -12,6 +16,7 @@ from pfol.parsing import (
     parse_form,
     parse_scalar,
     print_form,
+    tokenize,
 )
 from pfol.rings import GF, NumberRing, QQ, ZZ
 
@@ -216,3 +221,71 @@ def test_document_errors():
         parse_document(
             "field Fp:5\nambient proj 2\nvars x y\nform f = x*dy\n"
         )  # wrong variable count
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer and the unit-denominator shortcuts against the routes they
+# replaced (tests/parsing_reference.py)
+
+CORPUS_DIR = Path(__file__).resolve().parents[1] / "bench" / "corpus"
+CORPUS_DOCS = [
+    pytest.param(entry["doc"], id=f"{path.parent.name}-{path.stem}-{entry['id']}")
+    for path in sorted(CORPUS_DIR.glob("seed*/*.json"))
+    for entry in json.loads(path.read_text(encoding="utf-8"))["entries"]
+    if entry["doc"] is not None  # --minpoly probes read no document
+]
+
+# the inputs of the tests above, with the ring and variable count of each
+PARSE_INPUTS = [
+    (GF(7), 3, text) for text in ("x*y + 2*z^3", "2x y", "(x + y)^2", "-x")
+] + [
+    (GF(5), 2, text) for text in (
+        "x^(p-1)", "y^(2p+1)", "(x^2 - y^2)/(x + y)", "x/y + y/x", "x/y - x/y",
+        "x/(2*y)", "(x*y)^(-2)", "1/(x/y)", "x +", "q * x", "dx * dy",
+        "x / dx", "x + y", "dz", "x^0/y^0 + 1", "(1/x)^0 * dy", "x/y + 1",
+        "2 - x/y", "dx/x + dy", "dy - (y/x)^2*dx",
+    )
+] + [
+    (QQ, 2, "x^p"), (GF(3, 2), 2, "t^2 + 1"), (NumberRing([1, 0, 1]), 2, "a*a"),
+    (GF(5), 3, "x*dy - y*dx"), (GF(5), 3, "(x dy - y dx) /\\ dz"),
+    (GF(7), 2, "dx/x + dy/y"), (GF(7), 2, "dx/(2*x)"),
+    (GF(7), 2, "(x^2 - y^2)/(x + y)*dx"), (GF(7), 2, "y^2 / (x + 1) * dx - 3"),
+    (ZZ, 2, "1/x"), (ZZ, 2, "y*dx/2"), (ZZ, 2, "x/(y - y)"), (ZZ, 2, "x/(-1)"),
+    (ZZ, 2, "(x - x)/y"), (GF(5), 2, "x $ y"), (GF(5), 2, "x + y   "),
+]
+
+
+def _outcome(call, *args):
+    """The result of call(*args), or the type and message of its error."""
+    try:
+        return call(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("ring,nvars,text", PARSE_INPUTS)
+def test_fast_parser_matches_reference_on_the_test_inputs(ring, nvars, text, monkeypatch):
+    ctx = ExprContext(affine_chart(ring, nvars))
+    assert _outcome(tokenize, text) == _outcome(tokenize_reference, text)
+    fast = _outcome(parse_expr, text, ctx)
+    monkeypatch.setattr(pfol.parsing, "_ExprParser", ExprParserReference)
+    monkeypatch.setattr(pfol.parsing, "tokenize", tokenize_reference)
+    assert fast == _outcome(parse_expr, text, ctx)
+
+
+@pytest.mark.parametrize("doc", CORPUS_DOCS)
+def test_fast_parser_matches_reference_on_the_corpus(doc, monkeypatch):
+    for line in doc.splitlines():
+        assert _outcome(tokenize, line) == _outcome(tokenize_reference, line)
+    fast = parse_document(doc)
+    monkeypatch.setattr(pfol.parsing, "_ExprParser", ExprParserReference)
+    monkeypatch.setattr(pfol.parsing, "tokenize", tokenize_reference)
+    assert fast == parse_document(doc)
+
+
+def test_tokenizer_is_linear_in_the_line():
+    # a 120 KB line: checking the rest of the line before every token would
+    # copy about 4 GB of text
+    line = " + ".join(f"{i}*x*y*dz" for i in range(9000))
+    tokens = tokenize(line + "  ")
+    assert len(tokens) == 8 * 9000 and tokens[-1] == ("end", None, len(line) + 2)
