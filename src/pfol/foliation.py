@@ -201,7 +201,9 @@ class Divisor:
         if not isinstance(other, Divisor):
             return NotImplemented
         self._check(other)
-        return (self - other).is_zero()
+        # equal normal forms settle it; different ones need not mean
+        # different divisors, since a coprime basis is not canonical
+        return self.normalize() == other.normalize() or (self - other).is_zero()
 
     def to_json(self) -> list[dict]:
         return [

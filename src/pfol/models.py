@@ -127,6 +127,8 @@ class IntegralModel:
             raise ValidationError("integral models need Z or Z[a]/(f) coefficients")
         if form.q != 1:
             raise ValidationError("a defining form must be a 1-form")
+        if form.is_zero:
+            raise ValidationError("the zero form defines no foliation")
         self._radial = form.pair(euler_field(chart)) if chart.is_cone else None
         self._defect = form.wedge(form.d()) if chart.nvars >= 3 else None
 
@@ -270,8 +272,7 @@ class _SharedPass:
 
 def prime_scan(model: IntegralModel, pmax: int) -> list[ScanRow]:
     """One row per (prime <= pmax, irreducible factor of the minimal
-    polynomial mod p); bad primes, including those where the minimal
-    polynomial cannot be factored, are flagged in the note column.  The
+    polynomial mod p); bad reductions are flagged in the note column.  The
     p-curvature of every row comes from one shared derivation pass."""
     rows: list[ScanRow] = []
     minpoly = model.minpoly
@@ -279,13 +280,7 @@ def prime_scan(model: IntegralModel, pmax: int) -> list[ScanRow]:
     shared = _SharedPass(model.form, primes[-1] - 1 if primes else 0)
     ahead = math.prod(primes)
     for p in primes:
-        choices = [(None, 1)]
-        if minpoly is not None:
-            try:
-                choices = factor_mod_p(minpoly, p)
-            except (ValueError, ArithmeticError) as exc:
-                rows.append(ScanRow(p, "", 0, None, None, None, None, str(exc)))
-                choices = []
+        choices = [(None, 1)] if minpoly is None else factor_mod_p(minpoly, p)
         for g, _mult in choices:
             factor_str = format_up(g, "t") if g is not None else ""
             k = len(g) - 1 if g is not None else 1

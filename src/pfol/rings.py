@@ -26,7 +26,11 @@ after all products, ``up_divmod`` after working down from the top
 coefficient.  ``up_pow_mod`` makes the modulus monic once and powers left
 to right.  The gcds with x^(p^d) - x are taken in one loop,
 ``_distinct_degree``, which serves the irreducibility test, the
-factorization mod p and the root test of the Kronecker probe.
+factorization mod p and the root test of the Kronecker probe.  The
+factorization splits each distinct-degree part by the gcds of
+``_equal_degree`` (Cantor and Zassenhaus, with a deterministic sequence of
+trial elements) and counts multiplicities by division, so it needs no
+squarefree decomposition of its own.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 import re
+
+from . import InternalError
 
 # ---------------------------------------------------------------------------
 # primality
@@ -175,19 +181,16 @@ def up_pow_mod(a, e, mod, p):
     return r
 
 
-def up_deriv(a, p):
-    return up_trim([(i * a[i]) % p for i in range(1, len(a))])
-
-
 def _distinct_degree(g: list[int], p: int):
     """The parts (d, gcd(x^(p^d) - x, g)) of the nonconstant g over F_p,
     for d = 1, 2, ... while 2d is at most the degree of g, each nonconstant
-    part divided out of g, and then (the degree of the rest, the rest).
+    part divided out of g as often as it divides, and then (the degree of
+    the rest, the rest).
 
-    The first part has the least degree d of an irreducible factor, and is
-    (k, g) for g of degree k exactly when g is irreducible.  For a monic
-    squarefree g a part is the product of the irreducible factors of its
-    degree, and the rest is irreducible.
+    A part is the monic product of the distinct irreducible factors of g of
+    degree d, and the rest is irreducible; the first part has the least
+    degree d of an irreducible factor, and is (k, g) for g of degree k
+    exactly when g is irreducible.
     """
     h = [0, 1]
     d = 0
@@ -200,7 +203,44 @@ def _distinct_degree(g: list[int], p: int):
         part = up_gcd(up_sub(h, [0, 1], p), g, p)
         if len(part) > 1:
             yield d, part
-            g, _ = up_divmod(g, part, p)
+            while len(part) > 1:
+                g, _ = up_divmod(g, part, p)
+                part = up_gcd(part, g, p)
+
+
+def _equal_degree(g: list[int], d: int, p: int) -> list[list[int]]:
+    """The factors of g, a monic product of distinct irreducibles of degree
+    d over F_p (Cantor and Zassenhaus, with deterministic choices).
+
+    For a = x, x + 1, ..., the polynomials of degree 1 to deg g - 1 in code
+    order, take u = gcd(g, a^((p^d - 1)/2) - 1), or for p = 2 the gcd with
+    the trace a + a^2 + ... + a^(2^(d-1)), and split g at the first proper
+    u.  Modulo each irreducible factor a is an element of F_(p^d), so the
+    factor divides u exactly when that element's quadratic character is 1
+    (its trace is 0 for p = 2).  By the Chinese remainder theorem some such
+    a is 0 modulo one factor and, modulo another, 1 (for p = 2, an element
+    of trace 1), so a proper u is always found.
+    """
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    e = (p**d - 1) // 2
+    for code in range(p, p**n):
+        a = []
+        while code:
+            code, c = divmod(code, p)
+            a.append(c)
+        if p == 2:
+            s = t = a
+            for _ in range(d - 1):
+                t = up_pow_mod(t, 2, g, 2)
+                s = up_sub(s, t, 2)
+        else:
+            s = up_sub(up_pow_mod(a, e, g, p), [1], p)
+        u = up_gcd(g, s, p)
+        if 1 < len(u) < len(g):
+            return _equal_degree(u, d, p) + _equal_degree(up_divmod(g, u, p)[0], d, p)
+    raise InternalError("rings.factor_mod_p", "no proper split found")  # pragma: no cover
 
 
 def up_is_irreducible(g: list[int], p: int) -> bool:
@@ -779,80 +819,23 @@ def factor_mod_p(coeffs, p: int) -> list[tuple[list[int], int]]:
     """Factor a univariate integer polynomial modulo p into monic irreducibles.
 
     Returns a list of (monic factor as little-endian coefficient list,
-    multiplicity), sorted by (degree, coefficients).  Designed for the small
-    degrees arising from minimal polynomials (degree <= 6).
+    multiplicity), sorted by (degree, coefficients).  The distinct-degree
+    parts of f are split by ``_equal_degree``, and the multiplicity of each
+    factor is the number of times it divides f.
     """
     f = up_trim([c % p for c in coeffs])
     if not f:
         raise ValueError("polynomial vanishes modulo p")
     f = up_scale(f, pow(f[-1], p - 2, p), p)
-    if len(f) == 1:
-        return []
-    factors: dict[tuple[int, ...], int] = {}
-
-    def record(g, mult):
-        key = tuple(g)
-        factors[key] = factors.get(key, 0) + mult
-
-    def split_squarefree(g, mult):
-        for d, part in _distinct_degree(g, p):
-            for irr in split_equal_degree(part, d):
-                record(irr, mult)
-
-    def split_equal_degree(g, d):
-        # g is a product of distinct monic irreducibles, all of degree d, so
-        # a monic degree-d divisor of it is one of them
-        if len(g) - 1 == d:
-            return [g]
-        if p**d > 2_000_000:
-            raise ArithmeticError(
-                f"splitting a degree-{len(g) - 1} factor into degree-{d} "
-                f"factors mod {p} needs a search over {p}^{d} candidates"
-            )
-        out = []
-        rem = list(g)
-        for code in range(p**d):
-            cand = []
-            c = code
-            for _ in range(d):
-                cand.append(c % p)
-                c //= p
-            cand.append(1)
-            q, r = up_divmod(rem, cand, p)
-            if not r:
-                out.append(cand)
-                rem = q
-                if len(rem) - 1 < d:
-                    break
-        return out
-
-    # squarefree decomposition over F_p, then split each squarefree part
-    def squarefree_parts(g, outer):
-        g = list(g)
-        dg = up_deriv(g, p)
-        if not dg:
-            # g is a p-th power
-            root = [g[i] for i in range(0, len(g), p)]
-            squarefree_parts(root, outer * p)
-            return
-        c = up_gcd(g, dg, p)
-        w, _ = up_divmod(g, c, p)
-        i = 1
-        while len(w) > 1:
-            y = up_gcd(w, c, p)
-            z, _ = up_divmod(w, y, p)
-            if len(z) > 1:
-                split_squarefree(z, outer * i)
-            w = y
-            c, _ = up_divmod(c, y, p)
-            i += 1
-        if len(c) > 1:
-            root = [c[i] for i in range(0, len(c), p)]
-            squarefree_parts(root, outer * p)
-
-    squarefree_parts(f, 1)
-    items = sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return [(list(k), m) for k, m in items]
+    factors = []
+    for d, part in _distinct_degree(f, p):
+        for g in _equal_degree(part, d, p):
+            m, (q, r) = 0, up_divmod(f, g, p)
+            while not r:
+                m, f = m + 1, q
+                q, r = up_divmod(f, g, p)
+            factors.append((g, m))
+    return sorted(factors, key=lambda gm: (len(gm[0]), gm[0]))
 
 
 # ---------------------------------------------------------------------------

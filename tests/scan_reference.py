@@ -6,8 +6,7 @@ model's ring for all its primes.  The route it replaced reduces the model
 at each prime and factor, and reads every p-curvature value from that
 foliation alone, through ``Foliation.pcurvature``: p - 1 derivation steps
 over the residue field for each row.  The tests keep it to check the scan
-against, row by row and value by value.  Like the package, it flags a prime
-where the minimal polynomial cannot be factored as a bad row.
+against, row by row and value by value.
 
 ``reference_reduce_model`` validates each reduced form with ``from_form``,
 where the package reads the reductions of the model's identities, and
@@ -82,14 +81,7 @@ def reference_scan(model, pmax):
     rows, values = [], []
     minpoly = model.minpoly
     for p in primes_upto(pmax):
-        if minpoly is None:
-            choices = [(None, 1)]
-        else:
-            try:
-                choices = factor_mod_p(minpoly, p)
-            except (ValueError, ArithmeticError) as exc:
-                rows.append(ScanRow(p, "", 0, None, None, None, None, str(exc)))
-                continue
+        choices = [(None, 1)] if minpoly is None else factor_mod_p(minpoly, p)
         for g, _mult in choices:
             factor_str = format_up(g, "t") if g is not None else ""
             k = len(g) - 1 if g is not None else 1

@@ -158,12 +158,11 @@ def test_scan_deterministic(tmp_path, capsys):
     assert first == second
 
 
-def test_scan_flags_a_prime_beyond_the_factor_search_range(
+def test_scan_rows_at_a_prime_where_the_minimal_polynomial_has_quadratic_factors(
     tmp_path, capsys, monkeypatch
 ):
     # x^4 + 1 splits into linear factors mod 17 and into two quadratics mod
-    # 1427, beyond the search range: that prime is a bad row, and the rows
-    # of 17 are kept
+    # 1427: one row per factor at both primes
     doc = write(tmp_path, "model.txt", LOG_MODEL.replace("a^2+1", "a^4+1"))
     monkeypatch.setattr("pfol.models.primes_upto", lambda n: [17, 1427])
     assert main(["scan", "--pmax", "1427", doc]) == 0
@@ -172,9 +171,17 @@ def test_scan_flags_a_prime_beyond_the_factor_search_range(
         ["17", "t+2"], ["17", "t+8"], ["17", "t+9"], ["17", "t+15"]
     ]
     assert lines[5:] == [
-        "1427,,0,bad:splitting a degree-4 factor into degree-2 factors mod 1427"
-        " needs a search over 1427^2 candidates,,,"
+        "1427,t^2+217*t+1426,2,False,3,True,True",
+        "1427,t^2+1210*t+1426,2,False,3,True,True",
     ]
+
+
+def test_scan_of_the_zero_model_is_input_error(tmp_path, capsys):
+    doc = write(tmp_path, "model.txt", "field Z\nambient affine 2\nmodel omega = 0*dx\n")
+    assert main(["scan", "--pmax", "10", doc]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the zero form defines no foliation" in captured.err
 
 
 def test_scan_minpoly_probe(capsys):

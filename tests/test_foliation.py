@@ -104,6 +104,34 @@ def test_divisor_sums_start_from_kept_normal_forms(monkeypatch):
     assert calls == []
 
 
+def test_divisor_equality_matches_the_difference_route():
+    # a coprime basis is not canonical: (x*y*z) : 1 and (x) : 1, (y*z) : 1
+    # are one divisor; seeded pairs that are equal with different normal
+    # forms, unequal, and zero
+    F = GF(5)
+    chart = affine_chart(F, 3)
+    x, y, z = chart.vars()
+    linear = [x, y, z, x + y, y + 2 * z, x + z + 1]
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(40):
+        comps = rng.sample(linear, rng.randint(1, 4))
+        m = rng.randint(1, 2)
+        whole = comps[0]
+        for f in comps[1:]:
+            whole = whole * f
+        split = Divisor(chart, [(f, m) for f in comps])
+        joined = Divisor(chart, [(whole, m)])
+        other = Divisor(chart, [(f, rng.randint(0, 2)) for f in comps])
+        zero = split - joined
+        for a, b in [(split, joined), (split, other), (zero, Divisor.zero(chart)),
+                     (joined, zero)]:
+            by_difference = Divisor(chart, a.items + [(f, -k) for f, k in b.items]).is_zero()
+            assert (a == b) == by_difference
+            seen.add((by_difference, a.normalize() == b.normalize()))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
 def test_divisors_on_different_charts_do_not_mix():
     # A^3 and the cone over P^2 both have three variables
     F = GF(5)

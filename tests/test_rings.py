@@ -9,6 +9,7 @@ from pfol.rings import (
     GF,
     TABLE_LIMIT,
     NumberRing,
+    _distinct_degree,
     QQ,
     ZZ,
     canonical_irreducible,
@@ -197,11 +198,89 @@ def test_irreducibility_matches_rabins_test(p, kmax):
             assert up_is_irreducible(g, p) == up_reference.up_is_irreducible(g, p)
 
 
-def test_factor_mod_p_search_limit_is_an_arithmetic_error():
-    # x^4 + 1 splits into two quadratics mod 1427, and 1427^2 candidates
-    # exceed the search range
-    with pytest.raises(ArithmeticError, match="1427"):
-        factor_mod_p([1, 0, 0, 0, 1], 1427)
+def test_factor_mod_p_splits_x4_plus_1_into_two_quadratics():
+    # x^4 + 1 has no root mod 1031 and 1427 (neither is 1 mod 8), and
+    # splits into two quadratics there
+    assert factor_mod_p([1, 0, 0, 0, 1], 1031) == [([1, 473, 1], 1), ([1, 558, 1], 1)]
+    assert factor_mod_p([1, 0, 0, 0, 1], 1427) == [
+        ([1426, 217, 1], 1), ([1426, 1210, 1], 1)
+    ]
+    for p in (1031, 1427):
+        (g, _), (h, _) = factor_mod_p([1, 0, 0, 0, 1], p)
+        assert up_mul(g, h, p) == [1, 0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("p, dmax", [(2, 8), (3, 4), (5, 4), (7, 4)])
+def test_factor_mod_p_matches_trial_division_on_every_small_polynomial(p, dmax):
+    # every monic polynomial of degree <= dmax; over F_2 up to degree 8 this
+    # splits products of equal-degree factors with d >= 2 by traces
+    for deg in range(dmax + 1):
+        for low in itertools.product(range(p), repeat=deg):
+            f = [*low, 1]
+            assert factor_mod_p(f, p) == factor_by_trial_division(f, p)
+
+
+def assert_factorization(f, factors, p):
+    """The factors are distinct monic irreducibles whose product, with
+    multiplicities, is f made monic."""
+    prod = [1]
+    for g, m in factors:
+        assert g[-1] == 1 and up_reference.up_is_irreducible(g, p)
+        for _ in range(m):
+            prod = up_mul(prod, g, p)
+    assert len({tuple(g) for g, _ in factors}) == len(factors)
+    lead = pow(f[-1] % p, p - 2, p)
+    assert prod == [c * lead % p for c in f]
+
+
+def test_factor_mod_p_of_products_with_a_pth_power():
+    # g^p h: the derivative of g^p vanishes, and each factor of g has
+    # multiplicity at least p
+    rng = random.Random(11)
+    for p in (2, 3, 5, 7):
+        for _ in range(6):
+            g = [rng.randrange(p) for _ in range(rng.randint(1, 2))] + [1]
+            h = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+            f = h
+            for _ in range(p):
+                f = up_mul(f, g, p)
+            factors = factor_mod_p(f, p)
+            assert_factorization(f, factors, p)
+            mults = dict((tuple(q), m) for q, m in factors)
+            for q, _ in factor_mod_p(g, p):
+                assert mults[tuple(q)] >= p
+
+
+def test_factor_mod_p_at_large_primes():
+    # seeded polynomials of degree <= 8, some with a squared factor, for
+    # primes up to 10^5
+    rng = random.Random(13)
+    primes = [q for q in primes_upto(10**5) if q > 1000]
+    for i in range(40):
+        p = rng.choice(primes)
+        if i % 3:
+            f = [rng.randrange(p) for _ in range(rng.randint(1, 8))] + [rng.randrange(1, p)]
+        else:
+            g = [rng.randrange(p) for _ in range(rng.randint(1, 2))] + [1]
+            h = [rng.randrange(p) for _ in range(rng.randint(0, 4))] + [1]
+            f = up_mul(up_mul(g, g, p), h, p)
+        assert_factorization(f, factor_mod_p(f, p), p)
+
+
+def test_distinct_degree_of_input_that_is_not_squarefree():
+    # each part is the product of the distinct irreducible factors of its
+    # degree, whatever their multiplicity, and the rest is irreducible
+    rng = random.Random(17)
+    for p in (2, 3, 5):
+        for _ in range(20):
+            g = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+            h = [rng.randrange(p) for _ in range(rng.randint(0, 3))] + [1]
+            f = up_mul(up_mul(g, g, p), h, p)
+            expected = {}
+            for q, _ in factor_by_trial_division(f, p):
+                d = len(q) - 1
+                expected[d] = up_mul(expected.get(d, [1]), q, p)
+            assert dict(_distinct_degree(f, p)) == expected
 
 
 def test_number_ring():
