@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from operator import mul
 
 from .mpoly import (
-    MultiPoly, _from_raw, _raw_terms, _reduce_raw, default_names, gcd_list, poly_str,
+    MultiPoly, _from_raw, _quotient_by_gcd, _raw_terms, _reduce_raw, default_names,
+    gcd_list, poly_str,
 )
 
 
@@ -278,7 +279,10 @@ class DiffForm:
         sat = DiffForm(
             self.chart,
             self.q,
-            {idx: c.exact_div(cont) for idx, c in self.terms.items()},
+            {
+                idx: _quotient_by_gcd(c, cont, "exterior.DiffForm.saturate")
+                for idx, c in self.terms.items()
+            },
         )
         sat._content = self.chart.coerce(1)
         return sat

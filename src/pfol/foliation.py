@@ -32,6 +32,7 @@ from .exterior import (
 )
 from .mpoly import (
     MultiPoly,
+    _quotient_by_gcd,
     gcd_list,
     gcd_multi,
     poly_str,
@@ -57,6 +58,7 @@ def coprime_basis(polys) -> list[MultiPoly]:
     Every input (assumed squarefree) is a unit times a product of basis
     elements.
     """
+    stage = "foliation.coprime_basis"
     basis: list[MultiPoly] = []
 
     def insert(f: MultiPoly):
@@ -68,12 +70,11 @@ def coprime_basis(polys) -> list[MultiPoly]:
             if d.is_constant:
                 continue
             if d == g:
-                rest = f.exact_div(d)
-                insert(rest)
+                insert(_quotient_by_gcd(f, d, stage))
                 return
             basis[i] = d
-            basis.append(g.exact_div(d))
-            insert(f.exact_div(d))
+            basis.append(_quotient_by_gcd(g, d, stage))
+            insert(_quotient_by_gcd(f, d, stage))
             return
         basis.append(f)
 

@@ -35,13 +35,60 @@ monomial in one loop for every ring.  ``_raw_terms`` hands the loop
 GF(p) and the ring elements over every other ring; ``_reduce_raw`` reduces
 the sums mod p and drops the zero ones, and ``_from_raw`` turns them back
 into a polynomial.
+
+Over a prime field GF(p), ``gcd_list`` and ``squarefree_decomposition``
+first try an exact certificate on inputs in two variables once x_0 is set
+to 1: polynomials in two variables, and forms in three.  Every other
+input, and every input that no certificate settles, takes the routes
+above unchanged.  The largest monomial x^m dividing f splits off first,
+as an exponent shift: the rest r = f / x^m has no factor x_i, so setting
+x_0 = 1 in a form is a bijection on the factors of the rests, and the
+rests are written as a(x, y), x and y the last two variables.
+
+- Coprime.  gcd(a, b) = 1 when two tests pass.  A common factor h of
+  positive degree in x has lc_x(h) | lc_x(a); at a point y = c where
+  lc_x(a) does not vanish, h(x, c) keeps that degree and divides a(x, c)
+  and b(x, c).  So one such point whose images have gcd 1 rules out every
+  h of positive degree in x.  A common factor of degree 0 in x is a
+  polynomial in y, and it divides every coefficient in x of a and of b, so
+  it divides content_x(a) and content_x(b); a gcd 1 of those coefficients
+  rules it out.  Points are taken in GF(p) in code order, then in
+  GF(p^2), whose field is built only then; a point whose image gcd is not
+  1 is unlucky and the next one is tried, but after ``CERTIFICATE_MISSES``
+  of them the certificate gives up, since a true common factor shows at
+  every point.
+- ``gcd_list``.  When every entry has as many terms and the rests are
+  equal up to a scalar, the gcd is x^l times the monic rest, l the least
+  exponents over the entries: gcd(x^(m_1) r, x^(m_2) r) = r gcd(x^(m_1),
+  x^(m_2)).  On P^2 the values omega(v^p) are of this kind.  Otherwise,
+  when the rests of the two sparsest entries are certified coprime, the
+  gcd is x^l: a common factor other than a monomial would divide both
+  rests, and x^k divides x^(m_i) r_i exactly when k <= m_i.
+- ``squarefree_decomposition``.  Let r = f / x^m and gcd(r, d_j r) = 1 for
+  one variable x_j of the plane (d_j the partial derivative).  Then the
+  gcd c of f and its partials is a monomial: an irreducible h | c other
+  than a variable divides r and d_j f = d_j(x^m) r + x^m d_j r, so it
+  divides d_j r, against the certificate.  A monomial dividing f divides
+  x^m, so c divides gcd(x^m, partials); that gcd divides f and the
+  partials, so it divides c.  The two are equal, the loop starts from
+  x^m, every later gcd has a monomial argument and takes the monomial
+  branch, and no pseudo-remainder sequence runs.  When d_j r is
+  zero for both variables, r is a p-th power and the full route runs.
+
+A division by a gcd that the engine computed is exact by construction;
+when it is not, the engine raises ``InternalError`` naming the stage,
+not the ``ArithmeticError`` that reports bad input.
 """
 
 from __future__ import annotations
 
 from operator import add, le, sub
 
-from .rings import GF, GFElem, NRElem, _power
+from . import InternalError
+from .rings import GF, GFElem, NRElem, _power, up_gcd, up_trim
+
+# unlucky points a certificate tries before it gives up (see the docstring)
+CERTIFICATE_MISSES = 4
 
 
 def _grlex_key(e):
@@ -503,6 +550,15 @@ def poly_str(f: MultiPoly, names=None) -> str:
 # gcd and related decompositions
 
 
+def _quotient_by_gcd(f: MultiPoly, g: MultiPoly, stage: str) -> MultiPoly:
+    """f / g for a g that the engine computed to divide f; a remainder is a
+    broken invariant of ``stage``, not bad input."""
+    qr = f._divide(g, True)
+    if qr is None:
+        raise InternalError(stage, "inexact division by a computed gcd")
+    return MultiPoly._new(f.ring, f.nvars, qr[0])
+
+
 def _univar_view(f: MultiPoly, v: int) -> dict[int, MultiPoly]:
     """View f as univariate in variable v with polynomial coefficients."""
     groups: dict[int, dict] = {}
@@ -514,7 +570,7 @@ def _univar_view(f: MultiPoly, v: int) -> dict[int, MultiPoly]:
 
 def _content_in(f: MultiPoly, v: int) -> MultiPoly:
     """The content of f as a polynomial in v: the gcd of its coefficients."""
-    return gcd_list(_univar_view(f, v).values())
+    return _gcd_fold(sorted(_univar_view(f, v).values(), key=lambda g: len(g.terms)))
 
 
 def _prem(a: MultiPoly, b: MultiPoly, v: int) -> MultiPoly:
@@ -626,8 +682,8 @@ def gcd_multi(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return gcd_multi(_content_in(f, v), g)
     cf, cg = _content_in(f, v), _content_in(g, v)
     c = gcd_multi(cf, cg)
-    a = f.exact_div(cf)
-    b = g.exact_div(cg)
+    a = _quotient_by_gcd(f, cf, "mpoly.gcd_multi")
+    b = _quotient_by_gcd(g, cg, "mpoly.gcd_multi")
     if a.degree_in(v) < b.degree_in(v):
         a, b = b, a
     while not b.is_zero:
@@ -639,19 +695,20 @@ def gcd_multi(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             if r.degree_in(v) == 0:
                 # a common divisor would divide a unit in k(other vars)[v]
                 return c.monic()
-            b = r.exact_div(_content_in(r, v))
-    return (c * a.exact_div(_content_in(a, v))).monic()
+            b = _quotient_by_gcd(r, _content_in(r, v), "mpoly.gcd_multi")
+    return (c * _quotient_by_gcd(a, _content_in(a, v), "mpoly.gcd_multi")).monic()
 
 
 def gcd_list(polys) -> MultiPoly:
     """Monic gcd of a list of polynomials over a coefficient field.
 
-    Zero entries are skipped, and the running gcd starts from the entry
-    with the fewest terms.  When the running gcd g divides the next entry
-    f, gcd(g, f) = g, so one trial division settles it and ``gcd_multi``
-    runs only when it does not.  The division is tried only when no degree
-    of g in a variable exceeds that of f.  The fold stops at a constant.
-    A list of zeros has gcd zero.
+    Zero entries are skipped, and a list of zeros has gcd zero.  Over
+    GF(p) in the plane a certificate may settle the list (see the module
+    docstring).  Otherwise the running gcd starts from the entry with the
+    fewest terms.  When the running gcd g divides the next entry f,
+    gcd(g, f) = g, so one trial division settles it and ``gcd_multi`` runs
+    only when it does not.  The division is tried only when no degree of g
+    in a variable exceeds that of f.  The fold stops at a constant.
     """
     polys = list(polys)
     if not polys:
@@ -664,6 +721,17 @@ def gcd_list(polys) -> MultiPoly:
     nonzero = sorted((f for f in polys if f), key=lambda f: len(f.terms))
     if not nonzero:
         return MultiPoly.zero(ring, nvars)
+    # with a single-term entry the fold finds the monomial gcd at once
+    if len(nonzero) > 1 and len(nonzero[0].terms) > 1 and _in_plane(nonzero):
+        g = _certified_gcd(nonzero)
+        if g is not None:
+            return g
+    return _gcd_fold(nonzero)
+
+
+def _gcd_fold(nonzero) -> MultiPoly:
+    """The gcd of nonzero polynomials sorted by their number of terms, by
+    the fold of ``gcd_list``."""
     acc = nonzero[0].monic()
     degs = _degrees(acc)
     for f in nonzero[1:]:
@@ -700,6 +768,8 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
     Returns [(g_i, m_i)] with the g_i monic, squarefree and pairwise coprime
     and f = unit * prod g_i^{m_i}.  Works over any coefficient field,
     including characteristic p (where the p-th power branch recurses).
+    Over GF(p) in the plane a certificate that f / x^m is squarefree
+    starts the gcd loop from x^m (see the module docstring).
     """
     if f.is_zero:
         raise ValueError("squarefree decomposition of zero")
@@ -713,21 +783,162 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
         # every partial vanishes, so f is a p-th power
         return [(g, p * m) for g, m in squarefree_decomposition(pth_root_poly(f))]
     c = f
+    if len(f.terms) > 1 and _in_plane([f]):
+        m = _squarefree_certificate(f)
+        if m is not None:
+            c = MultiPoly._new(f.ring, f.nvars, {m: f.ring.one()})
     for d in partials:
         c = gcd_multi(c, d)
-    w = f.exact_div(c)
+    stage = "mpoly.squarefree_decomposition"
+    w = _quotient_by_gcd(f, c, stage)
     out: list[tuple[MultiPoly, int]] = []
     i = 1
     while not w.is_constant:
         y = gcd_multi(w, c)
-        z = w.exact_div(y)
+        z = _quotient_by_gcd(w, y, stage)
         if not z.is_constant:
             out.append((z.monic(), i))
         w = y
-        c = c.exact_div(y)
+        c = _quotient_by_gcd(c, y, stage)
         i += 1
     if not c.is_constant:
         for g, m in squarefree_decomposition(pth_root_poly(c)):
             out.append((g, p * m))
     out.sort(key=lambda gm: (gm[0].total_degree(), poly_str(gm[0])))
     return out
+
+
+# ---------------------------------------------------------------------------
+# one-image certificates over GF(p) in the plane (see the module docstring)
+
+
+def _in_plane(polys) -> bool:
+    """Whether certificates apply: a prime field, and two variables, or
+    three in forms, which are dehomogenized at x_0."""
+    f = polys[0]
+    if not _prime_modulus(f.ring):
+        return False
+    if f.nvars == 2:
+        return True
+    return f.nvars == 3 and all(g.is_homogeneous() for g in polys)
+
+
+def _shift(f: MultiPoly, m) -> MultiPoly:
+    """f times x^m, m a tuple of exponents that may be negative when x^-m
+    divides f."""
+    return MultiPoly._new(f.ring, f.nvars, {tuple(map(add, e, m)): c for e, c in f.terms.items()})
+
+
+def _rest(f: MultiPoly) -> tuple[tuple, MultiPoly]:
+    """(m, f / x^m) for x^m the largest monomial dividing a nonzero f."""
+    m = tuple(map(min, zip(*f.terms)))
+    return m, _shift(f, tuple(-k for k in m))
+
+
+def _plane_rows(f: MultiPoly) -> list[list[int]]:
+    """f in the last two variables x, y (x_0 = 1 for a form in three): row
+    i holds the int codes of the coefficient of x^i, a dense list in y,
+    constant first."""
+    rows: list[list[int]] = []
+    # distinct terms of a form stay distinct without their exponent of x_0
+    for e, c in f.terms.items():
+        i, j = e[-2], e[-1]
+        if len(rows) <= i:
+            rows.extend([] for _ in range(i + 1 - len(rows)))
+        row = rows[i]
+        if len(row) <= j:
+            row.extend([0] * (j + 1 - len(row)))
+        row[j] = c.code
+    return rows
+
+
+def _at(row, c, p) -> int:
+    """The value at y = c of a coefficient list mod p, by Horner."""
+    s = 0
+    for v in reversed(row):
+        s = (s * c + v) % p
+    return s
+
+
+def _certify_coprime(a, b, p: int) -> bool:
+    """Whether one image proves gcd(a, b) = 1 for nonzero a, b given as
+    rows (see ``_plane_rows``); False when no certificate was found."""
+    rows = [r for r in (*a, *b) if r]
+    if not any(len(r) == 1 for r in rows):
+        # a common factor in y alone divides every coefficient in x
+        g = rows[0]
+        for r in rows[1:]:
+            g = up_gcd(g, r, p)
+            if len(g) == 1:
+                break
+        if len(g) > 1:
+            return False
+    if len(a) == 1 or len(b) == 1:
+        return True
+    lead = a[-1]
+    misses = 0
+    for c in range(p):
+        if not _at(lead, c, p):
+            continue
+        ia = [_at(r, c, p) for r in a]
+        ib = [_at(r, c, p) for r in b]
+        if len(up_gcd(ia, up_trim(ib), p)) == 1:
+            return True
+        misses += 1
+        if misses == CERTIFICATE_MISSES:
+            return False
+    # every point of GF(p) was unlucky: take points of GF(p^2)
+    field = GF(p, 2)
+    make = field._make
+    a2, b2 = ([[make(v) for v in r] for r in h] for h in (a, b))
+
+    def image(rows, c) -> MultiPoly:
+        terms = {}
+        for i, row in enumerate(rows):
+            s = field.zero()
+            for v in reversed(row):
+                s = s * c + v
+            if s:
+                terms[(i,)] = s
+        return MultiPoly._new(field, 1, terms)
+
+    for c in map(make, range(p, p * p)):
+        ia = image(a2, c)
+        if ia.degree_in(0) < len(a2) - 1:
+            continue  # lc_x(a) vanishes at c
+        ib = image(b2, c)
+        if ib and _univariate_gcd(ia, ib, 0).is_constant:
+            return True
+        misses += 1
+        if misses == CERTIFICATE_MISSES:
+            return False
+    return False
+
+
+def _certified_gcd(nonzero) -> MultiPoly | None:
+    """The gcd of nonzero polynomials in the plane, sorted by their number
+    of terms, when their rests are equal up to a scalar or the rests of the
+    two sparsest are certified coprime; None otherwise."""
+    f = nonzero[0]
+    rests = [_rest(g) for g in nonzero]
+    least = tuple(map(min, zip(*(m for m, _ in rests))))
+    if all(len(g.terms) == len(f.terms) for g in nonzero):
+        first = rests[0][1].monic()
+        if all(r.monic() == first for _, r in rests[1:]):
+            return _shift(first, least)
+    a, b = (_plane_rows(r) for _, r in rests[:2])
+    if _certify_coprime(a, b, f.ring.p):
+        return MultiPoly._new(f.ring, f.nvars, {least: f.ring.one()})
+    return None
+
+
+def _squarefree_certificate(f: MultiPoly):
+    """The exponents m of the monomial part x^m of a nonconstant f in the
+    plane when gcd(f / x^m, d_j(f / x^m)) = 1 is certified for x_j the
+    first of x, y with d_j(f / x^m) nonzero; None otherwise."""
+    m, r = _rest(f)
+    for j in (f.nvars - 2, f.nvars - 1):
+        d = r.deriv(j)
+        if d:
+            return m if _certify_coprime(_plane_rows(r), _plane_rows(d), f.ring.p) else None
+    return None

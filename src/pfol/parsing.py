@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass, field as dc_field
 
 from .exterior import Chart, DiffForm, affine_chart, cone_chart
-from .mpoly import MultiPoly, gcd_multi
+from .mpoly import MultiPoly, _quotient_by_gcd, gcd_multi
 from .rings import GF, NumberRing, parse_descriptor
 
 
@@ -370,7 +370,8 @@ def parse_scalar(text: str, ctx: ExprContext) -> tuple[MultiPoly, MultiPoly]:
         return val, den
     # a nonconstant denominator exists only over a field
     g = gcd_multi(val, den)
-    return val.exact_div(g), den.exact_div(g)
+    stage = "parsing.parse_scalar"
+    return _quotient_by_gcd(val, g, stage), _quotient_by_gcd(den, g, stage)
 
 
 def print_form(form: DiffForm) -> str:

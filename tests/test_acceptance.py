@@ -43,7 +43,8 @@ from pfol.models import (
     integrability_defect_integer,
     prime_scan,
 )
-from pfol.mpoly import MultiPoly
+import pfol.mpoly as mpoly
+from pfol.mpoly import MultiPoly, gcd_list, squarefree_decomposition
 from pfol.rings import GF, NumberRing, QQ, ZZ
 
 from chart_reference import projectivize
@@ -232,45 +233,82 @@ def test_degree_two_degeneracy_has_degree_p_plus_four():
         assert delta.degree() == predicted_degeneracy_degree(p, 2, 0)
 
 
-def test_generic_degree_two_plane_foliation_over_f5():
-    # W1: each coefficient of a dx + b dy sums F.random(rng) x^i y^j over
-    # i + j <= 2 (a first, then b), homogenized to P^2
-    p = 5
+def w1_foliation(p, d, seed=1):
+    """W1: each coefficient of a dx + b dy sums F.random(rng) x^i y^j over
+    i + j <= d (a first, then b), rng = random.Random(seed), homogenized
+    to a foliation of degree d on P^2."""
     F = GF(p)
-    rng = random.Random(1)
+    rng = random.Random(seed)
     chart = affine_chart(F, 2)
     x, y = chart.vars()
     coeffs = []
     for _ in range(2):
         acc = MultiPoly.zero(F, 2)
-        for i in range(3):
-            for j in range(3 - i):
+        for i in range(d + 1):
+            for j in range(d + 1 - i):
                 acc = acc + (x**i * y**j).scale(F.random(rng))
         coeffs.append(acc)
-    fol = projectivize(DiffForm(chart, 1, {(0,): coeffs[0], (1,): coeffs[1]}))
-    report = analyze(fol)
+    return projectivize(DiffForm(chart, 1, {(0,): coeffs[0], (1,): coeffs[1]}))
+
+
+def test_generic_degree_two_plane_foliation_over_f5():
+    p = 5
+    report = analyze(w1_foliation(p, 2))
     assert report.deg_degeneracy == predicted_degeneracy_degree(p, 2, 0) == 9
     assert report.cartier_integrable is True
 
 
 def test_generic_degree_two_plane_foliation_over_f7():
-    # W1 at p = 7, built as the p = 5 case above
     p = 7
-    F = GF(p)
-    rng = random.Random(1)
-    chart = affine_chart(F, 2)
-    x, y = chart.vars()
-    coeffs = []
-    for _ in range(2):
-        acc = MultiPoly.zero(F, 2)
-        for i in range(3):
-            for j in range(3 - i):
-                acc = acc + (x**i * y**j).scale(F.random(rng))
-        coeffs.append(acc)
-    fol = projectivize(DiffForm(chart, 1, {(0,): coeffs[0], (1,): coeffs[1]}))
-    report = analyze(fol)
+    report = analyze(w1_foliation(p, 2))
     assert report.deg_degeneracy == predicted_degeneracy_degree(p, 2, 0) == 11
     assert report.cartier_integrable is True
+
+
+def test_generic_degree_three_plane_foliation_over_f5():
+    p = 5
+    report = analyze(w1_foliation(p, 3))
+    assert report.deg_degeneracy == predicted_degeneracy_degree(p, 3, 0) == 15
+    assert report.cartier_integrable is True
+
+
+def test_generic_degree_three_plane_foliation_over_f7():
+    p = 7
+    report = analyze(w1_foliation(p, 3))
+    assert report.deg_degeneracy == predicted_degeneracy_degree(p, 3, 0) == 19
+    assert report.cartier_integrable is True
+
+
+def test_generic_degree_four_plane_foliation_over_f3():
+    p = 3
+    report = analyze(w1_foliation(p, 4))
+    assert report.deg_degeneracy == predicted_degeneracy_degree(p, 4, 0) == 15
+    assert report.cartier_integrable is True
+
+
+def test_squarefree_degeneracy_polynomial_runs_no_pseudo_remainder(monkeypatch):
+    # W1 over F_3 at the seeds of the plane_generic corpus: G, the gcd of
+    # the values omega(v^p), is squarefree once its monomial part is split
+    # off at seeds 2, 3 and 4, so a certificate settles its squarefree
+    # decomposition; at seed 1 G has the factor (x0 + x1 + 2*x2)^3 and the
+    # pseudo-remainder sequence runs
+    calls = []
+    prem = mpoly._prem
+
+    def counted(a, b, v):
+        calls.append(v)
+        return prem(a, b, v)
+
+    monkeypatch.setattr(mpoly, "_prem", counted)
+    for seed in (1, 2, 3, 4):
+        fol = w1_foliation(3, 2, seed)
+        g = gcd_list([val for val in fol.pcurvature.values if val]).monic()
+        del calls[:]
+        parts = squarefree_decomposition(g)
+        if seed == 1:
+            assert calls and max(m for _, m in parts) == 3
+        else:
+            assert calls == [] and parts == [(g, 1)]
 
 
 # 7. three pullback behaviors of the degeneracy divisor

@@ -4,6 +4,7 @@ import pytest
 
 from pfol.cli import main
 from pfol.foliation import Foliation
+from pfol.mpoly import MultiPoly
 
 DEG1 = """\
 field Fq:5^2:t^2+2
@@ -245,6 +246,37 @@ def test_broken_closedness_invariant_is_internal_error(tmp_path, monkeypatch, ca
         "internal error in foliation.PCurvature.eta: "
         "omega / omega(v^p) failed to be closed\n"
     )
+    assert captured.out == ""
+
+
+W1_F5 = """\
+field Fp:5
+ambient proj 2
+vars x0 x1 x2
+form omega = (4*x0^2*x1 + 2*x0^2*x2 + 3*x0*x1^2 + 2*x0*x2^2 + 2*x1^3 + 2*x1^2*x2 + 2*x2^3)*dx0 \
++ (x0^3 + 2*x0^2*x1 + 4*x0^2*x2 + 3*x0*x1^2)*dx1 \
++ (3*x0^3 + x0^2*x1 + 3*x0^2*x2 + 3*x0*x1^2 + 3*x0*x2^2)*dx2
+"""
+
+
+def test_inexact_division_by_a_computed_gcd_is_internal_error(tmp_path, monkeypatch, capsys):
+    # a wrong gcd from inside the engine is a broken invariant, exit 3 with
+    # the stage named, not bad input (exit 2)
+    import pfol.mpoly
+
+    real = pfol.mpoly.gcd_multi
+
+    def wrong(f, g):
+        # h * (x_2 + 1) on the cone, the last variable once x_0 = 1
+        h = real(f, g)
+        return h * (MultiPoly.var(h.ring, h.nvars, h.nvars - 1) + 1)
+
+    monkeypatch.setattr(pfol.mpoly, "gcd_multi", wrong)
+    doc = write(tmp_path, "w1.txt", W1_F5)
+    assert main(["degeneracy", doc]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error in mpoly.")
+    assert captured.err.endswith(": inexact division by a computed gcd\n")
     assert captured.out == ""
 
 

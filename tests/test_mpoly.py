@@ -272,14 +272,20 @@ def random_form(ring, nvars, deg, nterms, rng, first=0):
             return f
 
 
+def pure_prs(monkeypatch, fn, *args):
+    """fn(*args) with every gcd taken by the reference PRS and no
+    certificate tried."""
+    with monkeypatch.context() as m:
+        m.setattr(mpoly, "gcd_multi", gcd_prs_reference)
+        m.setattr(mpoly, "_in_plane", lambda polys: False)
+        return fn(*args)
+
+
 def assert_matches_reference(f, g, monkeypatch):
     assert gcd_multi(f, g) == gcd_prs_reference(f, g)
     assert gcd_multi(g, f) == gcd_prs_reference(f, g)
     for h in (f, g):
-        fast = squarefree_decomposition(h)
-        with monkeypatch.context() as m:
-            m.setattr(mpoly, "gcd_multi", gcd_prs_reference)
-            assert fast == squarefree_decomposition(h)
+        assert squarefree_decomposition(h) == pure_prs(monkeypatch, squarefree_decomposition, h)
 
 
 @pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=repr)
@@ -624,3 +630,155 @@ def test_gcd_with_a_monomial_matches_the_reference(ring):
             for polys in lists:
                 assert gcd_list(polys) == gcd_list_reference(polys)
                 assert gcd_list(polys[::-1]) == gcd_list_reference(polys)
+
+
+# ---------------------------------------------------------------------------
+# one-image certificates over GF(p) in the plane
+
+
+CERTIFICATE_RINGS = [GF(2), GF(3), GF(5), GF(7)]
+
+
+def rest_of(f):
+    """f divided by the largest monomial that divides it."""
+    m = [min(e[i] for e in f.terms) for i in range(f.nvars)]
+    return f.exact_div(MultiPoly.monomial(f.ring, f.nvars, m))
+
+
+def certified_coprime(f, g):
+    """Whether the certificate proves the rests of f and g coprime."""
+    a, b = (mpoly._plane_rows(mpoly._rest(h)[1]) for h in (f, g))
+    return mpoly._certify_coprime(a, b, f.ring.p)
+
+
+def plane_pairs(ring, nvars, rng):
+    """Seeded pairs (f, g, whether the rests may be coprime) in the plane:
+    two variables, or forms in three.  x and y are the last two variables;
+    a factor in x or y alone is homogenized with x_0 for forms."""
+    if nvars == 2:
+        def rand(deg, nterms):
+            f = random_poly(ring, 2, rng, deg=deg, nterms=nterms)
+            return f if len(f.terms) > 1 else f + MultiPoly.var(ring, 2, 0) + 1
+        one = MultiPoly.one(ring, 2)
+    else:
+        def rand(deg, nterms):
+            return random_form(ring, 3, deg, nterms, rng)
+        one = MultiPoly.var(ring, 3, 0)
+    x = MultiPoly.var(ring, nvars, nvars - 2)
+    y = MultiPoly.var(ring, nvars, nvars - 1)
+    c = nonzero_scalar(ring, rng)
+    in_y = y * y + (one * one).scale(c)
+    in_x = x + one.scale(c)
+    a, b, s = rand(2, 3), rand(2, 4), rand(1, 2)
+    pairs = [
+        (a, b, True),
+        (a * s, b, True),
+        (a * in_y, b * in_y, False),  # a common factor in y only
+        (a * in_x, b * in_x, False),  # a common factor in x only
+        (a * x * x * y, b * x * y ** 3, True),  # a common monomial factor
+    ]
+    if nvars == 3:
+        pairs.append((a * one ** 2, b * one, True))  # a common power of x_0
+    return pairs
+
+
+@pytest.mark.parametrize("ring", CERTIFICATE_RINGS, ids=repr)
+def test_coprime_certificate_only_where_the_reference_agrees(ring):
+    rng = random.Random(51)
+    certified = 0
+    for nvars in (2, 3):
+        for _ in range(12):
+            for f, g, may_be_coprime in plane_pairs(ring, nvars, rng):
+                coprime = gcd_prs_reference(rest_of(f), rest_of(g)).is_constant
+                if certified_coprime(f, g):
+                    certified += 1
+                    assert coprime and may_be_coprime
+                for polys in ([f, g], [g, f, f * g]):
+                    assert gcd_list(polys) == gcd_list_reference(polys)
+    assert certified >= 40
+
+
+@pytest.mark.parametrize("ring", CERTIFICATE_RINGS, ids=repr)
+def test_certificate_takes_points_of_gf_p2_when_every_point_of_gf_p_is_unlucky(ring):
+    # a(x, c) = b(x, c) = x^2 + c at every c of GF(p), but b - a = y^p - y
+    # has no root off GF(p), so the images are coprime at points of GF(p^2)
+    p = ring.p
+    x, y = MultiPoly.var(ring, 2, 0), MultiPoly.var(ring, 2, 1)
+    for cone in (False, True):
+        a, b = x * x + y, x * x + y**p
+        if cone:
+            a, b = a.homogenize(0), b.homogenize(0)
+            x, y = x.insert_var(0), y.insert_var(0)
+        assert gcd_prs_reference(a, b).is_constant
+        # every point of GF(p) counts against the cap of unlucky points
+        assert certified_coprime(a, b) == (p < mpoly.CERTIFICATE_MISSES)
+        for polys in ([a, b], [b * x, a * x * y]):
+            assert gcd_list(polys) == gcd_list_reference(polys)
+    # h = g(y) x + 1 with g the modulus of GF(p^2): every point of GF(p) is
+    # unlucky, and at the first point of GF(p^2), a root of g, h(x, c) = 1;
+    # there lc_x(a) vanishes, so the point is skipped, not taken as lucky
+    x, y = MultiPoly.var(ring, 2, 0), MultiPoly.var(ring, 2, 1)
+    g = sum((y**i).scale(c) for i, c in enumerate(GF(p, 2).modulus))
+    h = g * x + 1
+    a, b = h * (x + 1), h * (x + y)
+    assert not certified_coprime(a, b)
+    assert gcd_list([a, b]) == gcd_list_reference([a, b]) == h.monic()
+
+
+@pytest.mark.parametrize("ring", CERTIFICATE_RINGS, ids=repr)
+def test_equal_rests_give_the_gcd_without_a_certificate(ring, monkeypatch):
+    # on P^2 the values omega(v^p) are c x_j^p G
+    rng = random.Random(52)
+    p = ring.p
+    xs = [MultiPoly.var(ring, 3, i) for i in range(3)]
+    for _ in range(6):
+        g = random_form(ring, 3, 3, 4, rng) * xs[0]
+        polys = [(g * xj**p).scale(nonzero_scalar(ring, rng)) for xj in xs]
+        with monkeypatch.context() as m:
+            m.setattr(mpoly, "_certify_coprime", None)  # not reached
+            assert gcd_list(polys) == g.monic()
+        assert gcd_list(polys) == gcd_list_reference(polys)
+
+
+@pytest.mark.parametrize("ring", CERTIFICATE_RINGS, ids=repr)
+def test_squarefree_and_gcd_list_match_the_pure_prs_route(ring, monkeypatch):
+    rng = random.Random(53)
+    p = ring.p
+    settled = 0
+    for nvars in (2, 3):
+        x = MultiPoly.var(ring, nvars, nvars - 2)
+        y = MultiPoly.var(ring, nvars, nvars - 1)
+        one = MultiPoly.one(ring, 2) if nvars == 2 else MultiPoly.var(ring, 3, 0)
+
+        def rand():
+            while True:
+                if nvars == 2:
+                    f = random_poly(ring, 2, rng, deg=2, nterms=3) + x + one
+                else:
+                    f = random_form(ring, 3, 2, 3, rng) + x * y
+                if len(f.terms) > 1:
+                    return f
+
+        for _ in range(4):
+            s, t = rand(), rand()
+            cases = [
+                (s * t, True),  # squarefree in general
+                (s * t * x * x * y**3, True),  # a monomial part
+                ((y + one) ** 2 * s, False),  # a repeated factor in y only
+                ((x + one) ** 3 * s, False),  # a repeated factor in x only
+                (s**p * t, False),  # a p-th power factor
+                ((x + y + one) ** p, False),  # every partial vanishes
+                ((x**p + y * one ** (p - 1)) * s, True),  # d_x of a factor is 0
+            ]
+            if nvars == 3:
+                cases.append((s * t * one**3, True))  # a power of x_0
+            for f, may_settle in cases:
+                expected = pure_prs(monkeypatch, squarefree_decomposition, f)
+                assert squarefree_decomposition(f) == expected
+                if mpoly._squarefree_certificate(f.monic()) is not None:
+                    assert may_settle
+                    assert all(m == 1 for g, m in expected if len(g.terms) > 1)
+                    settled += 1
+                for polys in ([f, f.deriv(nvars - 2), f.deriv(nvars - 1)], [f * s, f * t]):
+                    assert gcd_list(polys) == pure_prs(monkeypatch, gcd_list, polys)
+    assert settled >= 8
