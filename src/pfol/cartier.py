@@ -11,7 +11,8 @@ Cartier operator: C(a / g) = C(g^(p-1) a) / g.  One loop applies the
 operator, ``cartier_of_product``, which gives C(h^k form) without forming
 h^k form: since the operator keeps one residue class of exponents mod p,
 the last factor h is multiplied only against the terms that land in that
-class.  The foliation code takes eta = C(f^(p-1) omega) from it, and
+class.  The foliation code takes eta = C(G^(p-1) omega) from it, for G the
+gcd of the p-curvature values, and
 ``cartier_transform``, the operator on a form, always checks that the form
 is closed and then takes h = 1, k = 1.  The loop sums raw coefficients
 through the helpers of :mod:`pfol.mpoly`, which hold the GF(p) int-code

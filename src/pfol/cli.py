@@ -28,6 +28,7 @@ from .foliation import (
     cartier_transform_foliation,
     degeneracy_divisor,
     from_form,
+    is_p_closed,
     p_kernel,
 )
 from .geommaps import (
@@ -157,7 +158,15 @@ def cmd_pullback(args) -> int:
     fol = _foliation(doc, args.command)
     comps, den = doc.the_map()
     phi = RationalMap(doc.chart, doc.chart, comps, den)
-    result = verify_pullback_degeneracy(phi, fol)
+    try:
+        result = verify_pullback_degeneracy(phi, fol)
+    except PClosedError:
+        if not is_p_closed(fol):
+            # an inseparable map can pull a p-dense foliation back to a
+            # p-closed one, which has no degeneracy divisor to compare
+            raise PClosedError("the pullback is p-closed; no degeneracy divisor") from None
+        _emit({"p_closed": True}, args, ["p-closed: true"])
+        return 0
     payload = {
         "degeneracy_of_pullback": result["delta_pullback"].to_json(),
         "pullback_of_degeneracy": result["pullback_of_delta"].to_json(),

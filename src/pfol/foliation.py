@@ -8,6 +8,10 @@ read from one set of p-curvature values omega(v^p) over the Koszul fields
 of that form.  The degeneracy divisor is their gcd, on the cone as on an
 affine chart: by p-linearity and the Euler field, the cone gcd serves
 every standard chart (see ``degeneracy_divisor``), so no chart is built.
+The Cartier transform is read from the same gcd G: if f is the first
+nonzero value, f = G r^p for a polynomial r, and C(f^(p-1) omega) =
+r^(p-1) C(G^(p-1) omega) (see ``PCurvature``), so eta is taken from G,
+whose p-1-st power is the smaller one on ambients of dimension three and up.
 A ``Divisor`` lives on a chart and prints with its variable names; a
 projective one is read off one form on the cone by
 ``Divisor.of_homogeneous``, which splits off the coordinate hyperplanes as
@@ -36,6 +40,7 @@ from .mpoly import (
     gcd_list,
     gcd_multi,
     poly_str,
+    pth_root_poly,
     squarefree_decomposition,
 )
 
@@ -380,24 +385,56 @@ class PCurvature:
 
     ``values`` yields omega(v^p) for the Koszul fields v of the form omega,
     in the order of ``koszul_fields``; it may also yield 0 for a field
-    that vanishes, which neither ``f`` nor the degeneracy divisor reads.
-    ``f`` is the first nonzero value, or None when the foliation is
-    p-closed.  The construction stops at f, and ``values`` takes the
-    remaining ones once, for the degeneracy divisor.  For a projective
-    foliation these are the values on the cone, and their gcd is the
-    degeneracy divisor on every standard chart as well (see
-    ``degeneracy_divisor``).  ``eta`` is C(f^(p-1) omega) =
-    f C(omega / f): the Cartier transform of the closed defining form
-    omega / f, cleared of its denominator by C(g^p a) = g C(a).
-    Read it through ``Foliation.pcurvature``, which builds it once from
-    the p-th powers of the Koszul fields; a prime scan builds it from one
-    derivation pass shared by every prime (see :mod:`pfol.models`).
+    that vanishes, which neither ``f`` nor ``G`` reads.  ``f`` is the
+    first nonzero value, or None when the foliation is p-closed; the
+    construction takes values up to f, so ``is_p_closed`` needs no more.
+    ``G`` is the monic gcd of the nonzero values, computed once: the
+    degeneracy divisor is its divisor, and ``eta`` is built from it.  For
+    a projective foliation these are the values on the cone, and G gives
+    the degeneracy divisor on every standard chart as well (see
+    ``degeneracy_divisor``).  Read it through ``Foliation.pcurvature``,
+    which builds it once from the p-th powers of the Koszul fields; a
+    prime scan builds it from one derivation pass shared by every prime
+    (see :mod:`pfol.models`).
+
+    ``eta`` is C(G^(p-1) omega) = G C(omega / G), the Cartier transform
+    of the closed defining form omega / G.  It differs from the transform
+    of omega / f by the factor r^(p-1), where f = G r^p:
+
+    - F is not p-closed, since f exists.  Then the p-closure of its
+      tangent sheaf is all of Der K, so by Jacobson's correspondence the
+      rational first integrals of F are exactly K^p.
+    - For fields v, w with nonzero values, omega / omega(v^p) and
+      omega / omega(w^p) are both closed, so their ratio
+      omega(w^p) / omega(v^p) is a first integral and lies in K^p.
+    - At every prime divisor P, the valuations of the values are then
+      congruent mod p, so v_P(f) = v_P(G) mod p and f / G is a constant
+      times a p-th power.  The field is perfect, so f / G = r^p with r a
+      polynomial.  This holds for G the gcd of f and any other values.
+    - C is p^-1-linear, so C(f^(p-1) omega) = C(r^(p(p-1)) G^(p-1) omega)
+      = r^(p-1) C(G^(p-1) omega).
+
+    On A^2 there is one Koszul field, so G = f up to a scalar and r is a
+    constant.  On P^2 r is a monomial c x_j and G^(p-1) has about as many
+    terms as f^(p-1); only tangent sheaves of rank two and more gain.
+
+    The guards run in this order, and each is a broken invariant of
+    ``foliation.PCurvature.eta``:
+
+    1. omega / G is closed: G d(omega) = dG /\\ omega.
+    2. f / G is a p-th power: its p-th root r exists.
+
+    Together they say exactly that omega / f is closed, because
+    d(omega / f) = r^(-p) d(omega / G); there is no second route through f.
+    ``eta`` keeps r: G is monic, so lc(f) = lc(r)^p, and lc(r) fixes the
+    printed scalar (see ``_saturate_over_lc``).
     """
 
     def __init__(self, omega: DiffForm, p: int, values):
         self.omega = omega
         self.p = p
         self.f = None
+        self.r = None  # f = G r^p, set by ``eta``
         self._computed = []
         self._rest = iter(values)
         for val in self._rest:
@@ -413,24 +450,35 @@ class PCurvature:
         return self._computed
 
     @cached_property
-    def eta(self) -> DiffForm:
-        """C(f^(p-1) omega), once omega / f is checked to be closed; the
-        check also guards values that a prime scan hands in.
+    def G(self) -> MultiPoly:
+        """The monic gcd of the nonzero values omega(v^p)."""
+        if self.f is None:
+            raise PClosedError("foliation is p-closed; no degeneracy divisor")
+        return gcd_list([val for val in self.values if val]).monic()
 
-        Taken by ``cartier_of_product``, which multiplies the last factor f
-        only against the terms of f^(p-2) omega that land in the residue
-        class the operator keeps, so f^(p-1) omega is never formed.
+    @cached_property
+    def eta(self) -> DiffForm:
+        """C(G^(p-1) omega), once omega / G is checked to be closed and
+        f / G to be a p-th power; the checks also guard values that a
+        prime scan hands in.
+
+        Taken by ``cartier_of_product``, which multiplies the last factor G
+        only against the terms of G^(p-2) omega that land in the residue
+        class the operator keeps, so G^(p-1) omega is never formed.
         """
-        f, omega = self.f, self.omega
-        if f is None:
+        if self.f is None:
             raise PClosedError("foliation is p-closed; no closed defining form")
-        # omega / f is closed exactly when f d(omega) = df /\ omega
-        df = DiffForm(omega.chart, 0, {(): f}).d()
-        if omega.d() * f != df.wedge(omega):
-            raise InternalError(
-                "foliation.PCurvature.eta", "omega / omega(v^p) failed to be closed"
-            )
-        return cartier_of_product(f, self.p - 1, omega)
+        stage = "foliation.PCurvature.eta"
+        g, omega = self.G, self.omega
+        # omega / G is closed exactly when G d(omega) = dG /\ omega
+        dg = DiffForm(omega.chart, 0, {(): g}).d()
+        if omega.d() * g != dg.wedge(omega):
+            raise InternalError(stage, "omega / omega(v^p) failed to be closed")
+        try:
+            self.r = pth_root_poly(_quotient_by_gcd(self.f, g, stage))
+        except ArithmeticError:
+            raise InternalError(stage, "omega(v^p) / G is not a p-th power") from None
+        return cartier_of_product(g, self.p - 1, omega)
 
 
 def is_p_closed(fol: Foliation) -> bool:
@@ -448,21 +496,25 @@ def degeneracy_divisor(fol: Foliation) -> Divisor:
     g^p omega(v^p) (Katz 1970), and R^p = R with omega(R) = 0, so the
     chart gcd is G up to a power of x_j, and ``Divisor.of_homogeneous``
     gives the divisor glued from the charts component by component.
+    G is ``PCurvature.G``, which the Cartier transform reads as well.
     """
-    vals = [val for val in fol.pcurvature.values if val]
-    if not vals:
-        raise PClosedError("foliation is p-closed; no degeneracy divisor")
-    g = gcd_list(vals).monic()
+    g = fol.pcurvature.G
     if fol.projective:
         return Divisor.of_homogeneous(g, fol.chart)
     return Divisor.of_polynomial(g, fol.chart)
 
 
 def _saturate_over_lc(fol: Foliation, form: DiffForm) -> DiffForm:
-    """Saturate a form built from eta and scale it by 1/lc(f), the leading
-    coefficient of f: the scalar that clearing the same form built from
-    eta / f by its monic least common denominator leaves."""
-    _, lc = fol.pcurvature.f.leading()
+    """Saturate a form built from eta and scale it by 1/lc(r), where
+    f = G r^p.
+
+    The printed scalar is that of the same form built from C(f^(p-1)
+    omega), saturated and scaled by 1/lc(f): clearing the form built from
+    C(omega / f) by its monic least common denominator leaves that scalar.
+    G is monic, so lc(f) = lc(r)^p, and saturating r^(p-1) times a form
+    gives lc(r)^(p-1) times the saturated form; 1/lc(r) is what is left.
+    """
+    _, lc = fol.pcurvature.r.leading()
     return form.saturate() * fol.ring.inv(lc)
 
 
@@ -477,8 +529,8 @@ class KernelResult:
 def p_kernel(fol: Foliation) -> KernelResult:
     """The codimension-two distribution annihilating the p-curvature.
 
-    Computed as the saturation of omega /\\ eta, where eta = f C(omega / f)
-    comes from the p-curvature record, scaled by 1/lc(f) as in
+    Computed as the saturation of omega /\\ eta, where eta = G C(omega / G)
+    comes from the p-curvature record, scaled by 1/lc(r) as in
     ``cartier_transform_foliation``.
     """
     if fol.chart.nvars < 3:
@@ -498,10 +550,11 @@ def p_kernel(fol: Foliation) -> KernelResult:
 def cartier_transform_foliation(fol: Foliation) -> tuple[DiffForm, bool]:
     """The saturated Cartier transform of omega / f and its integrability flag.
 
-    C(omega / f) = eta / f, so it is eta saturated, up to a scalar.  The
-    result is scaled by 1/lc(f), the inverse leading coefficient of f: then
-    it equals C(omega / f) cleared by its monic least common denominator
-    and saturated, which fixes the scalar of the ``pfol cartier`` output.
+    With f = G r^p, C(omega / f) = eta / (G r^(p-1)), so it is eta
+    saturated, up to a scalar.  The result is scaled by 1/lc(r) (see
+    ``_saturate_over_lc``): then it equals C(omega / f) cleared by its
+    monic least common denominator and saturated, which fixes the scalar
+    of the ``pfol cartier`` output.
     """
     eta = fol.pcurvature.eta
     if eta.is_zero:

@@ -8,8 +8,14 @@ route it replaced maps a form term by term: c * x^A dx_I survives exactly
 when A is -1 mod p on the wedge indices I and 0 mod p elsewhere, and then
 maps to c^(1/p) x^((A - (p-1) 1_I) / p) dx_I.  The tests keep it to check
 both public routes against.  It does not check that the form is closed.
+
+``eta_reference`` keeps the route that ``PCurvature.eta`` replaced: the
+Cartier transform C(f^(p-1) omega) of omega / f, for f the first nonzero
+p-curvature value, where the package now takes C(G^(p-1) omega) from the
+gcd G of the values.
 """
 
+from pfol.cartier import cartier_of_product
 from pfol.exterior import DiffForm
 from pfol.mpoly import MultiPoly
 
@@ -29,3 +35,9 @@ def cartier_reference(form):
         if acc:
             out[idx] = MultiPoly(ring, n, acc)
     return DiffForm(form.chart, form.q, out)
+
+
+def eta_reference(pcurvature):
+    """C(f^(p-1) omega) for the first nonzero value f of a p-curvature
+    record, by ``cartier_of_product`` as ``PCurvature.eta`` once took it."""
+    return cartier_of_product(pcurvature.f, pcurvature.p - 1, pcurvature.omega)

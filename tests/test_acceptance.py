@@ -45,6 +45,7 @@ from pfol.models import (
 )
 import pfol.mpoly as mpoly
 from pfol.mpoly import MultiPoly, gcd_list, squarefree_decomposition
+from pfol.parsing import parse_document
 from pfol.rings import GF, NumberRing, QQ, ZZ
 
 from chart_reference import projectivize
@@ -283,6 +284,36 @@ def test_generic_degree_four_plane_foliation_over_f3():
     p = 3
     report = analyze(w1_foliation(p, 4))
     assert report.deg_degeneracy == predicted_degeneracy_degree(p, 4, 0) == 15
+    assert report.cartier_integrable is True
+
+
+def test_log_foliation_on_affine_space_over_gf_17_squared():
+    # f has degree 20 here and G degree 3, so eta is taken from G^16
+    doc = parse_document(
+        "field Fq:17^2:t^2+3\n"
+        "ambient affine 3\n"
+        "vars x y z\n"
+        "form omega = (4 + 2*t)*y*(1 + 16*x + 13*z)*dx"
+        " + (8 + 3*t)*x*(1 + 16*x + 13*z)*dy + (15 + 14*t)*x*y*(16*dx + 13*dz)\n"
+    )
+    report = analyze(from_form(doc.the_form()))
+    assert report.deg_degeneracy == 3
+    assert report.cartier_integrable is True
+
+
+def test_w2_log_foliation_on_p3_over_gf_11_squared():
+    doc = parse_document(
+        "field Fq:11^2:t^2+1\n"
+        "ambient proj 3\n"
+        "vars x0 x1 x2 x3\n"
+        "form omega = (2 + 9*t)*x0*x1*x2*((2*x0 + x1)*dx0 + x0*dx1 - x3*dx2 - x2*dx3)"
+        " + (1 + 4*t)*(x0*x1 - x2*x3 + x0^2)*x1*x2*dx0"
+        " + (1 + 7*t)*(x0*x1 - x2*x3 + x0^2)*x0*x2*dx1"
+        " + (5 + 4*t)*(x0*x1 - x2*x3 + x0^2)*x0*x1*dx2\n"
+    )
+    report = analyze(from_form(doc.the_form()))
+    assert report.deg_degeneracy == report.predicted_deg_degeneracy == 5
+    assert report.deg_kernel == 2
     assert report.cartier_integrable is True
 
 

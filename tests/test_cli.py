@@ -131,6 +131,41 @@ def test_frobenius_pullback_is_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+P_CLOSED_PULLBACK = """\
+field Fp:5
+ambient affine 2
+vars x y
+form omega = y*dx - 2*x*dy
+map phi = {}
+"""
+
+
+def test_pullback_of_p_closed_foliation_reports_it(tmp_path, capsys):
+    # y dx - 2x dy has weights in F_5, so it is p-closed: no degeneracy
+    # divisor, which pullback reports as degeneracy and cartier do, exit 0
+    doc = write(tmp_path, "pclosed.txt", P_CLOSED_PULLBACK.format("[x^2, y]"))
+    assert main(["pullback", doc]) == 0
+    assert capsys.readouterr() == ("p-closed: true\n", "")
+    assert main(["pullback", "--json", doc]) == 0
+    assert json.loads(capsys.readouterr().out) == {"p_closed": True}
+    for command in ("degeneracy", "cartier"):
+        assert main([command, doc]) == 0
+        assert capsys.readouterr().out == "p-closed: true\n"
+
+
+def test_pullback_to_a_p_closed_foliation_is_input_error(tmp_path, capsys):
+    # the foliation is not p-closed, but its pullback along the inseparable
+    # map x -> x^5 is, so there is no degeneracy divisor to compare
+    text = P_CLOSED_PULLBACK.format("[x^5, y]").replace("dy\n", "dy + x*y*dy\n")
+    doc = write(tmp_path, "insep.txt", text)
+    assert main(["analyze", doc]) == 0
+    assert "p-closed: False" in capsys.readouterr().out
+    assert main(["pullback", doc]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the pullback is p-closed; no degeneracy divisor\n"
+
+
 def test_restrict(tmp_path, capsys):
     doc = write(tmp_path, "restr.txt", RESTRICT)
     assert main(["restrict", "--json", doc]) == 0
@@ -245,6 +280,25 @@ def test_broken_closedness_invariant_is_internal_error(tmp_path, monkeypatch, ca
     assert captured.err == (
         "internal error in foliation.PCurvature.eta: "
         "omega / omega(v^p) failed to be closed\n"
+    )
+    assert captured.out == ""
+
+
+def test_failed_pth_root_of_f_over_g_is_internal_error(tmp_path, monkeypatch, capsys):
+    # f / G is a p-th power for every foliation that is not p-closed; a
+    # failed root is a broken invariant of the Cartier stage, exit 3
+    import pfol.foliation
+
+    def refuse(f):
+        raise ArithmeticError("not a p-th power: bad exponent")
+
+    monkeypatch.setattr(pfol.foliation, "pth_root_poly", refuse)
+    doc = write(tmp_path, "deg1.txt", DEG1)
+    assert main(["cartier", doc]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "internal error in foliation.PCurvature.eta: "
+        "omega(v^p) / G is not a p-th power\n"
     )
     assert captured.out == ""
 

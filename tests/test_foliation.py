@@ -23,9 +23,11 @@ from pfol.foliation import (
     p_kernel,
     predicted_degeneracy_degree,
 )
+from pfol.geommaps import RationalMap, pullback_foliation
 from pfol.mpoly import MultiPoly, gcd_list
 from pfol.rings import GF
 
+from cartier_reference import eta_reference
 from chart_reference import glue_chart_divisors, projectivize
 
 
@@ -294,6 +296,8 @@ def test_p_closed_has_no_degeneracy():
         degeneracy_divisor(fol)
     # no omega(v^p) is nonzero, so there is no closed defining form
     assert fol.pcurvature.f is None
+    with pytest.raises(PClosedError):
+        fol.pcurvature.G
     with pytest.raises(PClosedError):
         fol.pcurvature.eta
 
@@ -566,3 +570,126 @@ def test_analyze_report():
     assert report.predicted_deg_degeneracy == 3
     assert report.cartier_integrable is True
     assert "degeneracy" in report.to_json()
+
+
+def plane_form(F, rng, deg):
+    """a dx + b dy on A^2 over F, each coefficient summing F.random(rng)
+    x^i y^j over i + j <= deg (a first): W1 for deg = 2."""
+    chart = affine_chart(F, 2)
+    x, y = chart.vars()
+    coeffs = []
+    for _ in range(2):
+        acc = MultiPoly.zero(F, 2)
+        for i in range(deg + 1):
+            for j in range(deg + 1 - i):
+                acc = acc + (x**i * y**j).scale(F.random(rng))
+        coeffs.append(acc)
+    return DiffForm(chart, 1, {(0,): coeffs[0], (1,): coeffs[1]})
+
+
+def dense_foliations(F, rng):
+    """Foliations over F that are not p-closed, on A^2, P^2, A^3 and P^3.
+
+    A^2 and P^2 carry the W1 form and its homogenization.  A^3 and P^3
+    carry pullbacks of a degree-one plane form, along (x + c z, y + x z)
+    and along (x0, x1 + x3, x2 + c x3), redrawn until both are not
+    p-closed.  Over GF(p^2), log foliations on A^3 (x, y and 1 + c1 x +
+    c2 z) and on P^3 (W2) join them.
+    """
+    form = plane_form(F, rng, 2)
+    out = [from_form(form), projectivize(form)]
+    a3, p3 = affine_chart(F, 3), cone_chart(F, 3)
+    x, y, z = a3.vars()
+    x0, x1, x2, x3 = p3.vars()
+    while True:
+        small = plane_form(F, rng, 1)
+        c = F.random_nonzero(rng)
+        try:
+            plane = from_form(small)
+            space = [
+                pullback_foliation(RationalMap(a3, plane.chart, [x + z * c, y + x * z]), plane),
+                pullback_foliation(
+                    RationalMap(p3, cone_chart(F, 2), [x0, x1 + x3, x2 + x3 * c]),
+                    projectivize(small),
+                ),
+            ]
+        except ValueError:
+            continue
+        if not any(map(is_p_closed, space)):
+            break
+    out += space
+    if F.k > 1:
+        while True:
+            lin = MultiPoly.one(F, 3) + x.scale(F.random_nonzero(rng)) + z.scale(
+                F.random_nonzero(rng)
+            )
+            fol = log_foliation([x, y, lin], [F.random_nonzero(rng) for _ in range(3)])
+            if not is_p_closed(fol):
+                break
+        out.append(fol)
+        out += [fol for fol in w2_foliations(F.p, rng, 2) if not is_p_closed(fol)]
+    return out
+
+
+@pytest.mark.parametrize(
+    "F", [GF(2), GF(3), GF(5), GF(7), GF(3, 2), GF(5, 2)], ids=lambda F: F.descriptor()
+)
+def test_eta_from_g_matches_the_route_through_f(F):
+    # f = G r^p, and C(f^(p-1) omega) = r^(p-1) C(G^(p-1) omega); on A^2
+    # there is one Koszul field, so r is a constant, and on P^2 a monomial
+    p = F.p
+    seen = set()
+    for fol in dense_foliations(F, random.Random(1)):
+        pc = fol.pcurvature
+        eta = pc.eta
+        r = pc.r
+        assert pc.G.leading()[1] == F.one()
+        assert pc.f == pc.G * r**p
+        assert eta_reference(pc) == eta * r ** (p - 1)
+        if fol.n == 2:
+            assert len(r.terms) == 1 and (fol.projective or r.is_constant)
+        seen.add((fol.n, fol.projective))
+    assert seen == {(2, False), (2, True), (3, False), (3, True)}
+
+
+def test_eta_when_g_is_one():
+    # v = d/dx - x^(p-1) d/dy has v^p = -(p-1)! d/dy = d/dy (Wilson), so
+    # the foliation dy + x^(p-1) dx has f = 1: G = r = 1 and no degeneracy
+    for p in (2, 3, 5, 7):
+        F = GF(p)
+        chart = affine_chart(F, 2)
+        x, _ = chart.vars()
+        one = MultiPoly.one(F, 2)
+        fol = from_form(DiffForm(chart, 1, {(0,): x ** (p - 1), (1,): one}))
+        pc = fol.pcurvature
+        assert pc.f == pc.G == one
+        assert degeneracy_divisor(fol).is_zero()
+        eta, _ = cartier_transform_foliation(fol)
+        assert pc.r == one
+        assert eta_reference(pc) == pc.eta == eta
+
+
+def test_analyze_takes_one_gcd_of_the_values(monkeypatch):
+    # the degeneracy divisor and the Cartier transform read one gcd G
+    calls = []
+    real = pfol.foliation.gcd_list
+
+    def counting(polys):
+        polys = list(polys)
+        calls.append(polys)
+        return real(polys)
+
+    monkeypatch.setattr(pfol.foliation, "gcd_list", counting)
+    F = GF(5, 2)
+    t = F.generator()
+    x, y, z = affine_chart(F, 3).vars()
+    foliations = [
+        w1_foliation(3, 1),
+        log_foliation([x, y, x * 2 + z * t + 1], [F.one(), t, F.one()]),
+        w2_foliations(5, random.Random(5), 1)[0],
+    ]
+    for fol in foliations:
+        calls.clear()
+        report = analyze(fol)
+        assert not report.p_closed and report.cartier_integrable is not None
+        assert calls == [[val for val in fol.pcurvature.values if val]]
