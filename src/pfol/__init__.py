@@ -10,7 +10,7 @@ The package is organised bottom-up:
   coefficients, wedge/d/contraction, p-th power derivations and pullbacks
   on affine charts.
 - ``cartier``: the Cartier operator on closed forms.
-- ``foliation``: p-curvature, degeneracy divisors, closed defining forms,
+- ``foliation``: p-curvature, degeneracy divisors, the Cartier transform,
   kernel distributions and invariant hypersurfaces.
 - ``geommaps``: maps with one common denominator, pullbacks, ramification
   and differents.

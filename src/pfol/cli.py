@@ -220,11 +220,11 @@ def cmd_restrict(args) -> int:
     ]
     ok = True
     try:
-        delta_f = degeneracy_divisor(fol)
-        delta_sub = degeneracy_divisor(sub)
+        deltas = fol.n >= 3 and (degeneracy_divisor(fol), degeneracy_divisor(sub))
     except PClosedError:
-        delta_f = delta_sub = None
-    if delta_f is not None and delta_sub is not None and fol.n >= 3:
+        deltas = None
+    if deltas:
+        delta_f, delta_sub = deltas
         theta = p_kernel(fol).two_form
         _, diff_k = restrict_form(embedding, theta)
         restricted_delta = pullback_divisor(embedding, delta_f)

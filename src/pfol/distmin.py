@@ -51,6 +51,17 @@ from .rings import GF, QQ
 # sparse exact linear algebra (rows are dicts column -> nonzero value)
 
 
+def _subtract_multiple(row: dict, factor, other: dict) -> None:
+    """row -= factor * other, in place, keeping only nonzero entries."""
+    for c, v in other.items():
+        nv = row.get(c)
+        nv = -factor * v if nv is None else nv - factor * v
+        if nv:
+            row[c] = nv
+        else:
+            row.pop(c, None)
+
+
 def rref(rows: list[dict]) -> dict[int, dict]:
     """Reduced row echelon form; returns {pivot column: reduced row}.
 
@@ -63,14 +74,7 @@ def rref(rows: list[dict]) -> dict[int, dict]:
     for row in rows:
         row = dict(row)
         for col in [c for c in row if c in pivots]:
-            factor = row[col]
-            for c, v in pivots[col].items():
-                nv = row.get(c)
-                nv = -factor * v if nv is None else nv - factor * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
+            _subtract_multiple(row, row[col], pivots[col])
         if not row:
             continue
         lead = min(row)
@@ -79,14 +83,7 @@ def rref(rows: list[dict]) -> dict[int, dict]:
         # eliminate the new pivot from stored rows
         for prow in pivots.values():
             if lead in prow:
-                factor = prow[lead]
-                for c, v in row.items():
-                    nv = prow.get(c)
-                    nv = -factor * v if nv is None else nv - factor * v
-                    if nv:
-                        prow[c] = nv
-                    else:
-                        prow.pop(c, None)
+                _subtract_multiple(prow, prow[lead], row)
         pivots[lead] = row
     return pivots
 

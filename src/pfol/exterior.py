@@ -1,7 +1,9 @@
 """Differential forms and vector fields on affine charts.
 
 Forms are stored sparsely: a q-form is a dict from strictly increasing
-index q-tuples to nonzero coefficients.  Every coefficient of a
+index q-tuples to nonzero coefficients.  The ``DiffForm`` constructor
+alone sorts, signs and sums terms: ``+``, ``wedge``, ``d`` and ``contract``
+hand it their raw (index, coefficient) pairs.  Every coefficient of a
 ``DiffForm``, every component of a ``VectorField`` and of a
 ``geommaps.RationalMap`` is a ``MultiPoly`` (:meth:`Chart.coerce` turns a
 ring constant into one).  A rational object is carried as a polynomial
@@ -22,6 +24,7 @@ int-code path, and the prime scan of :mod:`pfol.models`.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import mul
 
@@ -100,11 +103,16 @@ class DiffForm:
 
     __slots__ = ("chart", "q", "terms", "_content")
 
-    def __init__(self, chart: Chart, q: int, terms: dict):
+    def __init__(self, chart: Chart, q: int, terms):
+        """``terms``: a mapping from index q-tuples to coefficients, or
+        (index, coefficient) pairs in which an index may repeat.  Only here
+        is an index sorted with its sign (one with a repeated entry is
+        dropped), a coefficient coerced to the chart, and the coefficients
+        of one index summed, a zero sum dropped."""
         self.chart = chart
         self.q = q
         clean = {}
-        for idx, c in terms.items():
+        for idx, c in terms.items() if isinstance(terms, Mapping) else terms:
             if len(idx) != q:
                 raise ValueError("index tuple of wrong length")
             srt = _sort_sign(idx)
@@ -148,15 +156,7 @@ class DiffForm:
         self._check(other)
         if other.q != self.q:
             raise ValueError("cannot add forms of different degrees")
-        terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            s = terms.get(idx)
-            s = c if s is None else s + c
-            if s:
-                terms[idx] = s
-            else:
-                terms.pop(idx, None)
-        return DiffForm(self.chart, self.q, terms)
+        return DiffForm(self.chart, self.q, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
         return DiffForm(self.chart, self.q, {i: -c for i, c in self.terms.items()})
@@ -186,47 +186,21 @@ class DiffForm:
 
     def wedge(self, other: "DiffForm") -> "DiffForm":
         self._check(other)
-        q = self.q + other.q
-        if q > self.chart.nvars:
-            return DiffForm(self.chart, q, {})
-        terms: dict = {}
-        for i1, c1 in self.terms.items():
-            for i2, c2 in other.terms.items():
-                srt = _sort_sign(i1 + i2)
-                if srt is None:
-                    continue
-                idx, sign = srt
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                s = terms.get(idx)
-                s = c if s is None else s + c
-                if s:
-                    terms[idx] = s
-                else:
-                    terms.pop(idx, None)
-        return DiffForm(self.chart, q, terms)
+        # a pair sharing an index vanishes: test before forming its product
+        return DiffForm(self.chart, self.q + other.q, [
+            (i1 + i2, c1 * c2)
+            for i1, c1 in self.terms.items()
+            for i2, c2 in other.terms.items()
+            if set(i1).isdisjoint(i2)
+        ])
 
     def d(self) -> "DiffForm":
-        terms: dict = {}
-        for idx, c in self.terms.items():
-            for j in range(self.chart.nvars):
-                if j in idx:
-                    continue
-                dc = c.deriv(j)
-                if not dc:
-                    continue
-                srt = _sort_sign((j,) + idx)
-                nidx, sign = srt
-                if sign < 0:
-                    dc = -dc
-                s = terms.get(nidx)
-                s = dc if s is None else s + dc
-                if s:
-                    terms[nidx] = s
-                else:
-                    terms.pop(nidx, None)
-        return DiffForm(self.chart, self.q + 1, terms)
+        return DiffForm(self.chart, self.q + 1, [
+            ((j,) + idx, dc)
+            for idx, c in self.terms.items()
+            for j in range(self.chart.nvars)
+            if j not in idx and (dc := c.deriv(j))
+        ])
 
     def contract(self, v: "VectorField") -> "DiffForm":
         """Interior product i_v, contracting in the first slot."""
@@ -234,22 +208,12 @@ class DiffForm:
             raise ValueError("vector field on a different chart")
         if self.q == 0:
             raise ValueError("cannot contract a 0-form")
-        terms: dict = {}
+        terms = []
         for idx, c in self.terms.items():
             for k, i in enumerate(idx):
-                comp = v.comps[i]
-                if not comp:
-                    continue
-                coeff = c * comp
-                if k % 2 == 1:
-                    coeff = -coeff
-                nidx = idx[:k] + idx[k + 1:]
-                s = terms.get(nidx)
-                s = coeff if s is None else s + coeff
-                if s:
-                    terms[nidx] = s
-                else:
-                    terms.pop(nidx, None)
+                if v.comps[i]:
+                    t = c * v.comps[i]
+                    terms.append((idx[:k] + idx[k + 1:], -t if k % 2 else t))
         return DiffForm(self.chart, self.q - 1, terms)
 
     def pair(self, v: "VectorField") -> MultiPoly:

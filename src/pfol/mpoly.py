@@ -283,15 +283,7 @@ class MultiPoly:
         o = self._coerce_operand(other)
         if o is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in o.terms.items():
-            s = terms.get(e)
-            s = -c if s is None else s - c
-            if s:
-                terms[e] = s
-            else:
-                del terms[e]
-        return MultiPoly._new(self.ring, self.nvars, terms)
+        return self + (-o)
 
     def __rsub__(self, other):
         return -(self - other)

@@ -528,6 +528,54 @@ def test_restrict_accepts_renamed_coordinates(monkeypatch, capsys):
     assert run(monkeypatch, capsys, ["restrict"], renamed) == expected
 
 
+def count_degeneracy_divisor_calls(monkeypatch) -> list:
+    """Patch ``pfol.cli.degeneracy_divisor`` to record each of its calls."""
+    import pfol.cli
+
+    calls = []
+    real = pfol.cli.degeneracy_divisor
+
+    def counted(fol):
+        calls.append(fol)
+        return real(fol)
+
+    monkeypatch.setattr(pfol.cli, "degeneracy_divisor", counted)
+    return calls
+
+
+def test_restrict_on_the_plane_computes_no_degeneracy_divisor(monkeypatch, capsys):
+    # on P^2 the degeneracy check is left out, so neither divisor is built
+    text = DEG1 + "hyperplane Y = x0 + 2*x1 + 3*x2\n"
+    calls = count_degeneracy_divisor_calls(monkeypatch)
+    assert run(monkeypatch, capsys, ["restrict"], text) == (
+        0,
+        "restricted form: (2*y1)*dy0 + (3*y0)*dy1\n"
+        "different:\n  (y0 + (3*t+2)*y1) : 1\n",
+        "",
+    )
+    assert calls == []
+    # on P^3 both the foliation and its restriction have one computed
+    code, out, _ = run(monkeypatch, capsys, ["restrict"], RESTRICT)
+    assert (code, out.endswith("matches: True\n"), len(calls)) == (0, True, 2)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            PULLBACK.replace("map phi = [x, y, z^2]", "hyperplane Y = x + y"),
+            "restriction requires a projective document",
+        ),
+        (
+            RESTRICT_TO.format("x0 + x1 + 1"),
+            "hyperplane must be homogeneous linear",
+        ),
+    ],
+)
+def test_restrict_refusals_are_input_errors(monkeypatch, capsys, text, message):
+    assert run(monkeypatch, capsys, ["restrict"], text) == (2, "", f"error: {message}\n")
+
+
 AFFINE_LOG = """\
 field Fp:5
 ambient affine 3

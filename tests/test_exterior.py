@@ -3,6 +3,13 @@ import random
 
 import pytest
 
+from exterior_reference import (
+    add_reference,
+    contract_reference,
+    d_reference,
+    sub_reference,
+    wedge_reference,
+)
 from pfol.exterior import (
     DiffForm,
     VectorField,
@@ -55,6 +62,97 @@ def test_sort_sign_matches_inversion_count():
     assert len(tuples) == 3906
     for idx in tuples:
         assert _sort_sign(idx) == reference(idx)
+
+
+def test_constructor_sums_signs_and_drops_pairs():
+    chart = affine_chart(GF(5), 3)
+    x, y, z = chart.vars()
+    # a repeated index is summed, and a constant is coerced to the chart
+    summed = DiffForm(chart, 1, [((0,), x), ((2,), 3), ((0,), y)])
+    assert summed.terms == {(0,): x + y, (2,): chart.coerce(3)}
+    assert all(type(c) is MultiPoly for c in summed.terms.values())
+    # a permuted index is signed by its permutation
+    assert DiffForm(chart, 2, [((2, 0), x)]).terms == {(0, 2): -x}
+    assert DiffForm(chart, 3, [((2, 0, 1), x), ((1, 0, 2), y)]).terms == {
+        (0, 1, 2): x - y
+    }
+    # an index with a repeated entry is dropped
+    assert DiffForm(chart, 2, [((1, 1), x), ((0, 1), y)]).terms == {(0, 1): y}
+    # a cancelling pair leaves no term, not even a zero one
+    assert DiffForm(chart, 2, [((0, 1), x), ((1, 0), x), ((1, 2), z)]).terms == {
+        (1, 2): z
+    }
+    assert DiffForm(chart, 1, [((0,), x), ((1,), y), ((0,), -x)]).terms == {(1,): y}
+    assert DiffForm(chart, 2, [((0, 1), x), ((1, 0), x)]).is_zero
+    with pytest.raises(ValueError):
+        DiffForm(chart, 2, [((0,), x)])
+
+
+def test_mapping_and_its_pairs_give_equal_forms():
+    rng = random.Random(11)
+    for F in (GF(5), GF(3, 2), QQ):
+        for n in (2, 3, 4):
+            chart = affine_chart(F, n)
+            for q in range(n + 1):
+                # unsorted keys too: the mapping is normalized like the pairs
+                terms = {
+                    tuple(rng.sample(idx, q)): random_poly(F, n, rng)
+                    for idx in itertools.combinations(range(n), q)
+                }
+                form = DiffForm(chart, q, terms)
+                assert DiffForm(chart, q, list(terms.items())) == form
+                assert DiffForm(chart, q, (kv for kv in terms.items())) == form
+
+
+def random_form(chart, q, rng):
+    """A q-form on ``chart`` with each basis index present at random."""
+    indices = itertools.combinations(range(chart.nvars), q)
+    return DiffForm(chart, q, {
+        idx: random_poly(chart.ring, chart.nvars, rng)
+        for idx in indices if rng.random() < 0.75
+    })
+
+
+def assert_normalized(form):
+    for idx, c in form.terms.items():
+        assert list(idx) == sorted(set(idx)) and len(idx) == form.q
+        assert type(c) is MultiPoly and c
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+@pytest.mark.parametrize(
+    "field", [GF(5), GF(3, 2), QQ], ids=["GF(5)", "GF(3^2)", "Q"]
+)
+def test_form_operations_match_their_own_loops(field, nvars):
+    rng = random.Random(31 * nvars + field.characteristic)
+    chart = affine_chart(field, nvars)
+    forms = [random_form(chart, q, rng) for q in range(nvars + 1) for _ in range(3)]
+    fields = [random_field(chart, rng) for _ in range(2)]
+    fields.append(VectorField(chart, [chart.var(0)] + [0] * (nvars - 1)))
+    for a in forms:
+        results = [(a.d(), d_reference(a))]
+        if a.q:
+            results += [(a.contract(v), contract_reference(a, v)) for v in fields]
+        for b in forms:
+            results.append((a.wedge(b), wedge_reference(a, b)))
+            if a.q == b.q:
+                results += [(a + b, add_reference(a, b)), (a - b, sub_reference(a, b))]
+        for got, expected in results:
+            assert got == expected
+            assert_normalized(got)
+    # wedges that cancel to zero: alpha /\ f alpha, df /\ df, and in four
+    # variables theta /\ theta for a decomposable 2-form theta
+    alpha, beta = random_one_form(chart, rng), random_one_form(chart, rng)
+    f = random_poly(field, nvars, rng) + 1
+    df = DiffForm(chart, 0, {(): f}).d()
+    cancelling = [(alpha, alpha * f), (df, df), (alpha.wedge(beta), alpha)]
+    if nvars == 4:
+        theta = alpha.wedge(beta)
+        cancelling.append((theta, theta))
+    for a, b in cancelling:
+        assert wedge_reference(a, b).is_zero
+        assert a.wedge(b).is_zero and a.wedge(b).terms == {}
+    assert (alpha - alpha).terms == {} and sub_reference(alpha, alpha).is_zero
 
 
 def test_coefficients_are_polynomials():

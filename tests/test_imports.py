@@ -194,3 +194,44 @@ def test_int_code_readers_finds_codes_makers_and_the_modulus():
         "loop: .code (line 3)",
         "loop: ._make (line 5)",
     ]
+
+
+NORMALIZERS = {"__init__", "coeff"}
+
+
+def form_methods_that_sort_indices(source: str) -> list[str]:
+    """The methods of ``DiffForm`` in ``source``, other than ``__init__``
+    and ``coeff``, that refer to ``_sort_sign``: a form operation hands its
+    raw terms to the constructor rather than sorting them itself."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "DiffForm"):
+            continue
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef) or method.name in NORMALIZERS:
+                continue
+            for node in ast.walk(method):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if name == "_sort_sign":
+                    found.append(f"{method.name} (line {node.lineno})")
+                    break
+    return found
+
+
+def test_only_the_form_constructor_sorts_indices():
+    assert form_methods_that_sort_indices((SRC / "exterior.py").read_text()) == []
+
+
+def test_form_methods_that_sort_indices_finds_own_normalizers():
+    source = (
+        "from . import exterior\n"
+        "def _sort_sign(idx):\n    return tuple(sorted(idx)), 1\n"
+        "class DiffForm:\n"
+        "    def __init__(self, terms):\n        self.terms = _sort_sign(terms)\n"
+        "    def coeff(self, idx):\n        return _sort_sign(idx)\n"
+        "    def wedge(self, other):\n        return _sort_sign(other)\n"
+        "    def d(self):\n        return exterior._sort_sign(())\n"
+        "class VectorField:\n"
+        "    def apply(self, idx):\n        return _sort_sign(idx)\n"
+    )
+    assert form_methods_that_sort_indices(source) == ["wedge (line 10)", "d (line 12)"]
