@@ -26,9 +26,9 @@ its pivots on the free columns: a basis fixed by the space alone, the one
 the full system's :func:`nullspace` gives.  :func:`rref` keeps its pivot
 rows fully reduced, so each new row is reduced in one pass over its pivot
 columns.  Random combinations of a solution basis are drawn only after
-every basis form has been rejected.  Over Q the unit content of a
-candidate is proved from one image mod a large prime when it can be
-(:func:`has_unit_content`).
+every basis form has been rejected.  The unit content of a candidate is
+``theta.content().is_constant``; over Q its gcds try one image mod a large
+prime first (see :func:`pfol.mpoly.gcd_multi`).
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from operator import add
 from . import InternalError
 from .exterior import DiffForm, VectorField, _sort_sign
 from .foliation import Foliation
-from .mpoly import MultiPoly, gcd_list
-from .rings import GF, QQ
+from .mpoly import MultiPoly
+from .rings import GF
 
 
 # ---------------------------------------------------------------------------
@@ -271,40 +271,6 @@ def witness_integrability(theta: DiffForm) -> bool:
     return True
 
 
-# a prime above rings.TABLE_LIMIT, so GF(p) computes with ints and builds no tables
-CONTENT_PRIME = 2**31 - 1
-
-
-def has_unit_content(theta: DiffForm) -> bool:
-    """Whether the coefficients of a nonzero theta have a constant gcd.
-
-    Over Q one image mod p = ``CONTENT_PRIME`` proves it when p divides no
-    denominator and not the numerator of the leading coefficient of some
-    theta_ij: clearing denominators by their lcm L, the primitive integer
-    gcd g divides every L theta_ij in Z[x] (Gauss's lemma), so lc(g)
-    divides lc(L theta_ij), p does not divide lc(g), and g mod p keeps its
-    degree and divides every image.  A constant gcd of the images mod p
-    therefore makes g constant.  When the images share a factor, or p does
-    not qualify, the content is computed over Q.  Every other ring reads
-    ``theta.content()``.
-    """
-    coeffs = theta.terms.values()
-    if theta.chart.ring == QQ:
-        p = CONTENT_PRIME
-        if all(
-            v.denominator % p for c in coeffs for v in c.terms.values()
-        ) and any(c.leading()[1].numerator % p for c in coeffs):
-            field = GF(p)
-            images = [
-                MultiPoly(field, theta.chart.nvars,
-                          {e: field.coerce(v) for e, v in c.terms.items()})
-                for c in coeffs
-            ]
-            if gcd_list(images).is_constant:
-                return True
-    return theta.content().is_constant
-
-
 @dataclass
 class DistminResult:
     delta: int | None
@@ -366,7 +332,7 @@ def distmin2(fol: Foliation, delta_max: int | None = None, seed: int = 0) -> Dis
             if theta.is_zero:
                 continue
             checked += 1
-            if not has_unit_content(theta):
+            if not theta.content().is_constant:
                 continue
             if not is_rank_two(theta):
                 continue

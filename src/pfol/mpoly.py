@@ -7,18 +7,10 @@ then lex with the first variable largest).
 
 No general factorization is attempted: the only decompositions provided are
 multivariate gcd over a field and squarefree decomposition (with the
-characteristic-p p-th power branch).  The gcd with a monomial is the
-monomial of the least exponents of both inputs, with no further work: a
-divisor of a monomial is a monomial, and x^d divides a polynomial exactly
-when d is at most the exponents of each of its terms.  Otherwise the gcd
-dehomogenizes two forms at x_0, runs Euclid on dense coefficient lists
-when the inputs use one variable, and keeps a primitive pseudo-remainder
-sequence only for inhomogeneous inputs in two or more variables; its
-pseudo-remainders work on the univariate view, one coefficient product at
-a time.  The gcd of a list, which also gives every content, folds from its
-sparsest entry and settles an entry by one trial division when the running
-gcd divides it, so a pairwise gcd runs only where the running gcd must
-shrink.
+characteristic-p p-th power branch).  ``gcd_list``, which also gives every
+content, folds ``gcd_multi`` over its entries from the sparsest and stops
+at a constant, and ``squarefree_decomposition`` is the plain gcd loop.
+Every shortcut a gcd takes is decided in ``gcd_multi`` (see below).
 
 The arithmetic loops work on plain dicts and wrap each result once.
 ``MultiPoly(ring, nvars, terms)`` checks every term; the private
@@ -36,44 +28,59 @@ GF(p) and the ring elements over every other ring; ``_reduce_raw`` reduces
 the sums mod p and drops the zero ones, and ``_from_raw`` turns them back
 into a polynomial.
 
-Over a prime field GF(p), ``gcd_list`` and ``squarefree_decomposition``
-first try an exact certificate on inputs in two variables once x_0 is set
-to 1: polynomials in two variables, and forms in three.  Every other
-input, and every input that no certificate settles, takes the routes
-above unchanged.  The largest monomial x^m dividing f splits off first,
-as an exponent shift: the rest r = f / x^m has no factor x_i, so setting
-x_0 = 1 in a form is a bijection on the factors of the rests, and the
-rests are written as a(x, y), x and y the last two variables.
+``gcd_multi(f, g)`` tries its shortcuts in this order.  A monic gcd is
+unique, so every route gives the same polynomial.
 
-- Coprime.  gcd(a, b) = 1 when two tests pass.  A common factor h of
-  positive degree in x has lc_x(h) | lc_x(a); at a point y = c where
-  lc_x(a) does not vanish, h(x, c) keeps that degree and divides a(x, c)
-  and b(x, c).  So one such point whose images have gcd 1 rules out every
-  h of positive degree in x.  A common factor of degree 0 in x is a
-  polynomial in y, and it divides every coefficient in x of a and of b, so
-  it divides content_x(a) and content_x(b); a gcd 1 of those coefficients
-  rules it out.  Points are taken in GF(p) in code order, then in
-  GF(p^2), whose field is built only then; a point whose image gcd is not
-  1 is unlucky and the next one is tried, but after ``CERTIFICATE_MISSES``
-  of them the certificate gives up, since a true common factor shows at
-  every point.
-- ``gcd_list``.  When every entry has as many terms and the rests are
-  equal up to a scalar, the gcd is x^l times the monic rest, l the least
-  exponents over the entries: gcd(x^(m_1) r, x^(m_2) r) = r gcd(x^(m_1),
-  x^(m_2)).  On P^2 the values omega(v^p) are of this kind.  Otherwise,
-  when the rests of the two sparsest entries are certified coprime, the
-  gcd is x^l: a common factor other than a monomial would divide both
-  rests, and x^k divides x^(m_i) r_i exactly when k <= m_i.
-- ``squarefree_decomposition``.  Let r = f / x^m and gcd(r, d_j r) = 1 for
-  one variable x_j of the plane (d_j the partial derivative).  Then the
-  gcd c of f and its partials is a monomial: an irreducible h | c other
-  than a variable divides r and d_j f = d_j(x^m) r + x^m d_j r, so it
-  divides d_j r, against the certificate.  A monomial dividing f divides
-  x^m, so c divides gcd(x^m, partials); that gcd divides f and the
-  partials, so it divides c.  The two are equal, the loop starts from
-  x^m, every later gcd has a monomial argument and takes the monomial
-  branch, and no pseudo-remainder sequence runs.  When d_j r is
-  zero for both variables, r is a p-th power and the full route runs.
+1. Context checks and zero inputs; a constant input gives 1.
+2. Monomial split.  Write f = x^a r and g = x^b s, x^a the largest
+   monomial dividing f, split off as an exponent shift, so that no
+   variable divides r or s.  The variables are primes, so gcd(f, g) =
+   x^min(a, b) gcd(r, s), and a constant rest gives x^min(a, b).
+3. Divisor test.  When no degree of r exceeds that of s and r divides s,
+   gcd(r, s) is r made monic, and the same with r and s swapped; with
+   equal degrees a quotient is a scalar, so one test settles both.  One
+   division settles a fold whose running gcd divides the next entry,
+   equal rests (on P^2 the values omega(v^p) are c x_j^p G) and the gcds
+   of the squarefree loop where c divides w.  It runs before step 6,
+   which cannot settle such a pair.
+4. Q image.  Over Q, let p = ``CONTENT_PRIME`` divide no denominator of r
+   or s, and not the numerator of lc(r) (or, with r and s swapped, of
+   lc(s)).  By Gauss's lemma gcd(r, s) is, up to a scalar, a primitive h
+   in Z[x] that divides r and s over the rationals without p in their
+   denominators; so lc(h) divides lc(r) there, p does not divide lc(h),
+   and h mod p keeps its leading monomial and divides both images mod p.
+   Images with gcd 1 therefore make h constant.  An image gcd other than
+   1 proves nothing, and the gcd goes on over Q.  This is the unlucky-prime
+   argument of modular gcds (Brown, JACM 1971; von zur Gathen and Gerhard,
+   Modern Computer Algebra, ch. 6).
+5. Forms.  Two forms in two or more variables are dehomogenized at x_0,
+   and the gcd of the images is homogenized back: x_0 divides neither
+   rest, and no terms of a form cancel when x_0 = 1, so this is a
+   bijection on their factors.  Forms in three variables reach step 6 as
+   their two-variable images, so the certificate runs once.
+6. Plane certificate.  Over GF(p), for rests a, b in two variables x, y
+   that together use both, gcd(a, b) = 1 when two tests pass.  A common
+   factor h of positive degree in x has lc_x(h) | lc_x(a); at a point y =
+   c where lc_x(a) does not vanish, h(x, c) keeps that degree and divides
+   a(x, c) and b(x, c).  So one such point whose images have gcd 1 rules
+   out every h of positive degree in x.  A common factor of degree 0 in x
+   is a polynomial in y, and it divides every coefficient in x of a and of
+   b, so it divides content_x(a) and content_x(b); a gcd 1 of those
+   coefficients rules it out.  Points are taken in GF(p) in code order,
+   then in GF(p^2), whose field is built only then; a point whose image
+   gcd is not 1 is unlucky and the next one is tried, but after
+   ``CERTIFICATE_MISSES`` of them the certificate gives up, since a true
+   common factor shows at every point.
+7. Otherwise Euclid on dense coefficient lists when the rests together
+   use one variable, and a primitive pseudo-remainder sequence in the last
+   variable used when they use more.  Its content gcds are folds of
+   ``gcd_multi``, and its pseudo-remainders work on the univariate view,
+   one coefficient product at a time.
+
+The squarefree loop takes the partials of the last two variables first,
+so on P^2 and affine planes its first gcd, of f = x^m r and d_x f, is
+that of r and (m_x r + x d_x r) / x^k: coprime exactly when r and d_x r
+are, the pair on which the certificate proves r squarefree.
 
 A division by a gcd that the engine computed is exact by construction;
 when it is not, the engine raises ``InternalError`` naming the stage,
@@ -89,6 +96,9 @@ from .rings import GF, GFElem, NRElem, _power, up_gcd, up_trim
 
 # unlucky points a certificate tries before it gives up (see the docstring)
 CERTIFICATE_MISSES = 4
+
+# a prime above rings.TABLE_LIMIT, so GF(p) computes with ints and builds no tables
+CONTENT_PRIME = 2**31 - 1
 
 
 def _grlex_key(e):
@@ -444,9 +454,9 @@ class MultiPoly:
         if self.is_zero:
             return self
         _, lc = self.leading()
+        if lc == self.ring.one():
+            return self
         if not self.ring.is_field:
-            if lc == self.ring.one():
-                return self
             if lc == -self.ring.one():
                 return -self
             raise ArithmeticError("cannot normalize over a non-field")
@@ -551,6 +561,14 @@ def _quotient_by_gcd(f: MultiPoly, g: MultiPoly, stage: str) -> MultiPoly:
     return MultiPoly._new(f.ring, f.nvars, qr[0])
 
 
+def _shift(f: MultiPoly, m) -> MultiPoly:
+    """f times x^m, m a tuple of exponents that may be negative when x^-m
+    divides f."""
+    if not any(m):
+        return f
+    return MultiPoly._new(f.ring, f.nvars, {tuple(map(add, e, m)): c for e, c in f.terms.items()})
+
+
 def _univar_view(f: MultiPoly, v: int) -> dict[int, MultiPoly]:
     """View f as univariate in variable v with polynomial coefficients."""
     groups: dict[int, dict] = {}
@@ -562,7 +580,7 @@ def _univar_view(f: MultiPoly, v: int) -> dict[int, MultiPoly]:
 
 def _content_in(f: MultiPoly, v: int) -> MultiPoly:
     """The content of f as a polynomial in v: the gcd of its coefficients."""
-    return _gcd_fold(sorted(_univar_view(f, v).values(), key=lambda g: len(g.terms)))
+    return gcd_list(_univar_view(f, v).values())
 
 
 def _prem(a: MultiPoly, b: MultiPoly, v: int) -> MultiPoly:
@@ -631,39 +649,64 @@ def _univariate_gcd(f: MultiPoly, g: MultiPoly, v: int) -> MultiPoly:
 
 
 def gcd_multi(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Monic gcd over a coefficient field.
-
-    When f or g is a single term the gcd is the monomial whose exponent of
-    each variable is the least over the terms of both.  Two forms in two or
-    more variables are dehomogenized at x_0: their gcd is
-    x_0^min(ord f, ord g) times the homogenized gcd of f|_{x_0=1} and
-    g|_{x_0=1}.  Inputs that together use one variable go to Euclid on
-    dense coefficient lists.  The rest, inhomogeneous in two or more
-    variables, take a primitive pseudo-remainder sequence in the last
-    variable used, whose content gcds recurse.  A monic gcd is unique, so
-    every route gives the same polynomial.
-    """
+    """Monic gcd over a coefficient field, by the shortcuts of the module
+    docstring in their order, then Euclid or a pseudo-remainder sequence.
+    A monic gcd is unique, so every route gives the same polynomial."""
     if f.ring != g.ring or f.nvars != g.nvars:
         raise ValueError("polynomials over different contexts")
-    if not f.ring.is_field:
+    ring = f.ring
+    if not ring.is_field:
         raise ArithmeticError("gcd requires a coefficient field")
     if f.is_zero:
         return g.monic() if not g.is_zero else g
     if g.is_zero:
         return f.monic()
     if f.is_constant or g.is_constant:
-        return MultiPoly.one(f.ring, f.nvars)
+        return MultiPoly.one(ring, f.nvars)
+    a, b = (tuple(map(min, zip(*h.terms))) for h in (f, g))
+    least = tuple(map(min, a, b))
+    monomial = MultiPoly._new(ring, f.nvars, {least: ring.one()})
     if len(f.terms) == 1 or len(g.terms) == 1:
-        # a divisor of a monomial is a monomial
-        least = tuple(map(min, zip(*f.terms, *g.terms)))
-        return MultiPoly._new(f.ring, f.nvars, {least: f.ring.one()})
-    if f.nvars >= 2 and f.is_homogeneous() and g.is_homogeneous():
+        return monomial  # a rest is a constant
+    r, s = _shift(f, tuple(-k for k in a)), _shift(g, tuple(-k for k in b))
+    dr, ds = _degrees(r), _degrees(s)
+    if all(map(le, dr, ds)) and r.divides(s):
+        return _shift(r.monic(), least)
+    if dr != ds and all(map(le, ds, dr)) and s.divides(r):
+        return _shift(s.monic(), least)
+    if not ring.characteristic:
+        p = CONTENT_PRIME
+        if all(c.denominator % p for h in (r, s) for c in h.terms.values()) and (
+            r.leading()[1].numerator % p or s.leading()[1].numerator % p
+        ):
+            field = GF(p)
+            images = [
+                MultiPoly(field, f.nvars, {e: field.coerce(c) for e, c in h.terms.items()})
+                for h in (r, s)
+            ]
+            if gcd_multi(*images).is_constant:
+                return monomial
+    cone = f.nvars >= 2 and r.is_homogeneous() and s.is_homogeneous()
+    if cone:
         # set_var_one cannot cancel terms of a form, so this is exact
-        k = min(min(e[0] for e in f.terms), min(e[0] for e in g.terms))
-        h = gcd_multi(f.set_var_one(0), g.set_var_one(0)).homogenize(0)
-        terms = {(e[0] + k,) + e[1:]: c for e, c in h.terms.items()}
-        return MultiPoly(f.ring, f.nvars, terms).monic()
-    used = sorted(set(f.variables_used()) | set(g.variables_used()))
+        r, s = r.set_var_one(0), s.set_var_one(0)
+    used = sorted(set(r.variables_used()) | set(s.variables_used()))
+    p = _prime_modulus(ring)
+    if p and r.nvars == len(used) == 2 and _certify_coprime(
+        _plane_rows(r), _plane_rows(s), p
+    ):
+        return monomial
+    h = _remainder_gcd(r, s, used)
+    if cone:
+        h = h.homogenize(0).monic()
+    return _shift(h, least)
+
+
+def _remainder_gcd(f: MultiPoly, g: MultiPoly, used: list[int]) -> MultiPoly:
+    """Monic gcd of two nonconstant f and g that together use the variables
+    ``used``: Euclid on dense coefficient lists for one variable, otherwise a
+    primitive pseudo-remainder sequence in the last one, whose content gcds
+    recurse into ``gcd_multi``."""
     v = used[-1]
     if len(used) == 1:
         return _univariate_gcd(f, g, v)
@@ -692,47 +735,17 @@ def gcd_multi(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 def gcd_list(polys) -> MultiPoly:
-    """Monic gcd of a list of polynomials over a coefficient field.
-
-    Zero entries are skipped, and a list of zeros has gcd zero.  Over
-    GF(p) in the plane a certificate may settle the list (see the module
-    docstring).  Otherwise the running gcd starts from the entry with the
-    fewest terms.  When the running gcd g divides the next entry f,
-    gcd(g, f) = g, so one trial division settles it and ``gcd_multi`` runs
-    only when it does not.  The division is tried only when no degree of g
-    in a variable exceeds that of f.  The fold stops at a constant.
-    """
-    polys = list(polys)
+    """Monic gcd of a list of polynomials over a coefficient field: the fold
+    of ``gcd_multi`` from zero over the entries, fewest terms first, which
+    stops at a constant.  A list of zeros has gcd zero."""
+    polys = sorted(polys, key=lambda f: len(f.terms))
     if not polys:
         raise ValueError("gcd of an empty list")
-    ring, nvars = polys[0].ring, polys[0].nvars
-    if any(f.nvars != nvars or (f.ring is not ring and f.ring != ring) for f in polys):
-        raise ValueError("polynomials over different contexts")
-    if not ring.is_field:
-        raise ArithmeticError("gcd requires a coefficient field")
-    nonzero = sorted((f for f in polys if f), key=lambda f: len(f.terms))
-    if not nonzero:
-        return MultiPoly.zero(ring, nvars)
-    # with a single-term entry the fold finds the monomial gcd at once
-    if len(nonzero) > 1 and len(nonzero[0].terms) > 1 and _in_plane(nonzero):
-        g = _certified_gcd(nonzero)
-        if g is not None:
-            return g
-    return _gcd_fold(nonzero)
-
-
-def _gcd_fold(nonzero) -> MultiPoly:
-    """The gcd of nonzero polynomials sorted by their number of terms, by
-    the fold of ``gcd_list``."""
-    acc = nonzero[0].monic()
-    degs = _degrees(acc)
-    for f in nonzero[1:]:
-        if not any(degs):
+    acc = MultiPoly.zero(polys[0].ring, polys[0].nvars)
+    for f in polys:
+        acc = gcd_multi(acc, f)
+        if acc.terms and acc.is_constant:
             break
-        # a divisor has no larger degree in any variable
-        if not (all(map(le, degs, _degrees(f))) and acc.divides(f)):
-            acc = gcd_multi(acc, f)
-            degs = _degrees(acc)
     return acc
 
 
@@ -760,8 +773,8 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
     Returns [(g_i, m_i)] with the g_i monic, squarefree and pairwise coprime
     and f = unit * prod g_i^{m_i}.  Works over any coefficient field,
     including characteristic p (where the p-th power branch recurses).
-    Over GF(p) in the plane a certificate that f / x^m is squarefree
-    starts the gcd loop from x^m (see the module docstring).
+    The gcd c of f and its partials is taken with the partials of the last
+    two variables first (see the module docstring).
     """
     if f.is_zero:
         raise ValueError("squarefree decomposition of zero")
@@ -769,16 +782,13 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
         return []
     p = f.ring.characteristic
     f = f.monic()
-    partials = [f.deriv(i) for i in range(f.nvars)]
+    n = f.nvars
+    partials = [f.deriv(i) for i in sorted(range(n), key=lambda i: i < n - 2)]
     partials = [d for d in partials if not d.is_zero]
     if not partials:
         # every partial vanishes, so f is a p-th power
         return [(g, p * m) for g, m in squarefree_decomposition(pth_root_poly(f))]
     c = f
-    if len(f.terms) > 1 and _in_plane([f]):
-        m = _squarefree_certificate(f)
-        if m is not None:
-            c = MultiPoly._new(f.ring, f.nvars, {m: f.ring.one()})
     for d in partials:
         c = gcd_multi(c, d)
     stage = "mpoly.squarefree_decomposition"
@@ -802,29 +812,6 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
 
 # ---------------------------------------------------------------------------
 # one-image certificates over GF(p) in the plane (see the module docstring)
-
-
-def _in_plane(polys) -> bool:
-    """Whether certificates apply: a prime field, and two variables, or
-    three in forms, which are dehomogenized at x_0."""
-    f = polys[0]
-    if not _prime_modulus(f.ring):
-        return False
-    if f.nvars == 2:
-        return True
-    return f.nvars == 3 and all(g.is_homogeneous() for g in polys)
-
-
-def _shift(f: MultiPoly, m) -> MultiPoly:
-    """f times x^m, m a tuple of exponents that may be negative when x^-m
-    divides f."""
-    return MultiPoly._new(f.ring, f.nvars, {tuple(map(add, e, m)): c for e, c in f.terms.items()})
-
-
-def _rest(f: MultiPoly) -> tuple[tuple, MultiPoly]:
-    """(m, f / x^m) for x^m the largest monomial dividing a nonzero f."""
-    m = tuple(map(min, zip(*f.terms)))
-    return m, _shift(f, tuple(-k for k in m))
 
 
 def _plane_rows(f: MultiPoly) -> list[list[int]]:
@@ -905,32 +892,3 @@ def _certify_coprime(a, b, p: int) -> bool:
         if misses == CERTIFICATE_MISSES:
             return False
     return False
-
-
-def _certified_gcd(nonzero) -> MultiPoly | None:
-    """The gcd of nonzero polynomials in the plane, sorted by their number
-    of terms, when their rests are equal up to a scalar or the rests of the
-    two sparsest are certified coprime; None otherwise."""
-    f = nonzero[0]
-    rests = [_rest(g) for g in nonzero]
-    least = tuple(map(min, zip(*(m for m, _ in rests))))
-    if all(len(g.terms) == len(f.terms) for g in nonzero):
-        first = rests[0][1].monic()
-        if all(r.monic() == first for _, r in rests[1:]):
-            return _shift(first, least)
-    a, b = (_plane_rows(r) for _, r in rests[:2])
-    if _certify_coprime(a, b, f.ring.p):
-        return MultiPoly._new(f.ring, f.nvars, {least: f.ring.one()})
-    return None
-
-
-def _squarefree_certificate(f: MultiPoly):
-    """The exponents m of the monomial part x^m of a nonconstant f in the
-    plane when gcd(f / x^m, d_j(f / x^m)) = 1 is certified for x_j the
-    first of x, y with d_j(f / x^m) nonzero; None otherwise."""
-    m, r = _rest(f)
-    for j in (f.nvars - 2, f.nvars - 1):
-        d = r.deriv(j)
-        if d:
-            return m if _certify_coprime(_plane_rows(r), _plane_rows(d), f.ring.p) else None
-    return None

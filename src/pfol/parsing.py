@@ -29,6 +29,9 @@ Documents are plain text, one directive per line::
     map phi = [x, y, z^2]
     hyperplane Y = x + 2*y + 3*z + w
     weights lam = (t, 1, 1)
+
+The names of ``vars`` are distinct, and no token of the grammar above
+stands for one of them.
 """
 
 from __future__ import annotations
@@ -435,6 +438,7 @@ def parse_document(text: str, field_override: str | None = None) -> Document:
             doc.n = int(nstr)
         elif head == "vars":
             names = tuple(rest.split())
+            names_line = lineno
         elif head in ("form", "model", "map", "hyperplane", "weights"):
             pending.append((lineno, line))
         else:
@@ -446,8 +450,10 @@ def parse_document(text: str, field_override: str | None = None) -> Document:
     if doc.n is None:
         raise ParseError("document declares no ambient")
     expected = doc.n + 1 if projective else doc.n
-    if names is not None and len(names) != expected:
-        raise ParseError(f"expected {expected} variable names")
+    if names is not None:
+        if len(names) != expected:
+            raise ParseError(f"expected {expected} variable names")
+        _check_names(names, doc.ring, names_line)
     doc.chart = (cone_chart if projective else affine_chart)(doc.ring, doc.n, names)
     for lineno, line in pending:
         head, _, rest = line.partition(" ")
@@ -489,6 +495,32 @@ def parse_document(text: str, field_override: str | None = None) -> Document:
                 ws.append(w.constant_value())
             doc.weights[name] = ws
     return doc
+
+
+def _check_names(names: tuple, ring, line: int) -> None:
+    """Refuse declared variable names that an expression could not write:
+    a repeated name, one the tokenizer does not read as a single name, a
+    constant of ``ring`` (``p`` in positive characteristic, ``t`` over
+    GF(p^k) with k >= 2, ``a`` over NR:) and the differential d<v> of a
+    declared v."""
+    constants = {
+        "p": ring.characteristic > 0,
+        "t": isinstance(ring, GF) and ring.k > 1,
+        "a": isinstance(ring, NumberRing),
+    }
+    for i, name in enumerate(names):
+        token = _TOKEN_RE.fullmatch(name)
+        if not (token and token.group("name")):
+            raise ParseError(f"{name!r} is not a variable name", line=line)
+        if name in names[:i]:
+            raise ParseError(f"variable {name!r} is declared twice", line=line)
+        if constants.get(name):
+            raise ParseError(f"variable name {name!r} is a constant of {ring!r}",
+                             line=line)
+        if name[0] == "d" and name[1:] in names:
+            raise ParseError(
+                f"variable name {name!r} is the differential of {name[1:]!r}", line=line
+            )
 
 
 def _split_commas(text: str, lineno: int) -> list[str]:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -321,8 +322,12 @@ def test_inexact_division_by_a_computed_gcd_is_internal_error(tmp_path, monkeypa
     real = pfol.mpoly.gcd_multi
 
     def wrong(f, g):
-        # h * (x_2 + 1) on the cone, the last variable once x_0 = 1
+        # h * (x_2 + 1) on the cone, the last variable once x_0 = 1, in the
+        # gcds of the squarefree loop; gcd_multi and the folds of gcd_list
+        # call gcd_multi themselves, and those gcds stay right
         h = real(f, g)
+        if sys._getframe(1).f_code.co_name != "squarefree_decomposition":
+            return h
         return h * (MultiPoly.var(h.ring, h.nvars, h.nvars - 1) + 1)
 
     monkeypatch.setattr(pfol.mpoly, "gcd_multi", wrong)

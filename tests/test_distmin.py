@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import pfol.distmin
+from gcd_reference import count_prem_calls, gcd_list_reference
 from distmin_reference import (
     constraint_rows_reference,
     distmin2_reference,
@@ -12,11 +13,9 @@ from distmin_reference import (
     rref_reference,
 )
 from pfol.distmin import (
-    CONTENT_PRIME,
     _koszul_rows,
     _span_combinations,
     distmin2,
-    has_unit_content,
     is_rank_two,
     nullspace,
     rref,
@@ -25,7 +24,7 @@ from pfol.distmin import (
 )
 from pfol.exterior import DiffForm, VectorField, affine_chart, cone_chart, euler_field
 from pfol.foliation import from_form, log_foliation
-from pfol.mpoly import MultiPoly, gcd_list
+from pfol.mpoly import CONTENT_PRIME, MultiPoly, gcd_list
 from pfol.parsing import parse_document
 from pfol.rings import GF, QQ
 
@@ -454,7 +453,13 @@ def test_lazy_span_draws_carry_over_rejected_deltas(ring, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the unit-content test over Q from one image mod a prime
+# the unit-content test over Q, whose gcds try one image mod a prime first
+
+
+def reference_unit_content(theta) -> bool:
+    """Whether the content of theta, a left fold of the reference PRS over
+    its coefficients, is constant."""
+    return gcd_list_reference(list(theta.terms.values())).is_constant
 
 
 def content_cases(fol, rng):
@@ -475,8 +480,8 @@ def test_unit_content_agrees_with_the_content_over_q(make):
     seen = {True: 0, False: 0}
     for seed in (0, 1):
         for theta in content_cases(fol, random.Random(seed)):
-            unit = theta.content().is_constant
-            assert has_unit_content(DiffForm(fol.chart, 2, theta.terms)) == unit
+            unit = reference_unit_content(theta)
+            assert theta.content().is_constant == unit
             seen[unit] += 1
     assert seen[True] and seen[False]
 
@@ -495,11 +500,25 @@ def test_unit_content_falls_back_when_the_prime_does_not_qualify():
         ({(0, 1): x2 * (x0 * p + 1), (2, 3): x3 * (x0 * p + 1)}, False),
         ({(0, 1): x0 * p + x1, (2, 3): x2 * p + x3}, True),
         ({(0, 1): x0 * (x0 + x1 * p), (2, 3): x2 * (x0 + x1 * p)}, False),
+        # as in the third case, with rests that do not divide each other
+        ({(0, 1): (x0 * p + 1) * (x1 + 1), (2, 3): (x0 * p + 1) * (x2 + 2)}, False),
     ]
     for terms, unit in cases:
         theta = DiffForm(chart, 2, terms)
+        assert reference_unit_content(theta) == unit
         assert theta.content().is_constant == unit
-        assert has_unit_content(DiffForm(chart, 2, terms)) == unit
+
+
+def test_pencil_combination_content_over_q_takes_no_pseudo_remainder(monkeypatch):
+    # the first span combination of quadric_pencil(QQ) at delta 3: by a
+    # PRS over Q, gcds of pairs of its coefficients took from 0.17 s to
+    # over 15 s each
+    fol = quadric_pencil(QQ)
+    basis = subdistribution_space(fol, 3).basis
+    theta = next(_span_combinations(basis, fol.chart, random.Random(0)))
+    prem_calls = count_prem_calls(monkeypatch)
+    assert theta.content() == 1
+    assert all(a.ring != QQ for a, _, _ in prem_calls)
 
 
 def test_span_walk_over_q_rejects_every_basis_form_up_to_delta_three(monkeypatch):

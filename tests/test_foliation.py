@@ -29,6 +29,7 @@ from pfol.rings import GF
 
 from cartier_reference import eta_reference
 from chart_reference import glue_chart_divisors, projectivize
+from gcd_reference import count_prem_calls
 
 
 def test_coprime_basis():
@@ -52,6 +53,40 @@ def test_glue_chart_divisors():
     assert_normal_form_kept(div)
     with pytest.raises(AssertionError, match="component x \\+ y"):
         glue_chart_divisors(F, 1, {0: (one + t, one), 1: ((one + t) ** 2, one)})
+
+
+def coprime_plane_components(projective):
+    """Four pairwise coprime squarefree components over GF(5), on P^2 or
+    on A^2, with log weights that sum to zero in degree on P^2."""
+    F = GF(5)
+    if projective:
+        x0, x, y = cone_chart(F, 2).vars()
+        comps = [x**2 + y**2 + x0 * y * 3, x * y + x0**2 * 2, x + y * 2 + x0 * 3,
+                 x**3 + y**2 * x0 + x0**3]
+        return comps, [1, 1, 2, -2]
+    x, y = affine_chart(F, 2).vars()
+    return [x**2 + y**3 + 1, x * y + 2, x + y**2 + 3, x**3 + y + 4], [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("projective", [False, True], ids=["A2", "P2"])
+def test_plane_normal_form_and_log_foliation_take_no_pseudo_remainder(
+    projective, monkeypatch
+):
+    # the squarefree and coprimality gcds over GF(p) in the plane are
+    # settled by the shortcuts of gcd_multi
+    comps, weights = coprime_plane_components(projective)
+    chart = (cone_chart if projective else affine_chart)(GF(5), 2)
+    prem_calls = count_prem_calls(monkeypatch)
+    div = Divisor(chart, [(comps[0], 1), (comps[1] * comps[2], 2), (comps[3], -1)])
+    expected = [(comps[0].monic(), 1), ((comps[1] * comps[2]).monic(), 2),
+                (comps[3].monic(), -1)]
+    assert sorted(div.normalize(), key=repr) == sorted(expected, key=repr)
+    fol = log_foliation(comps, weights, projective=projective)
+    assert fol.form
+    assert prem_calls == []
+    with pytest.raises(ValidationError, match="pairwise coprime"):
+        log_foliation([comps[0], comps[1] * comps[2], comps[2]], weights[:3],
+                      projective=False)
 
 
 def assert_normal_form_kept(d):

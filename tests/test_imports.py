@@ -235,3 +235,55 @@ def test_form_methods_that_sort_indices_finds_own_normalizers():
         "    def apply(self, idx):\n        return _sort_sign(idx)\n"
     )
     assert form_methods_that_sort_indices(source) == ["wedge (line 10)", "d (line 12)"]
+
+
+SHORTCUT_NAMES = {"_certify_coprime", "CONTENT_PRIME"}
+
+
+def shortcut_readers(sources: dict[str, str]) -> list[str]:
+    """Where a module of ``sources`` refers to the plane certificate
+    ``_certify_coprime`` or the image prime ``CONTENT_PRIME`` outside
+    ``gcd_multi``, their own definitions aside: every gcd shortcut is
+    decided in ``gcd_multi``, so no caller grows a certificate start."""
+    found = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name in {"gcd_multi", *SHORTCUT_NAMES}:
+                continue
+            if isinstance(stmt, ast.Assign) and all(
+                isinstance(t, ast.Name) and t.id in SHORTCUT_NAMES for t in stmt.targets
+            ):
+                continue
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+                for name in SHORTCUT_NAMES.intersection(names):
+                    found.append((module, node.lineno, name))
+    return [f"{module}: {name} (line {line})" for module, line, name in sorted(found)]
+
+
+def test_only_gcd_multi_takes_gcd_shortcuts():
+    assert shortcut_readers(package_sources()) == []
+
+
+def test_shortcut_readers_finds_certificate_starts():
+    mpoly = (
+        "CONTENT_PRIME = 2**31 - 1\n"
+        "def _certify_coprime(a, b, p):\n    return True\n"
+        "def gcd_multi(f, g):\n    return _certify_coprime(f, g, CONTENT_PRIME)\n"
+        "def squarefree_decomposition(f):\n    return _certify_coprime(f, f, 3)\n"
+        "def gcd_list(polys):\n    return polys[0].ring.p == CONTENT_PRIME\n"
+    )
+    distmin = (
+        "from . import mpoly\n"
+        "from .mpoly import CONTENT_PRIME, gcd_list\n"
+        "def has_unit_content(theta):\n    return mpoly._certify_coprime(theta, theta, 5)\n"
+    )
+    assert shortcut_readers({"mpoly": mpoly, "distmin": distmin}) == [
+        "distmin: CONTENT_PRIME (line 2)",
+        "distmin: _certify_coprime (line 4)",
+        "mpoly: _certify_coprime (line 7)",
+        "mpoly: CONTENT_PRIME (line 9)",
+    ]

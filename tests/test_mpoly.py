@@ -15,6 +15,13 @@ from pfol.mpoly import (
 from pfol.rings import GF, QQ, TABLE_LIMIT, ZZ, NumberRing
 
 from chart_reference import multiplicity_along
+from gcd_reference import (
+    count_prem_calls,
+    gcd_list_reference,
+    gcd_prs_reference,
+    prs_prem,
+    prs_univar_view,
+)
 
 
 def random_poly(ring, nvars, rng, deg=3, nterms=4):
@@ -190,71 +197,6 @@ def test_poly_str_and_eval():
 # the gcd routes against the primitive pseudo-remainder sequence they replace
 
 
-def _prs_univar_view(f, v):
-    out = {}
-    for e, c in f.terms.items():
-        ne = list(e)
-        ne[v] = 0
-        mono = MultiPoly(f.ring, f.nvars, {tuple(ne): c})
-        out[e[v]] = mono if e[v] not in out else out[e[v]] + mono
-    return {d: c for d, c in out.items() if not c.is_zero}
-
-
-def _prs_content_in(f, v):
-    acc = MultiPoly.zero(f.ring, f.nvars)
-    for c in _prs_univar_view(f, v).values():
-        acc = gcd_prs_reference(acc, c)
-    return acc
-
-
-def _prs_lead_in(f, v):
-    view = _prs_univar_view(f, v)
-    d = max(view)
-    return d, view[d]
-
-
-def _prs_prem(a, b, v):
-    db, lb = _prs_lead_in(b, v)
-    r = a
-    xv = MultiPoly.var(a.ring, a.nvars, v)
-    while not r.is_zero and r.degree_in(v) >= db:
-        dr, lr = _prs_lead_in(r, v)
-        r = r * lb - b * lr * xv ** (dr - db)
-    return r
-
-
-def gcd_prs_reference(f, g):
-    """Monic gcd by a recursive primitive pseudo-remainder sequence in the
-    last variable used, with a content gcd at every step, for all inputs."""
-    if f.is_zero:
-        return g.monic() if not g.is_zero else g
-    if g.is_zero:
-        return f.monic()
-    if f.is_constant or g.is_constant:
-        return MultiPoly.one(f.ring, f.nvars)
-    v = sorted(set(f.variables_used()) | set(g.variables_used()))[-1]
-    if f.degree_in(v) == 0:
-        return gcd_prs_reference(f, _prs_content_in(g, v))
-    if g.degree_in(v) == 0:
-        return gcd_prs_reference(_prs_content_in(f, v), g)
-    cf, cg = _prs_content_in(f, v), _prs_content_in(g, v)
-    c = gcd_prs_reference(cf, cg)
-    a = f.exact_div(cf)
-    b = g.exact_div(cg)
-    if a.degree_in(v) < b.degree_in(v):
-        a, b = b, a
-    while not b.is_zero:
-        r = _prs_prem(a, b, v)
-        a = b
-        if r.is_zero:
-            b = r
-        elif r.degree_in(v) == 0:
-            return c.monic()
-        else:
-            b = r.exact_div(_prs_content_in(r, v))
-    return (c * a.exact_div(_prs_content_in(a, v))).monic()
-
-
 REFERENCE_RINGS = [GF(2), GF(3), GF(5), GF(3, 2), GF(5, 2), QQ]
 
 
@@ -273,11 +215,10 @@ def random_form(ring, nvars, deg, nterms, rng, first=0):
 
 
 def pure_prs(monkeypatch, fn, *args):
-    """fn(*args) with every gcd taken by the reference PRS and no
-    certificate tried."""
+    """fn(*args) with every gcd taken by the reference PRS, which tries no
+    shortcut of ``gcd_multi``."""
     with monkeypatch.context() as m:
         m.setattr(mpoly, "gcd_multi", gcd_prs_reference)
-        m.setattr(mpoly, "_in_plane", lambda polys: False)
         return fn(*args)
 
 
@@ -469,7 +410,7 @@ def test_univar_view_matches_termwise_sum():
         for nvars in (1, 2, 3):
             f = random_poly(ring, nvars, rng, deg=3, nterms=8)
             for v in range(nvars):
-                assert mpoly._univar_view(f, v) == _prs_univar_view(f, v)
+                assert mpoly._univar_view(f, v) == prs_univar_view(f, v)
 
 
 def assert_clean(f, nvars):
@@ -509,14 +450,6 @@ def test_arithmetic_results_keep_the_new_contract(ring):
 
 def nonzero_scalar(ring, rng):
     return next(c for c in iter(lambda: ring.random(rng), None) if c)
-
-
-def gcd_list_reference(polys):
-    """A plain left fold of the reference gcd, from zero."""
-    acc = MultiPoly.zero(polys[0].ring, polys[0].nvars)
-    for f in polys:
-        acc = gcd_prs_reference(acc, f)
-    return acc
 
 
 @pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=repr)
@@ -597,7 +530,7 @@ def test_prem_on_univariate_views_matches_whole_polynomial_reference(ring):
                 continue
             for v in range(nvars):
                 for dividend in (a, a * b, b):
-                    assert mpoly._prem(dividend, b, v) == _prs_prem(dividend, b, v)
+                    assert mpoly._prem(dividend, b, v) == prs_prem(dividend, b, v)
 
 
 @pytest.mark.parametrize("ring", [GF(2), GF(3, 2), GF(7), QQ], ids=repr)
@@ -632,6 +565,93 @@ def test_gcd_with_a_monomial_matches_the_reference(ring):
                 assert gcd_list(polys[::-1]) == gcd_list_reference(polys)
 
 
+SHORTCUT_RINGS = [GF(3), GF(3, 2), GF(5, 2), QQ]
+
+
+def no_monomial_factor(ring, nvars, rng):
+    """A nonconstant polynomial with a nonzero constant term, so that no
+    variable divides it."""
+    while True:
+        f = random_poly(ring, nvars, rng, deg=1, nterms=2) + MultiPoly.var(
+            ring, nvars, rng.randrange(nvars)
+        )
+        if not f.is_constant and (0,) * nvars in f.terms:
+            return f
+
+
+@pytest.mark.parametrize("ring", SHORTCUT_RINGS, ids=repr)
+def test_gcd_multi_shortcuts_match_the_reference(ring, monkeypatch):
+    rng = random.Random(61)
+    prem_calls = count_prem_calls(monkeypatch)
+    image_settled = 0
+    for nvars in (2, 3, 4):
+        for _ in range(3):
+            r, s, q = (no_monomial_factor(ring, nvars, rng) for _ in range(3))
+            m1, m2, m3 = (
+                MultiPoly.monomial(ring, nvars, [rng.randrange(3) for _ in range(nvars)],
+                                   nonzero_scalar(ring, rng))
+                for _ in range(3)
+            )
+            d = m3 * r  # a divisor with a monomial factor of its own
+            divisor_pairs = [
+                (m1 * r, m2 * r * s),  # x^a r against x^b r s
+                (m1 * d, m2 * d * q),  # a monomial factor on each side
+                (r * s, (r * s).scale(nonzero_scalar(ring, rng))),  # equal rests
+                # pairs (w, c) of the squarefree loop where c divides w
+                (m1 * m2 * r * s * q, m2 * s * q),
+                (m1 * m2 * s * q, m2 * q),
+            ]
+            for f, g in divisor_pairs:
+                expected = gcd_prs_reference(f, g)
+                prem_calls.clear()
+                assert gcd_multi(f, g) == expected
+                assert gcd_multi(g, f) == expected
+                assert not prem_calls
+            # coprime rests: over Q one image mod a prime settles them
+            f, g = m1 * r * q, m2 * s
+            expected = gcd_prs_reference(f, g)
+            prem_calls.clear()
+            assert gcd_multi(f, g) == expected
+            assert gcd_multi(g, f) == expected
+            if ring == QQ and gcd_prs_reference(r * q, s).is_constant:
+                # the images mod p may take a PRS of their own
+                assert all(a.ring != QQ for a, _, _ in prem_calls)
+                image_settled += 1
+    assert image_settled >= 8 if ring == QQ else image_settled == 0
+
+
+def test_q_image_needs_a_prime_that_keeps_a_leading_coefficient(monkeypatch):
+    p = mpoly.CONTENT_PRIME
+    x, y, z = (MultiPoly.var(QQ, 3, i) for i in range(3))
+    # h = p x + 1 has the image 1 mod p, and p divides both leading
+    # coefficients, so the coprime images prove nothing
+    h = x * p + 1
+    for f, g in ((h * (y + 1), h * (z + 2)), (h * (y + 1), (h * (z + 2)).scale(Fraction(1, 3)))):
+        assert gcd_multi(f, g) == gcd_multi(g, f) == gcd_prs_reference(f, g) == h.monic()
+    # one leading coefficient prime to p is enough
+    prem_calls = count_prem_calls(monkeypatch)
+    f, g = x * y + 1, (x * z).scale(p) + y + 2
+    assert gcd_multi(f, g) == gcd_multi(g, f) == 1
+    assert all(a.ring != QQ for a, _, _ in prem_calls)
+
+
+def test_gcd_list_stops_at_a_constant(monkeypatch):
+    F = GF(5)
+    x, y = MultiPoly.var(F, 2, 0), MultiPoly.var(F, 2, 1)
+    calls = []
+    real = mpoly.gcd_multi
+
+    def counting(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(mpoly, "gcd_multi", counting)
+    polys = [x + 1, y + 2, (x + y) ** 2, x * y * (x + 3)]
+    assert gcd_list(polys) == 1
+    # from zero to x + 1, then to 1 with y + 2
+    assert [g for _, g in calls] == [x + 1, y + 2]
+
+
 # ---------------------------------------------------------------------------
 # one-image certificates over GF(p) in the plane
 
@@ -647,7 +667,7 @@ def rest_of(f):
 
 def certified_coprime(f, g):
     """Whether the certificate proves the rests of f and g coprime."""
-    a, b = (mpoly._plane_rows(mpoly._rest(h)[1]) for h in (f, g))
+    a, b = (mpoly._plane_rows(rest_of(h)) for h in (f, g))
     return mpoly._certify_coprime(a, b, f.ring.p)
 
 
@@ -744,7 +764,8 @@ def test_equal_rests_give_the_gcd_without_a_certificate(ring, monkeypatch):
 def test_squarefree_and_gcd_list_match_the_pure_prs_route(ring, monkeypatch):
     rng = random.Random(53)
     p = ring.p
-    settled = 0
+    prem_calls = count_prem_calls(monkeypatch)
+    settled = 0  # decompositions with no pseudo-remainder
     for nvars in (2, 3):
         x = MultiPoly.var(ring, nvars, nvars - 2)
         y = MultiPoly.var(ring, nvars, nvars - 1)
@@ -774,11 +795,13 @@ def test_squarefree_and_gcd_list_match_the_pure_prs_route(ring, monkeypatch):
                 cases.append((s * t * one**3, True))  # a power of x_0
             for f, may_settle in cases:
                 expected = pure_prs(monkeypatch, squarefree_decomposition, f)
+                prem_calls.clear()
                 assert squarefree_decomposition(f) == expected
-                if mpoly._squarefree_certificate(f.monic()) is not None:
+                settled += not prem_calls
+                # the gcd of f and its partials, where the loop starts
+                if len(gcd_list([f, *(f.deriv(i) for i in range(nvars))]).terms) == 1:
                     assert may_settle
                     assert all(m == 1 for g, m in expected if len(g.terms) > 1)
-                    settled += 1
                 for polys in ([f, f.deriv(nvars - 2), f.deriv(nvars - 1)], [f * s, f * t]):
                     assert gcd_list(polys) == pure_prs(monkeypatch, gcd_list, polys)
     assert settled >= 8

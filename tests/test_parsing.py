@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import pfol.parsing
+from pfol.cli import main
 from parsing_reference import ExprParserReference, tokenize_reference
 from pfol.exterior import DiffForm, affine_chart, cone_chart
 from pfol.mpoly import MultiPoly, gcd_multi
@@ -221,6 +223,55 @@ def test_document_errors():
         parse_document(
             "field Fp:5\nambient proj 2\nvars x y\nform f = x*dy\n"
         )  # wrong variable count
+
+
+BAD_NAME_DOCS = [
+    # both names read as variable 0: analyze called x*dx + 2*x^2*dx p-closed
+    ("field Fp:5\nambient affine 2\nvars x x\nform omega = x*dx + 2*x^2*dx\n",
+     "variable 'x' is declared twice"),
+    ("field Fp:5\nambient affine 2\nvars x 2y\nform omega = x*dx\n",
+     "'2y' is not a variable name"),
+    ("field Fp:5\nambient affine 2\nvars x y-z\nform omega = x*dx\n",
+     "'y-z' is not a variable name"),
+    ("field Fp:5\nambient affine 2\nvars p y\nform omega = p*dy\n",
+     "'p' is a constant of Fp:5"),
+    # the generator t could no longer be written; analyze printed (t) : 5
+    ("field Fq:5^2:t^2+2\nambient affine 2\nvars t y\nform omega = t*dy + y*dt\n",
+     "'t' is a constant of Fq:5\\^2:t\\^2\\+2"),
+    ("field NR:a^2+1\nambient affine 2\nvars a y\nmodel omega = a*dy\n",
+     "'a' is a constant of NR:a\\^2\\+1"),
+    # the differential of x could no longer be written
+    ("field Fp:5\nambient affine 2\nvars x dx\nform omega = x*dx\n",
+     "'dx' is the differential of 'x'"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_NAME_DOCS)
+def test_variable_names_that_break_the_grammar_are_refused(text, message, monkeypatch, capsys):
+    with pytest.raises(ParseError, match=message + " at line 3$"):
+        parse_document(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["analyze", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_names_that_are_constants_only_of_other_rings_stay_valid():
+    # p is a variable in characteristic 0, t over a prime field and a
+    # outside NR:; d alone, and dy with no variable y, are no differentials
+    doc = parse_document("field Q\nambient affine 2\nvars p y\nform omega = p*dy - y*dp\n")
+    p, y = doc.chart.vars()
+    assert doc.the_form().terms == {(1,): p, (0,): -y}
+    doc = parse_document("field Fp:5\nambient affine 3\nvars t a d\nform omega = t*da + a*dd\n")
+    t, a, d = doc.chart.vars()
+    assert doc.the_form().terms == {(1,): t, (2,): a}
+    F = GF(5, 2)
+    doc = parse_document(
+        "field Fq:5^2:t^2+2\nambient affine 2\nvars a dy\nform omega = t*a*da + ddy\n"
+    )
+    a, dy = doc.chart.vars()
+    assert doc.the_form().terms == {(0,): a.scale(F.generator()), (1,): 1}
 
 
 # ---------------------------------------------------------------------------
