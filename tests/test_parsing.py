@@ -340,3 +340,87 @@ def test_tokenizer_is_linear_in_the_line():
     line = " + ".join(f"{i}*x*y*dz" for i in range(9000))
     tokens = tokenize(line + "  ")
     assert len(tokens) == 8 * 9000 and tokens[-1] == ("end", None, len(line) + 2)
+
+
+# ---------------------------------------------------------------------------
+# paths no corpus document reaches: p as a value, the omega fallback and the
+# refusals of lists and descriptor polynomials
+
+
+def test_p_is_a_value_in_positive_characteristic():
+    doc = parse_document("field Fp:5\nambient affine 2\nhyperplane H = x + p*y + 2*p\n")
+    x, _ = doc.chart.vars()
+    assert doc.the_hyperplane() == x
+    F = GF(3, 2)
+    doc = parse_document("field Fq:3^2:t^2+1\nambient affine 2\nweights w = (p, p + 1, t*p)\n")
+    assert doc.weights["w"] == [F.zero(), F.one(), F.zero()]
+
+
+def test_p_as_a_value_is_refused_in_characteristic_zero():
+    with pytest.raises(ParseError, match="token p in a characteristic-zero document at line 3"):
+        parse_document("field Q\nambient affine 2\nhyperplane H = x + p\n")
+    # unless it is declared as a variable
+    doc = parse_document("field Q\nambient affine 2\nvars p y\nhyperplane H = y + p\n")
+    p, y = doc.chart.vars()
+    assert doc.the_hyperplane() == y + p
+
+
+def test_the_form_among_several_is_the_one_named_omega(monkeypatch, capsys):
+    doc = parse_document("field Fp:5\nambient affine 2\nform eta = dx\nform omega = x*dy\n")
+    x, _ = doc.chart.vars()
+    assert doc.the_form() == DiffForm(doc.chart, 1, {(1,): x})
+    doc = parse_document("field Z\nambient affine 2\nmodel omega = dy\nmodel eta = dx\n")
+    assert doc.the_form() == doc.chart.dx(1)
+    doc = parse_document("field Fp:5\nambient affine 2\nform eta = dx\nform zeta = dy\n")
+    with pytest.raises(ParseError, match="exactly one form"):
+        doc.the_form()
+    text = "field Fp:5\nambient affine 2\nform eta = x*dx\nform omega = y*dx - x*dy\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["analyze", "-"]) == 0
+    assert "deg F: " in capsys.readouterr().out
+
+
+LIST_REFUSALS = [
+    "map phi = x, y",  # not bracketed
+    "map phi = [x, y",
+    "map phi = [x), (y]",  # unbalanced
+    "map phi = [x, , y]",  # empty entry
+    "map phi = []",
+    "map phi = [x, y],",
+    "weights w = [1, 2]",  # not parenthesized
+    "weights w = (1, 2",
+    "weights w = ()",
+    "weights w = (1, (2)",
+    "weights w = (x, 1)",  # not constants
+    "weights w = (1/x, 1)",
+]
+
+
+@pytest.mark.parametrize("line", LIST_REFUSALS)
+def test_list_refusals_name_their_line(line, monkeypatch, capsys):
+    text = f"field Fp:5\nambient affine 2\n{line}\nform omega = x*dy\n"
+    with pytest.raises(ParseError, match=r" at line 3(, column \d+)?$"):
+        parse_document(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["analyze", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ["NR:", "NR:a^2+x", "NR:a^2 1 x", "Fq:3^2:t^2+s", "Fq:3^2:2*"])
+def test_descriptor_polynomial_refusals_are_input_errors(field, monkeypatch, capsys):
+    text = f"field {field}\nambient affine 2\nmodel omega = x*dy\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["scan", "--pmax", "10", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("minpoly", ["a^2+b", "a^^2", "x"])
+def test_minpoly_refusals_are_input_errors(minpoly, capsys):
+    assert main(["scan", "--pmax", "10", "--minpoly", minpoly]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
