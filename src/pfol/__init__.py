@@ -16,8 +16,10 @@ The package is organised bottom-up:
   and differents.
 - ``models``: integral models and prime scans.
 - ``distmin``: minimal-degree subdistribution search by exact linear algebra.
-- ``parsing``: expressions and documents; the one place that adds and
-  divides fractions, handing forms and maps on as polynomial numerators.
+- ``parsing``: the one reader of input text, one tokenizer and one
+  parser for expressions, lists, field descriptors and documents; the one
+  place that adds and divides fractions, handing forms and maps on as
+  polynomial numerators.
 - ``cli``: the command line front end.
 """
 

@@ -40,8 +40,8 @@ from .geommaps import (
     verify_pullback_degeneracy,
 )
 from .mpoly import poly_str
-from .parsing import Document, ParseError, parse_document, print_form
-from .rings import NumberRing, ZZ, is_prime, parse_up
+from .parsing import Document, ParseError, parse_document, parse_int_poly
+from .rings import NumberRing, ZZ, is_prime
 
 
 def _read_text(path: str) -> str:
@@ -122,11 +122,11 @@ def cmd_cartier(args) -> int:
         return 0
     payload = {
         "p_closed": False,
-        "cartier_transform": print_form(eta),
+        "cartier_transform": repr(eta),
         "integrable": integrable,
     }
     _emit(payload, args, [
-        f"cartier transform: {print_form(eta)}",
+        f"cartier transform: {eta!r}",
         f"integrable: {integrable}",
     ])
     return 0
@@ -210,11 +210,11 @@ def cmd_restrict(args) -> int:
     embedding = linear_hyperplane_embedding(doc.chart, coeffs)
     sub, different = restrict_foliation(fol, embedding)
     payload = {
-        "restricted_form": print_form(sub.form),
+        "restricted_form": repr(sub.form),
         "different": different.to_json(),
     }
     human = [
-        f"restricted form: {print_form(sub.form)}",
+        f"restricted form: {sub.form!r}",
         "different:",
         *_divisor_lines(different),
     ]
@@ -249,7 +249,11 @@ def cmd_restrict(args) -> int:
 def cmd_scan(args) -> int:
     out = []
     if args.minpoly:
-        probe = models.kronecker_probe(parse_up(args.minpoly, "a"), args.pmax)
+        try:
+            minpoly = parse_int_poly(args.minpoly, "a")
+        except (ValueError, ArithmeticError) as exc:
+            raise ParseError(f"--minpoly {args.minpoly!r}: {exc}") from None
+        probe = models.kronecker_probe(minpoly, args.pmax)
         out.append(json.dumps(probe, indent=2))
     if args.doc:
         text = _read_text(args.doc)
@@ -275,7 +279,7 @@ def cmd_distmin2(args) -> int:
     result = distmin.distmin2(fol, delta_max=args.delta_max, seed=args.seed)
     payload = {
         "delta": result.delta,
-        "witness": None if result.witness is None else print_form(result.witness),
+        "witness": None if result.witness is None else repr(result.witness),
         "integrable": result.integrable,
         "dimensions": result.dimensions,
         "candidates_checked": result.candidates_checked,
@@ -297,8 +301,8 @@ def cmd_defect(args) -> int:
     form = doc.the_form()
     defect = models.integrability_defect_integer(form)
     cls = models.classify_integer_defect(defect, args.p)
-    payload = {"defect": print_form(defect), "p": args.p}
-    human = [f"defect: {print_form(defect)}"]
+    payload = {"defect": repr(defect), "p": args.p}
+    human = [f"defect: {defect!r}"]
     for key in ("zero", "monomial", "content", "p_content"):
         if key in cls:
             payload[key] = cls[key]

@@ -373,21 +373,21 @@ def log_foliation(components, weights, projective: bool = False) -> Foliation:
 # p-curvature and the degeneracy divisor
 
 
-def _koszul_pcurvatures(form: DiffForm):
-    """Yield the polynomial omega(v^p) for each Koszul field v of the
-    polynomial form omega, in the order of ``koszul_fields``."""
-    for v in koszul_fields(form):
-        yield form.pair(v.pth_power())
+def _koszul_pcurvatures(form: DiffForm) -> list[MultiPoly]:
+    """The polynomials omega(v^p) for the Koszul fields v of the polynomial
+    form omega, in the order of ``koszul_fields``."""
+    return [form.pair(v.pth_power()) for v in koszul_fields(form)]
 
 
 class PCurvature:
     """The p-curvature data every invariant of a foliation is read from.
 
-    ``values`` yields omega(v^p) for the Koszul fields v of the form omega,
-    in the order of ``koszul_fields``; it may also yield 0 for a field
+    ``values`` lists omega(v^p) for the Koszul fields v of the form omega,
+    in the order of ``koszul_fields``; it may also hold 0 for a field
     that vanishes, which neither ``f`` nor ``G`` reads.  ``f`` is the
-    first nonzero value, or None when the foliation is p-closed; the
-    construction takes values up to f, so ``is_p_closed`` needs no more.
+    first nonzero value, or None when the foliation is p-closed.  Every
+    caller that reads ``f`` of a foliation that is not p-closed reads
+    ``G`` as well, so all values are computed at construction.
     ``G`` is the monic gcd of the nonzero values, computed once: the
     degeneracy divisor is its divisor, and ``eta`` is built from it.  For
     a projective foliation these are the values on the cone, and G gives
@@ -430,24 +430,12 @@ class PCurvature:
     printed scalar (see ``_saturate_over_lc``).
     """
 
-    def __init__(self, omega: DiffForm, p: int, values):
+    def __init__(self, omega: DiffForm, p: int, values: list[MultiPoly]):
         self.omega = omega
         self.p = p
-        self.f = None
+        self.values = values
+        self.f = next((val for val in values if val), None)
         self.r = None  # f = G r^p, set by ``eta``
-        self._computed = []
-        self._rest = iter(values)
-        for val in self._rest:
-            self._computed.append(val)
-            if val:
-                self.f = val
-                break
-
-    @cached_property
-    def values(self) -> list[MultiPoly]:
-        """omega(v^p) for every Koszul field v, in order (zeros included)."""
-        self._computed.extend(self._rest)
-        return self._computed
 
     @cached_property
     def G(self) -> MultiPoly:

@@ -1,4 +1,7 @@
-"""Text input: expressions for polynomials and differential forms, and the
+"""Text input: the one reader that turns text into values.  One tokenizer
+and one recursive-descent parser read expressions for polynomials and
+differential forms, the bracketed lists of maps and weights, the
+polynomials of field descriptors and ``scan --minpoly``, and the
 line-oriented document format consumed by the command line interface.
 
 Expression grammar (whitespace-insensitive):
@@ -8,7 +11,8 @@ Expression grammar (whitespace-insensitive):
 - declared variable names; differentials ``d<var>``;
 - operators ``+ - * / ^`` and the wedge ``/\\``; juxtaposition multiplies;
 - the token ``p`` is replaced by the declared characteristic at parse time
-  (in exponents it stays an integer).
+  (in exponents it stays an integer);
+- a list is ``[e, e, ...]`` (map components) or ``(e, e, ...)`` (weights).
 
 An expression evaluates to a pair (value, den) standing for value / den:
 the value is a ``MultiPoly`` or a polynomial ``DiffForm`` and den a monic
@@ -18,6 +22,10 @@ which defines the same foliation once saturated.  A scalar directive is
 reduced once, to a fraction with coprime numerator and monic denominator.
 Over a ring that is not a field, only a polynomial or a quotient by +-1 is
 accepted.
+
+Field descriptors are ``Z``, ``Q``, ``Fp:5``, ``Fq:3^2:t^2+1`` (``Fq:3^2``
+takes the least irreducible modulus) and ``NR:a^2+1``; their polynomials,
+and that of ``scan --minpoly``, are expressions over Z in ``t`` or ``a``.
 
 Documents are plain text, one directive per line::
 
@@ -41,10 +49,12 @@ from dataclasses import dataclass, field as dc_field
 
 from .exterior import Chart, DiffForm, affine_chart, cone_chart
 from .mpoly import MultiPoly, _quotient_by_gcd, gcd_multi
-from .rings import GF, NumberRing, parse_descriptor
+from .rings import GF, NumberRing, QQ, ZZ
 
 
 class ParseError(ValueError):
+    """Bad input text.  ``reason`` is the message without its place."""
+
     def __init__(self, message: str, pos: int | None = None, line: int | None = None):
         loc = ""
         if line is not None:
@@ -52,13 +62,12 @@ class ParseError(ValueError):
         if pos is not None:
             loc += f", column {pos + 1}"
         super().__init__(message + loc)
-        self.pos = pos
-        self.line = line
+        self.reason = message
 
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<wedge>/\\)|(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()\[\],]))"
 )
 
 
@@ -85,52 +94,34 @@ def tokenize(text: str, line: int | None = None):
     return tokens
 
 
-@dataclass
-class ExprContext:
-    """Names available to the expression parser."""
-
-    chart: Chart
-    line: int | None = None
-
-    @property
-    def ring(self):
-        return self.chart.ring
-
-    @property
-    def p(self) -> int:
-        return self.ring.characteristic
-
-    def constant(self, name: str):
-        ring = self.ring
-        if name == "t" and isinstance(ring, GF) and ring.k > 1:
-            return ring.generator()
-        if name == "a" and isinstance(ring, NumberRing):
-            return ring.generator()
-        if name == "p":
-            if self.p == 0:
-                raise ParseError("token p in a characteristic-zero document",
-                                 line=self.line)
-            return ring.coerce(self.p)
-        return None
-
-    def var_index(self, name: str) -> int | None:
-        try:
-            return self.chart.names.index(name)
-        except ValueError:
-            return None
+def _generator_name(ring) -> str | None:
+    """The name of the generator of ``ring`` in expressions: ``t`` over
+    GF(p^k) with k >= 2, ``a`` over NR:, else None."""
+    if isinstance(ring, GF) and ring.k > 1:
+        return "t"
+    return "a" if isinstance(ring, NumberRing) else None
 
 
 class _ExprParser:
-    """Recursive descent over pairs (value, den) standing for value / den:
-    the value is a ``MultiPoly`` or a ``DiffForm``, den a monic
-    ``MultiPoly``.  The denominator 1 is always ``self.one``, and the
-    operations skip their products with it."""
+    """Recursive descent over the tokens of ``text``, with the names of
+    ``chart``; ``line`` is the document line errors name.
 
-    def __init__(self, tokens, ctx: ExprContext):
-        self.tokens = tokens
+    Values are pairs (value, den) standing for value / den: the value is a
+    ``MultiPoly`` or a ``DiffForm``, den a monic ``MultiPoly``.  The
+    denominator 1 is always ``self.one``, and the operations skip their
+    products with it."""
+
+    def __init__(self, text: str, chart: Chart, line: int | None = None):
+        self.tokens = tokenize(text, line)
         self.i = 0
-        self.ctx = ctx
-        self.one = MultiPoly.one(ctx.ring, ctx.chart.nvars)
+        self.chart = chart
+        self.line = line
+        self.ring = ring = chart.ring
+        self.p = ring.characteristic
+        self.nvars = chart.nvars
+        self.index = {name: i for i, name in enumerate(chart.names)}
+        self.generator = _generator_name(ring)
+        self.one = MultiPoly.one(ring, self.nvars)
 
     def peek(self):
         return self.tokens[self.i]
@@ -142,14 +133,27 @@ class _ExprParser:
 
     def error(self, msg):
         _, _, pos = self.peek()
-        raise ParseError(msg, pos, self.ctx.line)
+        raise ParseError(msg, pos, self.line)
 
     def parse(self):
-        val = self.expr()
-        kind, _, _ = self.peek()
-        if kind != "end":
+        """The value of the whole text."""
+        return self.finish(self.expr())
+
+    def parse_list(self, brackets: str) -> list:
+        """The values of the whole text, a list such as [e, e] for the
+        brackets "[]": one or more expressions separated by commas."""
+        self.expect(brackets[0])
+        values = [self.expr()]
+        while self.peek()[1] == ",":
+            self.advance()
+            values.append(self.expr())
+        self.expect(brackets[1])
+        return self.finish(values)
+
+    def finish(self, result):
+        if self.peek()[0] != "end":
             self.error("trailing input")
-        return val
+        return result
 
     def expr(self):
         val = self.term()
@@ -209,9 +213,9 @@ class _ExprParser:
             return text
         if kind == "name" and text == "p":
             self.advance()
-            if self.ctx.p == 0:
+            if self.p == 0:
                 self.error("token p in a characteristic-zero document")
-            return self.ctx.p
+            return self.p
         if kind == "op" and text == "(":
             self.advance()
             val = self.int_expr()
@@ -268,27 +272,28 @@ class _ExprParser:
             self.expect(")")
             return val
         if kind == "name":
-            self.advance()
-            ctx = self.ctx
-            idx = ctx.var_index(text)
+            idx = self.index.get(text)
             if idx is not None:
-                return ctx.chart.var(idx), self.one
-            const = ctx.constant(text)
-            if const is not None:
-                return self._const(const), self.one
+                self.advance()
+                return self.chart.var(idx), self.one
+            if text == "p":
+                return self._const(self.int_atom()), self.one
+            self.advance()
+            if text == self.generator:
+                return self._const(self.ring.generator()), self.one
             if text.startswith("d") and len(text) > 1:
-                vidx = ctx.var_index(text[1:])
+                vidx = self.index.get(text[1:])
                 if vidx is not None:
-                    return ctx.chart.dx(vidx), self.one
+                    return self.chart.dx(vidx), self.one
                 raise ParseError(f"unknown variable {text[1:]!r} in differential",
-                                 line=ctx.line)
-            raise ParseError(f"unknown name {text!r}", line=ctx.line)
+                                 line=self.line)
+            raise ParseError(f"unknown name {text!r}", line=self.line)
         self.error("expected a value")
 
     # -- operations on pairs ---------------------------------------------
 
     def _const(self, c) -> MultiPoly:
-        return MultiPoly.const(self.ctx.ring, self.ctx.chart.nvars, c)
+        return MultiPoly.const(self.ring, self.nvars, c)
 
     def _den_mul(self, da, db):
         if da is self.one:
@@ -334,7 +339,7 @@ class _ExprParser:
             raise ZeroDivisionError("division by zero rational function")
         if not a:
             return x
-        ring = self.ctx.ring
+        ring = self.ring
         if b.is_constant:
             c = b.constant_value()
             if ring.is_field:
@@ -350,25 +355,29 @@ class _ExprParser:
         return a * db.scale(inv), self._den_mul(da, b.scale(inv))
 
 
-def parse_expr(text: str, ctx: ExprContext):
+def parse_expr(text: str, chart: Chart, line: int | None = None):
     """The pair (value, den) of an expression, standing for value / den."""
-    return _ExprParser(tokenize(text, ctx.line), ctx).parse()
+    return _ExprParser(text, chart, line).parse()
 
 
-def parse_form(text: str, ctx: ExprContext) -> DiffForm:
+def parse_form(text: str, chart: Chart, line: int | None = None) -> DiffForm:
     """The numerator of a differential form: the form times a monic common
     denominator of its coefficients, the form itself when it has none."""
-    val, _ = parse_expr(text, ctx)
+    val, _ = parse_expr(text, chart, line)
     if not isinstance(val, DiffForm):
-        raise ParseError("expected a differential form", line=ctx.line)
+        raise ParseError("expected a differential form", line=line)
     return val
 
 
-def parse_scalar(text: str, ctx: ExprContext) -> tuple[MultiPoly, MultiPoly]:
+def parse_scalar(text: str, chart: Chart, line: int | None = None) -> tuple[MultiPoly, MultiPoly]:
     """A scalar expression as a reduced fraction (num, den), den monic."""
-    val, den = parse_expr(text, ctx)
+    return _reduced(parse_expr(text, chart, line), line)
+
+
+def _reduced(pair, line: int | None) -> tuple[MultiPoly, MultiPoly]:
+    val, den = pair
     if isinstance(val, DiffForm):
-        raise ParseError("expected a scalar expression", line=ctx.line)
+        raise ParseError("expected a scalar expression", line=line)
     if den.is_constant:
         return val, den
     # a nonconstant denominator exists only over a field
@@ -377,8 +386,43 @@ def parse_scalar(text: str, ctx: ExprContext) -> tuple[MultiPoly, MultiPoly]:
     return _quotient_by_gcd(val, g, stage), _quotient_by_gcd(den, g, stage)
 
 
-def print_form(form: DiffForm) -> str:
-    return repr(form)
+def parse_int_poly(text: str, var: str) -> list[int]:
+    """The little-endian integer coefficients of a polynomial over Z in the
+    one variable ``var``, such as the modulus of Fq:3^2:t^2+1 (``**`` is
+    read as ``^``)."""
+    val, _ = parse_expr(text.replace("**", "^"), affine_chart(ZZ, 1, (var,)))
+    if isinstance(val, DiffForm):
+        raise ParseError(f"expected a polynomial in {var}")
+    return [val.terms.get((i,), 0) for i in range(val.total_degree() + 1)]
+
+
+def parse_descriptor(text: str, line: int | None = None):
+    """The coefficient ring of a descriptor: Z, Q, Fp:5, Fq:3^2:t^2+1,
+    Fq:3^2 or NR:a^2+1.  A refusal names the descriptor and ``line``."""
+    text = text.strip()
+    if text in ("Z", "Q"):
+        return ZZ if text == "Z" else QQ
+    kind, _, rest = text.partition(":")
+    try:
+        if kind == "Fp":
+            return GF(_natural(rest))
+        if kind == "Fq":
+            head, _, modtext = rest.partition(":")
+            p, _, k = head.partition("^")
+            modulus = parse_int_poly(modtext, "t") if modtext else None
+            return GF(_natural(p), _natural(k) if k else 1, modulus)
+        if kind == "NR":
+            return NumberRing(parse_int_poly(rest, "a"))
+        raise ValueError("expected Z, Q, Fp:, Fq: or NR:")
+    except (ValueError, ArithmeticError) as exc:
+        reason = getattr(exc, "reason", exc)
+        raise ParseError(f"field descriptor {text!r}: {reason}", line=line) from None
+
+
+def _natural(text: str) -> int:
+    if not (text.isascii() and text.strip().isdigit()):
+        raise ValueError(f"expected a number, not {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +472,7 @@ def parse_document(text: str, field_override: str | None = None) -> Document:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "field":
-            doc.ring = parse_descriptor(rest)
+            doc.ring = parse_descriptor(rest, lineno)
         elif head == "ambient":
             kind, _, nstr = rest.partition(" ")
             if kind not in ("affine", "proj") or not nstr.strip().isdigit():
@@ -462,38 +506,29 @@ def parse_document(text: str, field_override: str | None = None) -> Document:
         body = body.strip()
         if not eq or not name.isidentifier():
             raise ParseError(f"malformed {head} declaration", line=lineno)
-        ctx = ExprContext(doc.chart, lineno)
         if head in ("form", "model"):
-            value = parse_form(body, ctx)
+            value = parse_form(body, doc.chart, lineno)
             (doc.forms if head == "form" else doc.models)[name] = value
-        elif head == "map":
-            if not (body.startswith("[") and body.endswith("]")):
-                raise ParseError("map components must be bracketed", line=lineno)
-            fractions = [
-                parse_scalar(part, ctx)
-                for part in _split_commas(body[1:-1], lineno)
-            ]
+        elif head == "hyperplane":
+            value, den = parse_scalar(body, doc.chart, lineno)
+            if not den.is_constant or value.total_degree() != 1:
+                raise ParseError("hyperplane must be a linear polynomial",
+                                 line=lineno)
+            doc.hyperplanes[name] = value
+        else:  # a map [e, ...] or weights (e, ...): reduced fractions
+            parser = _ExprParser(body, doc.chart, lineno)
+            fractions = [_reduced(pair, lineno)
+                         for pair in parser.parse_list("[]" if head == "map" else "()")]
+            if head == "weights":
+                if not all(w.is_constant and d.is_constant for w, d in fractions):
+                    raise ParseError("weights must be ring constants", line=lineno)
+                doc.weights[name] = [w.constant_value() for w, _ in fractions]
+                continue
             # one common denominator: the product of the reduced ones
             den = MultiPoly.one(doc.ring, doc.chart.nvars)
             for _, d in fractions:
                 den = den * d
             doc.maps[name] = ([num * den.exact_div(d) for num, d in fractions], den)
-        elif head == "hyperplane":
-            value, den = parse_scalar(body, ctx)
-            if not den.is_constant or value.total_degree() != 1:
-                raise ParseError("hyperplane must be a linear polynomial",
-                                 line=lineno)
-            doc.hyperplanes[name] = value
-        elif head == "weights":
-            if not (body.startswith("(") and body.endswith(")")):
-                raise ParseError("weights must be parenthesized", line=lineno)
-            ws = []
-            for part in _split_commas(body[1:-1], lineno):
-                w, den = parse_scalar(part, ctx)
-                if not den.is_constant or not w.is_constant:
-                    raise ParseError("weights must be ring constants", line=lineno)
-                ws.append(w.constant_value())
-            doc.weights[name] = ws
     return doc
 
 
@@ -503,44 +538,17 @@ def _check_names(names: tuple, ring, line: int) -> None:
     constant of ``ring`` (``p`` in positive characteristic, ``t`` over
     GF(p^k) with k >= 2, ``a`` over NR:) and the differential d<v> of a
     declared v."""
-    constants = {
-        "p": ring.characteristic > 0,
-        "t": isinstance(ring, GF) and ring.k > 1,
-        "a": isinstance(ring, NumberRing),
-    }
+    constants = {_generator_name(ring), "p" if ring.characteristic else None}
     for i, name in enumerate(names):
         token = _TOKEN_RE.fullmatch(name)
         if not (token and token.group("name")):
             raise ParseError(f"{name!r} is not a variable name", line=line)
         if name in names[:i]:
             raise ParseError(f"variable {name!r} is declared twice", line=line)
-        if constants.get(name):
+        if name in constants:
             raise ParseError(f"variable name {name!r} is a constant of {ring!r}",
                              line=line)
         if name[0] == "d" and name[1:] in names:
             raise ParseError(
                 f"variable name {name!r} is the differential of {name[1:]!r}", line=line
             )
-
-
-def _split_commas(text: str, lineno: int) -> list[str]:
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced brackets", line=lineno)
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    parts = [s.strip() for s in parts]
-    if any(not s for s in parts):
-        raise ParseError("empty list entry", line=lineno)
-    return parts

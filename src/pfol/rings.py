@@ -7,7 +7,7 @@ All rings expose a small common protocol used by the polynomial layer:
 - ``is_field`` (bool)
 - ``inv(c)`` (fields only)
 - ``random(rng)`` for randomised tests
-- ``descriptor()`` and the module-level ``parse_descriptor``
+- ``descriptor()``, the text :func:`pfol.parsing.parse_descriptor` reads
 
 Elements are plain ``int`` (for Z), ``fractions.Fraction`` (for Q), or the
 wrapper classes :class:`GFElem` / :class:`NRElem`, all of which support the
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-import re
 
 from . import InternalError
 
@@ -600,11 +599,6 @@ class _ZZ:
             return x.numerator
         raise TypeError(f"cannot coerce {x!r} into Z")
 
-    def inv(self, c):
-        if c in (1, -1):
-            return c
-        raise ZeroDivisionError(f"{c} is not a unit in Z")
-
     def random(self, rng):
         return rng.randint(-9, 9)
 
@@ -793,14 +787,6 @@ class NumberRing:
             return NRElem(self, (x,) + (0,) * (self.degree - 1))
         raise TypeError(f"cannot coerce {x!r} into {self}")
 
-    def inv(self, c):
-        c = self.coerce(c)
-        if c == self.one():
-            return c
-        if c == -self.one():
-            return c
-        raise ZeroDivisionError("not an obvious unit in a number ring")
-
     def random(self, rng):
         return NRElem(self, [rng.randint(-5, 5) for _ in range(self.degree)])
 
@@ -866,51 +852,3 @@ def format_up(coeffs, var: str) -> str:
     for s in parts[1:]:
         out += s if s.startswith("-") else "+" + s
     return out
-
-
-def parse_up(text: str, var: str) -> list[int]:
-    """Parse e.g. 't^2+1' or '2*t+3' into a little-endian coefficient list."""
-    text = text.replace(" ", "").replace("**", "^")
-    if not text:
-        raise ValueError("empty polynomial")
-    tokens = re.findall(r"[+-]?[^+-]+", text)
-    coeffs: dict[int, int] = {}
-    for tok in tokens:
-        sign = 1
-        if tok.startswith("+"):
-            tok = tok[1:]
-        elif tok.startswith("-"):
-            sign = -1
-            tok = tok[1:]
-        m = re.fullmatch(rf"(?:(\d+)\*?)?(?:{re.escape(var)}(?:\^(\d+))?)?", tok)
-        if not m or (m.group(1) is None and var not in tok and not tok.isdigit()):
-            raise ValueError(f"cannot parse monomial {tok!r}")
-        coef = int(m.group(1)) if m.group(1) else 1
-        if var in tok:
-            exp = int(m.group(2)) if m.group(2) else 1
-        else:
-            exp = 0
-        coeffs[exp] = coeffs.get(exp, 0) + sign * coef
-    deg = max(coeffs)
-    return [coeffs.get(i, 0) for i in range(deg + 1)]
-
-
-def parse_descriptor(text: str):
-    """Parse a ring descriptor: Fp:5, Fq:3^2:t^2+1, Z, Q, NR:a^2+1."""
-    text = text.strip()
-    if text == "Z":
-        return ZZ
-    if text == "Q":
-        return QQ
-    if text.startswith("Fp:"):
-        return GF(int(text[3:]), 1)
-    if text.startswith("Fq:"):
-        rest = text[3:]
-        head, _, modtext = rest.partition(":")
-        p_str, _, k_str = head.partition("^")
-        p, k = int(p_str), int(k_str) if k_str else 1
-        modulus = parse_up(modtext, "t") if modtext else None
-        return GF(p, k, modulus)
-    if text.startswith("NR:"):
-        return NumberRing(parse_up(text[3:], "a"))
-    raise ValueError(f"unknown ring descriptor {text!r}")

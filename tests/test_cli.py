@@ -667,3 +667,109 @@ def test_document_over_z_needs_a_coefficient_field(monkeypatch, capsys, command,
         2, "", f"error: {command} needs a coefficient field; "
         "use scan for an integral model over Z or NR:<minpoly>\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# a refused field descriptor is named, with its line when a document has it
+
+
+@pytest.mark.parametrize(
+    "field, reason",
+    [
+        ("Fp:five", "expected a number, not 'five'"),
+        ("Fq:3^x:t^2+1", "expected a number, not 'x'"),
+        ("NR:+", "expected a value"),
+        ("Fp:4", "4 is not prime"),
+        ("Fq:3^2:t^2+s", "unknown name 's'"),
+        ("NR:da", "expected a polynomial in a"),
+        ("F7", "expected Z, Q, Fp:, Fq: or NR:"),
+    ],
+)
+def test_descriptor_refusals_name_the_descriptor(monkeypatch, capsys, field, reason):
+    text = f"# a model\nfield {field}\nambient affine 2\nmodel omega = x*dy\n"
+    assert run(monkeypatch, capsys, ["scan", "--pmax", "10"], text) == (
+        2, "", f"error: field descriptor {field!r}: {reason} at line 2\n"
+    )
+    # from the command line the descriptor has no line
+    text = "field Z\nambient affine 2\nmodel omega = x*dy\n"
+    assert run(monkeypatch, capsys, ["scan", "--pmax", "10", "--field", field], text) == (
+        2, "", f"error: field descriptor {field!r}: {reason}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "minpoly, reason",
+    [("+", "expected a value, column 1"), ("a^2+b", "unknown name 'b'"),
+     ("a^2 + 1/a", "rational functions need a coefficient field")],
+)
+def test_minpoly_refusals_name_the_polynomial(capsys, minpoly, reason):
+    assert main(["scan", "--pmax", "10", "--minpoly", minpoly]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: --minpoly {minpoly!r}: {reason}\n")
+
+
+def test_descriptor_polynomials_use_the_expression_grammar(capsys):
+    # (a + 1)^2 + 1 = a^2 + 2a + 2, which the regex reader refused
+    assert main(["scan", "--pmax", "30", "--minpoly", "(a + 1)^2 + 1"]) == 0
+    expanded = capsys.readouterr().out
+    assert main(["scan", "--pmax", "30", "--minpoly", "a^2+2*a+2"]) == 0
+    assert capsys.readouterr().out == expanded
+
+
+# ---------------------------------------------------------------------------
+# engine branches no corpus document reaches
+
+P_CLOSED_AFFINE = """\
+field Fp:5
+ambient affine 2
+form omega = y*dx - x*dy
+"""
+
+
+def test_analyze_of_a_p_closed_foliation_stops_at_p_closedness(monkeypatch, capsys):
+    assert run(monkeypatch, capsys, ["analyze"], P_CLOSED_AFFINE) == (
+        0, "field: Fp:5\nambient: A^2\ndeg F: None\np-closed: True\n", ""
+    )
+    code, out, _ = run(monkeypatch, capsys, ["analyze", "--json"], P_CLOSED_AFFINE)
+    report = json.loads(out)
+    assert (code, report["p_closed"], report["degeneracy"], report["deg_degeneracy"]) == (
+        0, True, [], None
+    )
+
+
+P3_PENCIL = """\
+field Fp:5
+ambient proj 3
+vars x0 x1 x2 x3
+form omega = x1*dx0 - x0*dx1
+hyperplane H = x0 + 2*x1 + 3*x2 + x3
+"""
+
+# residues (1, -1, t, -t): p-dense, but on x3 = x2 the residues t and -t
+# cancel and the restriction is the pencil x1/x0, which is p-closed
+P3_LOG_TO_PENCIL = """\
+field Fq:5^2:t^2+2
+ambient proj 3
+vars x0 x1 x2 x3
+form omega = x1*x2*x3*dx0 - x0*x2*x3*dx1 + t*x0*x1*x3*dx2 - t*x0*x1*x2*dx3
+hyperplane H = x3 - x2
+"""
+
+
+@pytest.mark.parametrize(
+    "text, different",
+    [(P3_PENCIL, "  (none)"), (P3_LOG_TO_PENCIL, "  (y2) : 2")],
+)
+def test_restrict_on_p3_with_a_p_closed_side_compares_no_degeneracy(
+    monkeypatch, capsys, text, different
+):
+    assert run(monkeypatch, capsys, ["restrict"], text) == (
+        0, f"restricted form: (y1)*dy0 + (4*y0)*dy1\ndifferent:\n{different}\n", ""
+    )
+
+
+def test_a_defining_two_form_is_input_error(monkeypatch, capsys):
+    text = "field Fp:5\nambient affine 3\nform omega = dx/\\dy\n"
+    assert run(monkeypatch, capsys, ["analyze"], text) == (
+        2, "", "error: a defining form must be a 1-form\n"
+    )

@@ -287,3 +287,53 @@ def test_shortcut_readers_finds_certificate_starts():
         "mpoly: _certify_coprime (line 7)",
         "mpoly: CONTENT_PRIME (line 9)",
     ]
+
+
+TEXT_READER = "parsing"
+
+
+def text_readers(sources: dict[str, str]) -> list[str]:
+    """Where a module of ``sources`` other than ``parsing`` reads text on its
+    own: imports ``re``, or defines a function or class whose name holds
+    ``token``.  Every input text goes through the one tokenizer and parser
+    of ``parsing``."""
+    found = []
+    for module, source in sources.items():
+        if module == TEXT_READER:
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[0]] if not node.level else []
+            else:
+                names = []
+            if "re" in names:
+                found.append((module, node.lineno, "imports re"))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and "token" in node.name.lower():
+                found.append((module, node.lineno, f"defines {node.name}"))
+    return [f"{module}: {what} (line {line})" for module, line, what in sorted(found)]
+
+
+def test_only_parsing_reads_text():
+    assert text_readers(package_sources()) == []
+
+
+def test_text_readers_finds_regexes_and_tokenizers():
+    rings = (
+        "import re\n"
+        "def parse_up(text):\n    return re.findall(r'[+-]?[^+-]+', text)\n"
+    )
+    cli = (
+        "from re import fullmatch\n"
+        "from . import re_exports\n"
+        "class _Tokenizer:\n    pass\n"
+        "def split_tokens(text):\n    return text.split(',')\n"
+    )
+    parsing = "import re\ndef tokenize(text):\n    return re.findall(r'\\w+', text)\n"
+    assert text_readers({"rings": rings, "cli": cli, "parsing": parsing}) == [
+        "cli: imports re (line 1)",
+        "cli: defines _Tokenizer (line 3)",
+        "cli: defines split_tokens (line 5)",
+        "rings: imports re (line 1)",
+    ]

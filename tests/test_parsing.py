@@ -7,20 +7,28 @@ import pytest
 
 import pfol.parsing
 from pfol.cli import main
-from parsing_reference import ExprParserReference, tokenize_reference
+from parsing_reference import (
+    ExprParserReference,
+    descriptor_reference,
+    list_reference,
+    parse_up,
+    tokenize_reference,
+)
 from pfol.exterior import DiffForm, affine_chart, cone_chart
 from pfol.mpoly import MultiPoly, gcd_multi
 from pfol.parsing import (
-    ExprContext,
     ParseError,
+    _ExprParser,
+    _reduced,
+    parse_descriptor,
     parse_document,
     parse_expr,
     parse_form,
+    parse_int_poly,
     parse_scalar,
-    print_form,
     tokenize,
 )
-from pfol.rings import GF, NumberRing, QQ, ZZ
+from pfol.rings import GF, NumberRing, QQ, ZZ, format_up
 
 
 def random_poly(ring, nvars, rng, deg=3, nterms=4):
@@ -34,46 +42,46 @@ def random_poly(ring, nvars, rng, deg=3, nterms=4):
 
 
 def test_basic_polynomials():
-    ctx = ExprContext(affine_chart(GF(7), 3))
-    x, y, z = ctx.chart.vars()
-    assert parse_scalar("x*y + 2*z^3", ctx) == (
+    chart = affine_chart(GF(7), 3)
+    x, y, z = chart.vars()
+    assert parse_scalar("x*y + 2*z^3", chart) == (
         x * y + (z**3).scale(GF(7).coerce(2)), 1
     )
     # juxtaposition multiplies
-    assert parse_scalar("2x y", ctx) == ((x * y).scale(GF(7).coerce(2)), 1)
-    assert parse_scalar("(x + y)^2", ctx) == ((x + y) ** 2, 1)
-    assert parse_scalar("-x", ctx) == (-x, 1)
+    assert parse_scalar("2x y", chart) == ((x * y).scale(GF(7).coerce(2)), 1)
+    assert parse_scalar("(x + y)^2", chart) == ((x + y) ** 2, 1)
+    assert parse_scalar("-x", chart) == (-x, 1)
 
 
 def test_p_token_substitution():
-    ctx = ExprContext(affine_chart(GF(5), 2))
-    x, y = ctx.chart.vars()
-    assert parse_scalar("x^(p-1)", ctx) == (x**4, 1)
-    assert parse_scalar("y^(2p+1)", ctx) == (y**11, 1)
-    ctx0 = ExprContext(affine_chart(QQ, 2))
+    chart = affine_chart(GF(5), 2)
+    x, y = chart.vars()
+    assert parse_scalar("x^(p-1)", chart) == (x**4, 1)
+    assert parse_scalar("y^(2p+1)", chart) == (y**11, 1)
+    chart0 = affine_chart(QQ, 2)
     with pytest.raises(ParseError):
-        parse_scalar("x^p", ctx0)
+        parse_scalar("x^p", chart0)
 
 
 def test_generator_constants():
     F = GF(3, 2)
-    ctx = ExprContext(affine_chart(F, 2))
+    chart = affine_chart(F, 2)
     t = F.generator()
-    val, den = parse_scalar("t^2 + 1", ctx)
+    val, den = parse_scalar("t^2 + 1", chart)
     assert den == 1 and val.constant_value() == t * t + F.one()
     R = NumberRing([1, 0, 1])
-    ctxR = ExprContext(affine_chart(R, 2))
-    val, den = parse_scalar("a*a", ctxR)
+    chartR = affine_chart(R, 2)
+    val, den = parse_scalar("a*a", chartR)
     assert den == 1 and val.constant_value() == R.coerce(-1)
 
 
 def test_forms_and_wedges():
-    ctx = ExprContext(affine_chart(GF(5), 3))
-    x, y, z = ctx.chart.vars()
-    w = parse_form("x*dy - y*dx", ctx)
+    chart = affine_chart(GF(5), 3)
+    x, y, z = chart.vars()
+    w = parse_form("x*dy - y*dx", chart)
     assert w.q == 1
     assert w.coeff((1,)) == x
-    theta = parse_form("(x dy - y dx) /\\ dz", ctx)
+    theta = parse_form("(x dy - y dx) /\\ dz", chart)
     assert theta.q == 2
     assert theta.coeff((1, 2)) == x
     assert theta.coeff((0, 2)) == -y
@@ -82,95 +90,94 @@ def test_forms_and_wedges():
 def test_rational_coefficients():
     # a form written with "/" is kept as its numerator over a monic common
     # denominator: here x*y, the least one
-    ctx = ExprContext(affine_chart(GF(7), 2))
-    x, y = ctx.chart.vars()
-    w = parse_form("dx/x + dy/y", ctx)
-    assert w == DiffForm(ctx.chart, 1, {(0,): y, (1,): x})
-    assert parse_expr("dx/x + dy/y", ctx) == (w, x * y)
+    chart = affine_chart(GF(7), 2)
+    x, y = chart.vars()
+    w = parse_form("dx/x + dy/y", chart)
+    assert w == DiffForm(chart, 1, {(0,): y, (1,): x})
+    assert parse_expr("dx/x + dy/y", chart) == (w, x * y)
     # the numerator keeps the scalar of the form: 1/(2x) = 4/x over GF(7)
-    assert parse_form("dx/(2*x)", ctx) == ctx.chart.dx(0) * 4
+    assert parse_form("dx/(2*x)", chart) == chart.dx(0) * 4
     # no gcd is taken inside a form: the cancelling factor stays until the
     # foliation saturates the numerator
-    assert parse_expr("(x^2 - y^2)/(x + y)*dx", ctx) == (
-        ctx.chart.dx(0) * (x * x - y * y), x + y
+    assert parse_expr("(x^2 - y^2)/(x + y)*dx", chart) == (
+        chart.dx(0) * (x * x - y * y), x + y
     )
 
 
 def test_rational_function_reduction():
     # a scalar directive is reduced once: coprime numerator, monic denominator
-    ctx = ExprContext(affine_chart(GF(5), 2))
-    x, y = ctx.chart.vars()
-    assert parse_scalar("(x^2 - y^2)/(x + y)", ctx) == (x - y, 1)
-    assert parse_scalar("x/y + y/x", ctx) == (x * x + y * y, x * y)
-    assert parse_scalar("x/y - x/y", ctx) == (0, 1)
-    assert parse_scalar("x/(2*y)", ctx) == (x * 3, y)
-    assert parse_scalar("(x*y)^(-2)", ctx) == (1, x**2 * y**2)
-    assert parse_scalar("1/(x/y)", ctx) == (y, x)
+    chart = affine_chart(GF(5), 2)
+    x, y = chart.vars()
+    assert parse_scalar("(x^2 - y^2)/(x + y)", chart) == (x - y, 1)
+    assert parse_scalar("x/y + y/x", chart) == (x * x + y * y, x * y)
+    assert parse_scalar("x/y - x/y", chart) == (0, 1)
+    assert parse_scalar("x/(2*y)", chart) == (x * 3, y)
+    assert parse_scalar("(x*y)^(-2)", chart) == (1, x**2 * y**2)
+    assert parse_scalar("1/(x/y)", chart) == (y, x)
 
 
 def test_scalar_reduction_matches_gcd_on_random_fractions():
     rng = random.Random(1)
     for F in (GF(7), GF(3, 2), QQ):
-        ctx = ExprContext(affine_chart(F, 2))
+        chart = affine_chart(F, 2)
         for _ in range(10):
             num = random_poly(F, 2, rng, deg=2)
             den = random_poly(F, 2, rng, deg=2)
             common = random_poly(F, 2, rng, deg=1)
             if den.is_zero or common.is_zero:
                 continue
-            n, d = parse_scalar(f"({num * common})/({den * common})", ctx)
+            n, d = parse_scalar(f"({num * common})/({den * common})", chart)
             assert n * den == d * num
             assert d.leading()[1] == F.one()
             assert gcd_multi(n, d).is_constant
 
 
 def test_nonfield_denominators_rejected():
-    ctx = ExprContext(affine_chart(ZZ, 2))
-    x, y = ctx.chart.vars()
+    chart = affine_chart(ZZ, 2)
+    x, y = chart.vars()
     with pytest.raises(ArithmeticError, match="need a coefficient field"):
-        parse_scalar("1/x", ctx)
+        parse_scalar("1/x", chart)
     with pytest.raises(ArithmeticError, match="non-unit denominator"):
-        parse_form("y*dx/2", ctx)
+        parse_form("y*dx/2", chart)
     with pytest.raises(ZeroDivisionError):
-        parse_scalar("x/(y - y)", ctx)
+        parse_scalar("x/(y - y)", chart)
     # a unit denominator and a zero numerator are accepted
-    assert parse_scalar("x/(-1)", ctx) == (-x, 1)
-    assert parse_scalar("(x - x)/y", ctx) == (0, 1)
+    assert parse_scalar("x/(-1)", chart) == (-x, 1)
+    assert parse_scalar("(x - x)/y", chart) == (0, 1)
 
 
 def test_parse_errors():
-    ctx = ExprContext(affine_chart(GF(5), 2))
+    chart = affine_chart(GF(5), 2)
     with pytest.raises(ParseError):
-        parse_expr("x +", ctx)
+        parse_expr("x +", chart)
     with pytest.raises(ParseError):
-        parse_expr("q * x", ctx)
+        parse_expr("q * x", chart)
     with pytest.raises(ParseError):
-        parse_expr("dx * dy", ctx)  # wedge required between forms
+        parse_expr("dx * dy", chart)  # wedge required between forms
     with pytest.raises(ParseError):
-        parse_expr("x / dx", ctx)
+        parse_expr("x / dx", chart)
     with pytest.raises(ParseError):
-        parse_form("x + y", ctx)  # scalar where a form is expected
+        parse_form("x + y", chart)  # scalar where a form is expected
     with pytest.raises(ParseError):
-        parse_form("dz", ctx)  # undeclared variable
+        parse_form("dz", chart)  # undeclared variable
 
 
 def test_print_parse_roundtrip_random():
     rng = random.Random(0)
     for ring in (GF(5), GF(3, 2), QQ):
         chart = affine_chart(ring, 3)
-        ctx = ExprContext(chart)
         for _ in range(20):
             form = DiffForm(chart, 1, {
                 (i,): random_poly(ring, 3, rng) for i in range(3)
             })
-            assert parse_form(print_form(form), ctx) == form
+            assert parse_form(repr(form), chart) == form
         for _ in range(10):
             form = DiffForm(chart, 2, {
                 (0, 1): random_poly(ring, 3, rng),
                 (0, 2): random_poly(ring, 3, rng),
                 (1, 2): random_poly(ring, 3, rng),
             })
-            assert parse_form(print_form(form), ctx) == form
+            assert parse_form(repr(form), chart) == form
 
 
 def test_document_parsing():
@@ -316,12 +323,12 @@ def _outcome(call, *args):
 
 @pytest.mark.parametrize("ring,nvars,text", PARSE_INPUTS)
 def test_fast_parser_matches_reference_on_the_test_inputs(ring, nvars, text, monkeypatch):
-    ctx = ExprContext(affine_chart(ring, nvars))
+    chart = affine_chart(ring, nvars)
     assert _outcome(tokenize, text) == _outcome(tokenize_reference, text)
-    fast = _outcome(parse_expr, text, ctx)
+    fast = _outcome(parse_expr, text, chart)
     monkeypatch.setattr(pfol.parsing, "_ExprParser", ExprParserReference)
     monkeypatch.setattr(pfol.parsing, "tokenize", tokenize_reference)
-    assert fast == _outcome(parse_expr, text, ctx)
+    assert fast == _outcome(parse_expr, text, chart)
 
 
 @pytest.mark.parametrize("doc", CORPUS_DOCS)
@@ -424,3 +431,93 @@ def test_minpoly_refusals_are_input_errors(minpoly, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# descriptor polynomials and lists against the readers the expression parser
+# replaced (tests/parsing_reference.py)
+
+CORPUS_ENTRIES = [
+    entry
+    for path in sorted(CORPUS_DIR.glob("seed*/*.json"))
+    for entry in json.loads(path.read_text(encoding="utf-8"))["entries"]
+]
+
+
+def _new_list(body, chart, brackets):
+    return [_reduced(pair, None) for pair in _ExprParser(body, chart).parse_list(brackets)]
+
+
+def test_corpus_descriptors_minpolys_and_maps_match_the_reference():
+    seen = {"field": 0, "minpoly": 0, "map": 0}
+    for entry in CORPUS_ENTRIES:
+        argv = entry["argv"]
+        if "--minpoly" in argv:
+            text = argv[argv.index("--minpoly") + 1]
+            assert parse_int_poly(text, "a") == parse_up(text, "a")
+            seen["minpoly"] += 1
+        if entry["doc"] is None:
+            continue
+        doc = parse_document(entry["doc"])
+        for line in entry["doc"].splitlines():
+            head, _, rest = line.partition(" ")
+            if head == "field":
+                assert parse_descriptor(rest) == descriptor_reference(rest) == doc.ring
+                seen["field"] += 1
+            elif head == "map":
+                body = rest.partition("=")[2].strip()
+                assert _new_list(body, doc.chart, "[]") == list_reference(body, doc.chart, "[]")
+                seen["map"] += 1
+    assert seen == {"field": 88, "minpoly": 6, "map": 12}
+
+
+def _random_univariate(rng, var):
+    """A polynomial over Z in var written with the spellings both readers
+    take: 2*t, 2t, t^1, t**3, blanks, and terms in any order."""
+    terms = []
+    for e in rng.sample(range(6), rng.randint(1, 4)):
+        c = rng.choice([1, -1, rng.randint(-30, 30) or 7])
+        if e == 0:
+            mono = str(abs(c))
+        else:
+            power = rng.choice(["", f"^{e}", f"**{e}"]) if e == 1 else rng.choice([f"^{e}", f"**{e}"])
+            mono = var + power
+            if abs(c) != 1 or rng.random() < 0.2:
+                mono = f"{abs(c)}{rng.choice(['*', '', ' * '])}{mono}"
+        terms.append(("-" if c < 0 else "+") + rng.choice(["", " "]) + mono)
+    text = rng.choice([" ", ""]).join(terms)
+    return text[1:] if text.startswith("+") else text
+
+
+def test_random_univariate_polynomials_match_the_reference():
+    rng = random.Random(30)
+    for _ in range(300):
+        var = rng.choice("ta")
+        text = _random_univariate(rng, var)
+        assert parse_int_poly(text, var) == parse_up(text, var), text
+        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))] + [rng.randint(1, 9)]
+        written = format_up(coeffs, var)
+        assert parse_int_poly(written, var) == parse_up(written, var) == coeffs
+
+
+def _random_entry(rng, chart):
+    x, y = chart.names
+    atoms = [x, y, "1", "2", "3", f"({x} + {y})", f"{x}^2", f"({y} - 1)^2"]
+    if chart.ring.characteristic:
+        atoms.append("p")
+    num = " + ".join(rng.choice(atoms) for _ in range(rng.randint(1, 3)))
+    if rng.random() < 0.5:
+        return num
+    return f"({num})/({rng.choice(atoms)} + {rng.choice(atoms)})"
+
+
+def test_random_lists_match_the_reference():
+    rng = random.Random(31)
+    for ring in (GF(5), GF(3, 2), QQ):
+        chart = affine_chart(ring, 2)
+        for _ in range(40):
+            entries = [_random_entry(rng, chart) for _ in range(rng.randint(1, 4))]
+            for brackets in ("[]", "()"):
+                body = brackets[0] + rng.choice([", ", ","]).join(entries) + brackets[1]
+                new = _outcome(_new_list, body, chart, brackets)
+                assert new == _outcome(list_reference, body, chart, brackets), body

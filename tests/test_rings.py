@@ -5,6 +5,7 @@ import random
 import pytest
 
 import up_reference
+from pfol.parsing import parse_descriptor, parse_int_poly
 from pfol.rings import (
     GF,
     TABLE_LIMIT,
@@ -16,8 +17,6 @@ from pfol.rings import (
     factor_mod_p,
     format_up,
     is_prime,
-    parse_descriptor,
-    parse_up,
     primes_upto,
     up_divmod,
     up_gcd,
@@ -309,9 +308,9 @@ def test_powers_match_repeated_products():
 
 def test_format_parse_roundtrip():
     for coeffs in [[1, 0, 1], [2, 1], [0, 0, 3], [5], [1, 2, 3, 4]]:
-        assert parse_up(format_up(coeffs, "t"), "t") == coeffs
-    assert parse_up("t^2+1", "t") == [1, 0, 1]
-    assert parse_up("-t + 2", "t") == [2, -1]
+        assert parse_int_poly(format_up(coeffs, "t"), "t") == coeffs
+    assert parse_int_poly("t^2+1", "t") == [1, 0, 1]
+    assert parse_int_poly("-t + 2", "t") == [2, -1]
 
 
 def test_parse_descriptor():
@@ -323,6 +322,9 @@ def test_parse_descriptor():
     assert isinstance(F, GF) and F.order == 9
     R = parse_descriptor("NR:a^2+1")
     assert isinstance(R, NumberRing)
+    # the polynomials are expressions: (a + 1)^2 + 1 = a^2 + 2a + 2
+    assert parse_descriptor("NR:(a+1)^2+1") == NumberRing([2, 2, 1])
+    assert parse_descriptor("Fq:3^2:t**2 + 1") == parse_descriptor("Fq:3^2:t^2+1")
     with pytest.raises(ValueError):
         parse_descriptor("Fp:4")
 
