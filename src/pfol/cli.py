@@ -252,7 +252,8 @@ def cmd_scan(args) -> int:
         try:
             minpoly = parse_int_poly(args.minpoly, "a")
         except (ValueError, ArithmeticError) as exc:
-            raise ParseError(f"--minpoly {args.minpoly!r}: {exc}") from None
+            reason = getattr(exc, "reason", exc)
+            raise ParseError(f"--minpoly {args.minpoly!r}: {reason}") from None
         probe = models.kronecker_probe(minpoly, args.pmax)
         out.append(json.dumps(probe, indent=2))
     if args.doc:

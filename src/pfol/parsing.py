@@ -388,9 +388,11 @@ def _reduced(pair, line: int | None) -> tuple[MultiPoly, MultiPoly]:
 
 def parse_int_poly(text: str, var: str) -> list[int]:
     """The little-endian integer coefficients of a polynomial over Z in the
-    one variable ``var``, such as the modulus of Fq:3^2:t^2+1 (``**`` is
-    read as ``^``)."""
-    val, _ = parse_expr(text.replace("**", "^"), affine_chart(ZZ, 1, (var,)))
+    one variable ``var``, such as the modulus of Fq:3^2:t^2+1.  The text
+    is one word: blanks are dropped, so ``1 0`` is 10, and ``**`` is read
+    as ``^``."""
+    text = text.replace(" ", "").replace("**", "^")
+    val, _ = parse_expr(text, affine_chart(ZZ, 1, (var,)))
     if isinstance(val, DiffForm):
         raise ParseError(f"expected a polynomial in {var}")
     return [val.terms.get((i,), 0) for i in range(val.total_degree() + 1)]
@@ -405,12 +407,12 @@ def parse_descriptor(text: str, line: int | None = None):
     kind, _, rest = text.partition(":")
     try:
         if kind == "Fp":
-            return GF(_natural(rest))
+            return GF(_integer(rest))
         if kind == "Fq":
             head, _, modtext = rest.partition(":")
             p, _, k = head.partition("^")
             modulus = parse_int_poly(modtext, "t") if modtext else None
-            return GF(_natural(p), _natural(k) if k else 1, modulus)
+            return GF(_integer(p), _integer(k) if k else 1, modulus)
         if kind == "NR":
             return NumberRing(parse_int_poly(rest, "a"))
         raise ValueError("expected Z, Q, Fp:, Fq: or NR:")
@@ -419,10 +421,11 @@ def parse_descriptor(text: str, line: int | None = None):
         raise ParseError(f"field descriptor {text!r}: {reason}", line=line) from None
 
 
-def _natural(text: str) -> int:
-    if not (text.isascii() and text.strip().isdigit()):
-        raise ValueError(f"expected a number, not {text!r}")
-    return int(text)
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected a number, not {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -519,16 +522,16 @@ def parse_document(text: str, field_override: str | None = None) -> Document:
             parser = _ExprParser(body, doc.chart, lineno)
             fractions = [_reduced(pair, lineno)
                          for pair in parser.parse_list("[]" if head == "map" else "()")]
-            if head == "weights":
-                if not all(w.is_constant and d.is_constant for w, d in fractions):
-                    raise ParseError("weights must be ring constants", line=lineno)
+            if head == "map":
+                # one common denominator: the product of the reduced ones
+                den = MultiPoly.one(doc.ring, doc.chart.nvars)
+                for _, d in fractions:
+                    den = den * d
+                doc.maps[name] = ([num * den.exact_div(d) for num, d in fractions], den)
+            elif all(w.is_constant and d.is_constant for w, d in fractions):
                 doc.weights[name] = [w.constant_value() for w, _ in fractions]
-                continue
-            # one common denominator: the product of the reduced ones
-            den = MultiPoly.one(doc.ring, doc.chart.nvars)
-            for _, d in fractions:
-                den = den * d
-            doc.maps[name] = ([num * den.exact_div(d) for num, d in fractions], den)
+            else:
+                raise ParseError("weights must be ring constants", line=lineno)
     return doc
 
 

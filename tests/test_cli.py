@@ -699,7 +699,7 @@ def test_descriptor_refusals_name_the_descriptor(monkeypatch, capsys, field, rea
 
 @pytest.mark.parametrize(
     "minpoly, reason",
-    [("+", "expected a value, column 1"), ("a^2+b", "unknown name 'b'"),
+    [("+", "expected a value"), ("a^2+b", "unknown name 'b'"),
      ("a^2 + 1/a", "rational functions need a coefficient field")],
 )
 def test_minpoly_refusals_name_the_polynomial(capsys, minpoly, reason):

@@ -28,7 +28,7 @@ from pfol.parsing import (
     parse_scalar,
     tokenize,
 )
-from pfol.rings import GF, NumberRing, QQ, ZZ, format_up
+from pfol.rings import GF, NumberRing, QQ, ZZ, format_up, up_trim
 
 
 def random_poly(ring, nvars, rng, deg=3, nterms=4):
@@ -73,6 +73,10 @@ def test_generator_constants():
     chartR = affine_chart(R, 2)
     val, den = parse_scalar("a*a", chartR)
     assert den == 1 and val.constant_value() == R.coerce(-1)
+    # each generator is a name only over its own kind of ring
+    for ring, name in ((GF(5), "t"), (F, "a"), (R, "t"), (QQ, "a")):
+        with pytest.raises(ParseError, match=f"unknown name '{name}'"):
+            parse_scalar(f"{name} + 1", affine_chart(ring, 2))
 
 
 def test_forms_and_wedges():
@@ -363,6 +367,12 @@ def test_p_is_a_value_in_positive_characteristic():
     assert doc.weights["w"] == [F.zero(), F.one(), F.zero()]
 
 
+def test_weights_are_read_as_reduced_fractions():
+    doc = parse_document("field Fp:5\nambient affine 2\nweights w = (x/x, 2*y/(3*y), (x+1)^0)\n")
+    F = GF(5)
+    assert doc.weights["w"] == [F.one(), F.coerce(4), F.one()]
+
+
 def test_p_as_a_value_is_refused_in_characteristic_zero():
     with pytest.raises(ParseError, match="token p in a characteristic-zero document at line 3"):
         parse_document("field Q\nambient affine 2\nhyperplane H = x + p\n")
@@ -487,6 +497,22 @@ def _random_univariate(rng, var):
         terms.append(("-" if c < 0 else "+") + rng.choice(["", " "]) + mono)
     text = rng.choice([" ", ""]).join(terms)
     return text[1:] if text.startswith("+") else text
+
+
+def test_descriptor_spellings_match_the_reference():
+    for text in ["t ^ 2 + 1 0", "2 t", "t^02", "t**2+1", "-t + 2", "t^2-t^2+1", "0"]:
+        assert parse_int_poly(text, "t") == up_trim(parse_up(text, "t")), text
+    for text in ["Fq:5", "Fq:5^1", "Fq: 7 ^ 2", "Fp: 5", "Fp:1_1", "Fq:3^2:t ^ 2 + 1"]:
+        assert parse_descriptor(text) == descriptor_reference(text), text
+
+
+def test_stray_signs_in_descriptor_polynomials_are_refused():
+    # the regex reader dropped a trailing, doubled or leading sign and a
+    # trailing *: t^2+ read as t^2 and 2* as 2
+    for text in ["t^2+", "t^2++1", "t^2+1-", "+t^2+1", "2*"]:
+        parse_up(text, "t")
+        with pytest.raises(ParseError, match="expected a value"):
+            parse_int_poly(text, "t")
 
 
 def test_random_univariate_polynomials_match_the_reference():
