@@ -247,6 +247,8 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.doc and args.pmax < 2:
+        raise ValueError(f"--pmax must be at least 2, got {args.pmax}")
     out = []
     if args.minpoly:
         try:

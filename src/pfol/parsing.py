@@ -12,7 +12,8 @@ Expression grammar (whitespace-insensitive):
 - operators ``+ - * / ^`` and the wedge ``/\\``; juxtaposition multiplies;
 - the token ``p`` is replaced by the declared characteristic at parse time
   (in exponents it stays an integer);
-- a list is ``[e, e, ...]`` (map components) or ``(e, e, ...)`` (weights).
+- a list is ``[e, e, ...]`` (map components) or ``(e, e, ...)`` (weights);
+- parentheses nest at most 100 deep, and any number of signs may stack.
 
 An expression evaluates to a pair (value, den) standing for value / den:
 the value is a ``MultiPoly`` or a polynomial ``DiffForm`` and den a monic
@@ -122,6 +123,7 @@ class _ExprParser:
         self.index = {name: i for i, name in enumerate(chart.names)}
         self.generator = _generator_name(ring)
         self.one = MultiPoly.one(ring, self.nvars)
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -185,12 +187,12 @@ class _ExprParser:
                 return val
 
     def unary(self):
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
+        negate = False
+        while self.peek()[1] == "-":
             self.advance()
-            val, den = self.unary()
-            return -val, den
-        return self.power()
+            negate = not negate
+        val, den = self.power()
+        return (-val if negate else val), den
 
     def power(self):
         base = self.atom()
@@ -217,10 +219,7 @@ class _ExprParser:
                 self.error("token p in a characteristic-zero document")
             return self.p
         if kind == "op" and text == "(":
-            self.advance()
-            val = self.int_expr()
-            self.expect(")")
-            return val
+            return self.nested(self.int_expr)
         self.error("expected an integer exponent")
 
     def int_expr(self) -> int:
@@ -249,11 +248,23 @@ class _ExprParser:
                 return val
 
     def int_unary(self) -> int:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
+        negate = False
+        while self.peek()[1] == "-":
             self.advance()
-            return -self.int_unary()
-        return self.int_atom()
+            negate = not negate
+        val = self.int_atom()
+        return -val if negate else val
+
+    def nested(self, parse):
+        """The value of ``parse`` between the parentheses ahead."""
+        self.depth += 1
+        if self.depth > 100:
+            raise ParseError("parentheses nested deeper than 100", line=self.line)
+        self.advance()
+        val = parse()
+        self.expect(")")
+        self.depth -= 1
+        return val
 
     def expect(self, op):
         kind, text, _ = self.peek()
@@ -267,10 +278,7 @@ class _ExprParser:
             self.advance()
             return self._const(text), self.one
         if kind == "op" and text == "(":
-            self.advance()
-            val = self.expr()
-            self.expect(")")
-            return val
+            return self.nested(self.expr)
         if kind == "name":
             idx = self.index.get(text)
             if idx is not None:

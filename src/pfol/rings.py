@@ -19,6 +19,8 @@ returns them from every operation; a prime field computes with ints mod p,
 an extension field looks products, sums, inverses and powers up in the
 log/antilog (Zech) tables it builds at construction.  A larger extension
 field multiplies the digits of two codes in F_p[t] and inverts as a^(q-2).
+``GF(p, k, modulus)`` builds each field once per process and returns it
+again while a bounded table, at most ``TABLE_LIMIT`` elements, keeps it.
 
 Dense polynomials over F_p are little-endian int lists.  Their kernel sums
 products as plain ints and reduces each coefficient mod p once: ``up_mul``
@@ -409,8 +411,31 @@ class GFElem:
         return format_up(self.field._digits(self.code), "t")
 
 
-class GF:
+class _Interned(type):
+    """Makes ``GF(p, k, modulus)`` reuse the field kept for its arguments."""
+
+    def __call__(cls, p, k=1, modulus=None):
+        key = (p, k, None if modulus is None else tuple(modulus))
+        field = _FIELDS.pop(key, None)
+        if field is None:
+            field = super().__call__(p, k, modulus)
+            while sum(f.order if f.order <= TABLE_LIMIT else 1
+                      for f in (field, *_FIELDS.values())) > TABLE_LIMIT:
+                del _FIELDS[next(iter(_FIELDS))]
+        _FIELDS[key] = field
+        return field
+
+
+_FIELDS: dict = {}  # argument tuple -> GF, least recently used first
+
+
+class GF(metaclass=_Interned):
     """The finite field GF(p^k) = F_p[t]/(g), g monic irreducible of degree k.
+
+    Built once per set of arguments and shared, a field never changes after
+    ``__init__``.  The fields kept hold at most ``TABLE_LIMIT`` elements, a
+    larger field counting 1; the least recently used go first, and their
+    elements still work and equal those of a rebuilt field.
 
     ``_make(code)`` gives the element of a code: for q <= ``TABLE_LIMIT``
     one of the q elements created here, otherwise a new one.  An extension

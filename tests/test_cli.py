@@ -236,6 +236,36 @@ def test_scan_minpoly_probe_without_good_primes_is_input_error(capsys):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("pmax", ["1", "0", "-3"])
+def test_model_scan_without_primes_is_input_error(monkeypatch, capsys, pmax):
+    # no prime is at most pmax: a scan would print a header and no row
+    for flags in ([], ["--json"]):
+        assert run(monkeypatch, capsys, ["scan", "--pmax", pmax, *flags], LOG_MODEL) == (
+            2, "", f"error: --pmax must be at least 2, got {pmax}\n"
+        )
+
+
+@pytest.mark.parametrize("depth, code", [(100, 0), (101, 2), (3000, 2)])
+def test_nesting_past_the_limit_is_input_error(monkeypatch, capsys, depth, code):
+    nested = "(" * depth + "{}" + ")" * depth
+    for form in (nested.format("x") + "*dx + dy", "x^" + nested.format("2") + "*dx + dy"):
+        text = f"field Fp:5\nambient affine 2\n\nform omega = {form}\n"
+        result = run(monkeypatch, capsys, ["analyze"], text)
+        assert result[0] == code
+        if code == 2:
+            assert result[1:] == ("", "error: parentheses nested deeper than 100 at line 4\n")
+
+
+def test_stacked_signs_read_without_a_limit(monkeypatch, capsys):
+    # a run of signs is read in a loop: 3001 minus signs negate, 3000 do not
+    for form, same in [("-" * 3000 + "x*dx + dy", "x*dx + dy"),
+                       ("x^(" + "-" * 3001 + "2)*dx + dy", "x^(-2)*dx + dy"),
+                       ("-" * 3001 + "x*dx + dy", "-x*dx + dy")]:
+        outs = [run(monkeypatch, capsys, ["degeneracy"], f"field Fp:5\nambient affine 2\n"
+                    f"form omega = {f}\n") for f in (form, same)]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
+
 def test_prime_field_with_modulus_is_input_error(tmp_path, capsys):
     doc = write(tmp_path, "deg1.txt", DEG1)
     assert main(["analyze", "--field", "Fq:5^1:t+2", doc]) == 2

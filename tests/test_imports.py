@@ -337,3 +337,47 @@ def test_text_readers_finds_regexes_and_tokenizers():
         "cli: defines split_tokens (line 5)",
         "rings: imports re (line 1)",
     ]
+
+
+CACHE_HOME = "cli"
+
+
+def process_caches(sources: dict[str, str]) -> list[str]:
+    """Where a module of ``sources`` other than ``cli`` uses
+    ``functools.cache`` or ``lru_cache``.  Such a cache lives across calls
+    and grows for the life of the process; the one other table of that kind
+    in the package, the fields kept by ``rings.GF``, is bounded."""
+    found = []
+    for module, source in sources.items():
+        if module == CACHE_HOME:
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+                names = [node.attr]
+            else:
+                continue
+            for name in sorted({"cache", "lru_cache"}.intersection(names)):
+                found.append((module, node.lineno, name))
+    return [f"{module}: {name} (line {line})" for module, line, name in sorted(found)]
+
+
+def test_only_cli_caches_across_calls():
+    assert process_caches(package_sources()) == []
+
+
+def test_process_caches_finds_both_spellings():
+    mpoly = (
+        "import functools\n"
+        "@functools.lru_cache(maxsize=None)\ndef gcd(f, g):\n    return f\n"
+        "from functools import cached_property, partial\n"
+    )
+    rings = "from functools import cache as memo, lru_cache\nCACHE = functools.cache\n"
+    cli = "import functools\n@functools.cache\ndef build_parser():\n    return 1\n"
+    assert process_caches({"mpoly": mpoly, "rings": rings, "cli": cli}) == [
+        "mpoly: lru_cache (line 2)",
+        "rings: cache (line 1)",
+        "rings: lru_cache (line 1)",
+        "rings: cache (line 2)",
+    ]

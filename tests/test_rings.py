@@ -5,7 +5,9 @@ import random
 import pytest
 
 import up_reference
-from pfol.parsing import parse_descriptor, parse_int_poly
+from pfol import rings
+from pfol.models import IntegralModel, prime_scan
+from pfol.parsing import parse_descriptor, parse_document, parse_int_poly
 from pfol.rings import (
     GF,
     TABLE_LIMIT,
@@ -458,9 +460,18 @@ def test_element_order_and_random_draws_unchanged(p, k):
     assert code_digits(F.generator()) == ([0, 1] + [0] * (k - 2) if k > 1 else [1])
 
 
+def rebuilt(F):
+    """A field equal to F and built anew, as GF builds it after evicting F."""
+    rings._FIELDS.clear()
+    G = GF(F.p, F.k)
+    assert G is not F
+    return G
+
+
 @pytest.mark.parametrize("p,k", [(3, 2), (2, 4), (7, 1), (257, 2)])
 def test_equal_elements_hash_equal_and_compare_with_ints(p, k):
-    F, G = GF(p, k), GF(p, k)  # equal fields, built twice
+    F = GF(p, k)
+    G = rebuilt(F)  # an equal field, built twice
     rng, other_rng = random.Random(11), random.Random(11)
     for _ in range(50):
         x, y = F.random(rng), G.random(other_rng)
@@ -493,3 +504,69 @@ def test_modulus_needs_an_extension_degree():
         parse_descriptor("Fq:5^1:t+2")
     assert parse_descriptor("Fq:5^1") == GF(5)
     assert parse_descriptor("Fq:5^1").generator() == 1
+
+
+def held_elements() -> int:
+    """The elements of the fields GF keeps, the quantity its bound limits."""
+    return sum(F.order for F in rings._FIELDS.values() if F.order <= TABLE_LIMIT)
+
+
+def test_fields_are_built_once_per_argument_tuple(monkeypatch):
+    builds = []
+    build = GF.__init__
+    monkeypatch.setattr(GF, "__init__", lambda F, *args: builds.append(args) or build(F, *args))
+    rings._FIELDS.clear()
+    assert GF(5) is GF(5) is GF(5, 1) is GF(5, 1, None)
+    assert GF(3, 2) is GF(3, 2) and GF(3, 2, [1, 0, 1]) is GF(3, 2, (1, 0, 1))
+    for text in ("Fp:5", "Fq:3^2", "Fq:3^2:t^2+1", "Fq:5^1"):
+        assert parse_descriptor(text) is parse_descriptor(text)
+    assert parse_descriptor("Fp:5") is GF(5)
+    # GF(5, 1) and GF(5, 1, None) share the key of GF(5); "Fq:5^1" too
+    assert builds == [(5, 1, None), (3, 2, None), (3, 2, [1, 0, 1])]
+
+
+def test_refused_fields_raise_on_every_call_and_are_not_kept():
+    for args, message in [((4,), "4 is not prime"), ((3, 2, [2, 0, 1]), "reducible"),
+                          ((5, 1, [2, 1]), "Fp:5"), ((3, 0), "positive")]:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                GF(*args)
+    assert not [key for key in rings._FIELDS if key[0] == 4 or key[1] == 0]
+    assert (3, 2, (2, 0, 1)) not in rings._FIELDS and (5, 1, (2, 1)) not in rings._FIELDS
+
+
+def test_least_recently_used_fields_are_evicted_and_their_elements_mix():
+    small = GF(7)
+    F = GF(251, 2)
+    GF(7)  # used again: now more recent than GF(251^2)
+    G = GF(241, 2)  # 251^2 + 241^2 > TABLE_LIMIT: GF(251^2) goes, GF(7) stays
+    assert held_elements() <= TABLE_LIMIT
+    assert GF(7) is small and GF(241, 2) is G
+    assert (251, 2, None) not in rings._FIELDS
+    rng = random.Random(3)
+    old = [F.random(rng) for _ in range(20)] + [F.zero(), F.one()]
+    F2 = GF(251, 2)
+    assert F2 is not F and F2 == F and hash(F2) == hash(F)
+    assert held_elements() <= TABLE_LIMIT and (241, 2, None) not in rings._FIELDS
+    rng = random.Random(3)
+    new = [F2.random(rng) for _ in range(20)] + [F2.zero(), F2.one()]
+    for x, y in zip(old, new):
+        assert x == y and hash(x) == hash(y) and F2.coerce(x) == y
+        for a, b in [(x, y), (y, x)]:
+            assert a + F2.generator() == b + F.generator()
+            assert a * F2.generator() == y * F2.generator()
+            assert (a - b) == 0 and (a * b) == y * y
+            if b:
+                assert a / b == 1
+
+
+def test_a_long_scan_keeps_at_most_table_limit_elements():
+    # the residue fields of Z[i] are GF(p^2) for p = 3 mod 4: up to 260
+    # they hold far more than TABLE_LIMIT elements together
+    doc = parse_document("field NR:a^2+1\nambient affine 3\nvars x y z\n"
+                         "model omega = 2*a*y*z*dx + 2*x*z*dy + 1*x*y*dz\n")
+    rows = prime_scan(IntegralModel(doc.the_form()), 260)
+    assert sum(p * p for p in {r.p for r in rows if r.k == 2}) > TABLE_LIMIT
+    assert held_elements() <= TABLE_LIMIT
+    # the residue field of the last row is kept, under its modulus t^2 + 1
+    assert (251, 2, (1, 0, 1)) in rings._FIELDS
