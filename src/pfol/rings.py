@@ -19,8 +19,7 @@ returns them from every operation; a prime field computes with ints mod p,
 an extension field looks products, sums, inverses and powers up in the
 log/antilog (Zech) tables it builds at construction.  A larger extension
 field multiplies the digits of two codes in F_p[t] and inverts as a^(q-2).
-``GF(p, k, modulus)`` builds each field once per process and returns it
-again while a bounded table, at most ``TABLE_LIMIT`` elements, keeps it.
+``GF(p, k, modulus)`` shares a field from its second call on, in a bounded table.
 
 Dense polynomials over F_p are little-endian int lists.  Their kernel sums
 products as plain ints and reduces each coefficient mod p once: ``up_mul``
@@ -412,30 +411,36 @@ class GFElem:
 
 
 class _Interned(type):
-    """Makes ``GF(p, k, modulus)`` reuse the field kept for its arguments."""
+    """Makes ``GF(p, k, modulus)`` share the field kept for its arguments."""
 
     def __call__(cls, p, k=1, modulus=None):
+        global _held
         key = (p, k, None if modulus is None else tuple(modulus))
-        field = _FIELDS.pop(key, None)
-        if field is None:
-            field = super().__call__(p, k, modulus)
-            while sum(f.order if f.order <= TABLE_LIMIT else 1
-                      for f in (field, *_FIELDS.values())) > TABLE_LIMIT:
-                del _FIELDS[next(iter(_FIELDS))]
-        _FIELDS[key] = field
+        asked = key in _FIELDS
+        _held -= _weight(_FIELDS[key]) if asked else 0
+        field = _FIELDS.pop(key, None) or super().__call__(p, k, modulus)
+        _FIELDS[key] = field if asked else None  # kept from the second call on
+        _held += _weight(_FIELDS[key])
+        while _held > TABLE_LIMIT:
+            _held -= _weight(_FIELDS.pop(next(iter(_FIELDS))))
         return field
 
 
-_FIELDS: dict = {}  # argument tuple -> GF, least recently used first
+def _weight(entry) -> int:
+    return entry.order if entry is not None and entry.order <= TABLE_LIMIT else 1
+
+
+_FIELDS: dict = {}  # key -> kept GF, or None when asked for once; least recent first
+_held = 0  # the entries of _FIELDS weighed by _weight
 
 
 class GF(metaclass=_Interned):
     """The finite field GF(p^k) = F_p[t]/(g), g monic irreducible of degree k.
 
-    Built once per set of arguments and shared, a field never changes after
-    ``__init__``.  The fields kept hold at most ``TABLE_LIMIT`` elements, a
-    larger field counting 1; the least recently used go first, and their
-    elements still work and equal those of a rebuilt field.
+    Kept from the second call with the same arguments on (a field asked for
+    once is not held) and shared, a field never changes after ``__init__``.
+    The table weighs at most ``TABLE_LIMIT``; the least recently used leave
+    it first, and their elements equal those of a rebuilt field.
 
     ``_make(code)`` gives the element of a code: for q <= ``TABLE_LIMIT``
     one of the q elements created here, otherwise a new one.  An extension

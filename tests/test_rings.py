@@ -460,18 +460,18 @@ def test_element_order_and_random_draws_unchanged(p, k):
     assert code_digits(F.generator()) == ([0, 1] + [0] * (k - 2) if k > 1 else [1])
 
 
-def rebuilt(F):
-    """A field equal to F and built anew, as GF builds it after evicting F."""
-    rings._FIELDS.clear()
-    G = GF(F.p, F.k)
-    assert G is not F
-    return G
+@pytest.fixture
+def empty_table(monkeypatch):
+    """GF's table of fields, empty for one test and restored after it."""
+    monkeypatch.setattr(rings, "_FIELDS", {})
+    monkeypatch.setattr(rings, "_held", 0)
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (2, 4), (7, 1), (257, 2)])
-def test_equal_elements_hash_equal_and_compare_with_ints(p, k):
-    F = GF(p, k)
-    G = rebuilt(F)  # an equal field, built twice
+def test_equal_elements_hash_equal_and_compare_with_ints(empty_table, p, k):
+    # equal fields, built twice: a first call keeps no field
+    F, G = GF(p, k), GF(p, k)
+    assert G is not F
     rng, other_rng = random.Random(11), random.Random(11)
     for _ in range(50):
         x, y = F.random(rng), G.random(other_rng)
@@ -507,38 +507,48 @@ def test_modulus_needs_an_extension_degree():
 
 
 def held_elements() -> int:
-    """The elements of the fields GF keeps, the quantity its bound limits."""
-    return sum(F.order for F in rings._FIELDS.values() if F.order <= TABLE_LIMIT)
+    """The weight of GF's table, the quantity its bound limits, counted
+    afresh; it must equal the running total the table keeps."""
+    held = sum(F.order if F is not None and F.order <= TABLE_LIMIT else 1
+               for F in rings._FIELDS.values())
+    assert held == rings._held
+    return held
 
 
-def test_fields_are_built_once_per_argument_tuple(monkeypatch):
+def test_fields_are_shared_from_the_second_call_on(empty_table, monkeypatch):
     builds = []
     build = GF.__init__
     monkeypatch.setattr(GF, "__init__", lambda F, *args: builds.append(args) or build(F, *args))
-    rings._FIELDS.clear()
+    first = GF(5)
+    assert GF(5) is not first
     assert GF(5) is GF(5) is GF(5, 1) is GF(5, 1, None)
+    GF(3, 2), GF(3, 2, [1, 0, 1])
     assert GF(3, 2) is GF(3, 2) and GF(3, 2, [1, 0, 1]) is GF(3, 2, (1, 0, 1))
-    for text in ("Fp:5", "Fq:3^2", "Fq:3^2:t^2+1", "Fq:5^1"):
+    for text in ("Fp:7", "Fq:7^2", "Fq:7^2:t^2+1", "Fq:7^1"):
+        parse_descriptor(text)
         assert parse_descriptor(text) is parse_descriptor(text)
-    assert parse_descriptor("Fp:5") is GF(5)
-    # GF(5, 1) and GF(5, 1, None) share the key of GF(5); "Fq:5^1" too
-    assert builds == [(5, 1, None), (3, 2, None), (3, 2, [1, 0, 1])]
+    assert parse_descriptor("Fp:7") is GF(7)
+    # GF(5, 1) and GF(5, 1, None) share the key of GF(5); "Fq:7^1" that of "Fp:7"
+    assert builds == [(5, 1, None)] * 2 + [(3, 2, None), (3, 2, [1, 0, 1])] * 2 + [
+        (7, 1, None)] * 2 + [(7, 2, None)] * 2 + [(7, 2, [1, 0, 1])] * 2
+    assert held_elements() == 5 + 9 + 9 + 7 + 49 + 49
 
 
-def test_refused_fields_raise_on_every_call_and_are_not_kept():
+def test_refused_fields_raise_on_every_call_and_are_not_kept(empty_table):
     for args, message in [((4,), "4 is not prime"), ((3, 2, [2, 0, 1]), "reducible"),
                           ((5, 1, [2, 1]), "Fp:5"), ((3, 0), "positive")]:
-        for _ in range(2):
+        for _ in range(3):
             with pytest.raises(ValueError, match=message):
                 GF(*args)
-    assert not [key for key in rings._FIELDS if key[0] == 4 or key[1] == 0]
-    assert (3, 2, (2, 0, 1)) not in rings._FIELDS and (5, 1, (2, 1)) not in rings._FIELDS
+    assert rings._FIELDS == {} and held_elements() == 0
 
 
-def test_least_recently_used_fields_are_evicted_and_their_elements_mix():
-    small = GF(7)
-    F = GF(251, 2)
+def test_least_recently_used_fields_are_evicted_and_their_elements_mix(empty_table):
+    GF(7), GF(251, 2)
+    small, F = GF(7), GF(251, 2)
+    assert held_elements() == 7 + 251**2
     GF(7)  # used again: now more recent than GF(251^2)
+    GF(241, 2)
     G = GF(241, 2)  # 251^2 + 241^2 > TABLE_LIMIT: GF(251^2) goes, GF(7) stays
     assert held_elements() <= TABLE_LIMIT
     assert GF(7) is small and GF(241, 2) is G
@@ -547,7 +557,8 @@ def test_least_recently_used_fields_are_evicted_and_their_elements_mix():
     old = [F.random(rng) for _ in range(20)] + [F.zero(), F.one()]
     F2 = GF(251, 2)
     assert F2 is not F and F2 == F and hash(F2) == hash(F)
-    assert held_elements() <= TABLE_LIMIT and (241, 2, None) not in rings._FIELDS
+    assert rings._FIELDS[(251, 2, None)] is None  # only noted: asked for once since
+    assert held_elements() <= TABLE_LIMIT
     rng = random.Random(3)
     new = [F2.random(rng) for _ in range(20)] + [F2.zero(), F2.one()]
     for x, y in zip(old, new):
@@ -560,13 +571,30 @@ def test_least_recently_used_fields_are_evicted_and_their_elements_mix():
                 assert a / b == 1
 
 
-def test_a_long_scan_keeps_at_most_table_limit_elements():
+def test_keys_alone_are_bounded_too(empty_table, monkeypatch):
+    # each key weighs 1, so asking for more fields than TABLE_LIMIT, each
+    # once, drops the oldest keys
+    monkeypatch.setattr(rings, "TABLE_LIMIT", 40)
+    primes = [p for p in range(2, 1000) if rings.is_prime(p)][:50]
+    for p in primes:
+        GF(p)
+    assert held_elements() == 40
+    assert list(rings._FIELDS) == [(p, 1, None) for p in primes[10:]]
+
+
+def test_a_cold_scan_keeps_no_extension_field_and_a_second_stays_bounded(empty_table):
     # the residue fields of Z[i] are GF(p^2) for p = 3 mod 4: up to 260
     # they hold far more than TABLE_LIMIT elements together
     doc = parse_document("field NR:a^2+1\nambient affine 3\nvars x y z\n"
                          "model omega = 2*a*y*z*dx + 2*x*z*dy + 1*x*y*dz\n")
-    rows = prime_scan(IntegralModel(doc.the_form()), 260)
+    model = IntegralModel(doc.the_form())
+    rows = prime_scan(model, 260)
     assert sum(p * p for p in {r.p for r in rows if r.k == 2}) > TABLE_LIMIT
+    # one scan asks for each GF(p^2) once and for GF(p), p = 1 mod 4, twice
+    kept = {key for key, F in rings._FIELDS.items() if F is not None}
+    assert kept == {(r.p, 1, None) for r in rows if r.p % 4 == 1}
     assert held_elements() <= TABLE_LIMIT
-    # the residue field of the last row is kept, under its modulus t^2 + 1
-    assert (251, 2, (1, 0, 1)) in rings._FIELDS
+    # a second scan keeps the GF(p^2) it asks for again, as many as fit
+    assert [str(r) for r in prime_scan(model, 260)] == [str(r) for r in rows]
+    assert held_elements() <= TABLE_LIMIT
+    assert (127, 2, (1, 0, 1)) in {key for key, F in rings._FIELDS.items() if F is not None}
