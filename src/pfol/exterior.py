@@ -362,13 +362,6 @@ class VectorField:
             comps.append(_from_raw(ring, chart.nvars, _unpack(terms, base, weights)))
         return VectorField(chart, comps)
 
-    def __repr__(self):
-        names = self.chart.names
-        parts = [
-            f"({c!r})*D{names[i]}" for i, c in enumerate(self.comps) if c
-        ]
-        return " + ".join(parts) if parts else "0"
-
 
 def _packing(degree: int, steps: int, nvars: int) -> tuple[int, list[int]]:
     """The base B and weights B^j that pack an exponent e into the int
@@ -438,8 +431,6 @@ def pullback_form(form: DiffForm, comps, target: Chart, den=1) -> DiffForm:
     sum_I a_I^h(den, N) (den dN_i1 - N_i1 d den) /\\ ... /\\ (den dN_iq -
     N_iq d den).  With den = 1 it is phi^*(form) itself.
     """
-    if len(comps) != form.chart.nvars:
-        raise ValueError("one component per source variable is required")
     comps = [target.coerce(c) for c in comps]
     den = target.coerce(den)
     dden = DiffForm(target, 0, {(): den}).d()

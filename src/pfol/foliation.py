@@ -285,10 +285,6 @@ class Foliation:
         """The p-curvature record, computed once per foliation."""
         return PCurvature(self.form, self.p, _koszul_pcurvatures(self.form))
 
-    def __repr__(self):
-        kind = f"P^{self.n}" if self.projective else f"A^{self.n}"
-        return f"Foliation on {kind} by {self.form!r}"
-
 
 def from_form(form: DiffForm) -> Foliation:
     """Saturate a defining 1-form, validate it and wrap it as a foliation.

@@ -71,10 +71,6 @@ class RationalMap:
             raise ValueError("the map needs polynomial components")
         return self.comps
 
-    def __repr__(self):
-        comps = f"[{', '.join(map(repr, self.comps))}]"
-        return comps if self.den == 1 else f"{comps} / ({self.den!r})"
-
 
 def linear_hyperplane_embedding(target: Chart, coeffs) -> RationalMap:
     """The inclusion of the hyperplane sum c_i x_i = 0 into P^n, whose

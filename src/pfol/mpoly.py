@@ -290,10 +290,7 @@ class MultiPoly:
         )
 
     def __sub__(self, other):
-        o = self._coerce_operand(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -457,8 +454,6 @@ class MultiPoly:
         if lc == self.ring.one():
             return self
         if not self.ring.is_field:
-            if lc == -self.ring.one():
-                return -self
             raise ArithmeticError("cannot normalize over a non-field")
         return self.scale(self.ring.inv(lc))
 

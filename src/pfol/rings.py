@@ -255,8 +255,6 @@ def canonical_irreducible(p: int, k: int) -> list[int]:
     Candidates x^k + c_{k-1} x^{k-1} + ... + c_0 are enumerated by the
     integer c_0 + c_1 p + ... + c_{k-1} p^{k-1}, smallest first.
     """
-    if k == 1:
-        return [0, 1]
     for code in range(p**k):
         coeffs = []
         c = code
@@ -330,10 +328,7 @@ class GFElem:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._co(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -361,10 +356,7 @@ class GFElem:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._co(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
+        return self * self.field.coerce(other).inverse()
 
     def __rtruediv__(self, other):
         return self.field.coerce(other) * self.inverse()
@@ -625,8 +617,6 @@ class _ZZ:
     def coerce(self, x):
         if isinstance(x, int):
             return x
-        if isinstance(x, Fraction) and x.denominator == 1:
-            return x.numerator
         raise TypeError(f"cannot coerce {x!r} into Z")
 
     def random(self, rng):
@@ -637,12 +627,6 @@ class _ZZ:
 
     def __repr__(self):
         return "Z"
-
-    def __eq__(self, other):
-        return isinstance(other, _ZZ)
-
-    def __hash__(self):
-        return hash("ZZ")
 
 
 class _QQ:
@@ -671,12 +655,6 @@ class _QQ:
 
     def __repr__(self):
         return "Q"
-
-    def __eq__(self, other):
-        return isinstance(other, _QQ)
-
-    def __hash__(self):
-        return hash("QQ")
 
 
 ZZ = _ZZ()
@@ -714,10 +692,7 @@ class NRElem:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._co(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return NRElem(self.ring, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self + (-other)
 
     def __rsub__(self, other):
         return -(self - other)

@@ -605,10 +605,32 @@ def test_restrict_on_the_plane_computes_no_degeneracy_divisor(monkeypatch, capsy
             RESTRICT_TO.format("x0 + x1 + 1"),
             "hyperplane must be homogeneous linear",
         ),
+        (
+            RESTRICT_TO.format("x0^2 + x1*x2"),
+            "hyperplane must be a linear polynomial at line 5",
+        ),
+        (
+            "field Fp:5\nambient proj 3\nform omega = 0*dx0\nhyperplane Y = x0 + x1\n",
+            "the zero form defines no foliation",
+        ),
+        (
+            RESTRICT.replace("proj 3", "flat 3"),
+            "ambient must be 'affine <n>' or 'proj <n>' at line 2",
+        ),
+        (RESTRICT.replace("form omega = ", "form = "), "malformed form declaration at line 4"),
+        (RESTRICT.replace("form omega = ", "form omega = dx0^2 + "),
+         "cannot raise a form to a power at line 4, column 6"),
+        # a model is scanned and a document with maps is pulled back
+        (LOG_MODEL.replace("NR:a^2+1", "Fp:5").replace("a*y", "y"),
+         "scans need a model over Z or NR:<minpoly>"),
+        (PULLBACK + "map psi = [x, y, z]\n", "document must declare exactly one map"),
     ],
 )
 def test_restrict_refusals_are_input_errors(monkeypatch, capsys, text, message):
-    assert run(monkeypatch, capsys, ["restrict"], text) == (2, "", f"error: {message}\n")
+    command = ["scan", "--pmax", "7"] if "\nmodel " in text else (
+        ["pullback"] if "\nmap " in text else ["restrict"]
+    )
+    assert run(monkeypatch, capsys, command, text) == (2, "", f"error: {message}\n")
 
 
 AFFINE_LOG = """\
@@ -710,6 +732,7 @@ def test_document_over_z_needs_a_coefficient_field(monkeypatch, capsys, command,
         ("Fq:3^x:t^2+1", "expected a number, not 'x'"),
         ("NR:+", "expected a value"),
         ("Fp:4", "4 is not prime"),
+        ("Fp:1763", "1763 is not prime"),
         ("Fq:3^2:t^2+s", "unknown name 's'"),
         ("NR:da", "expected a polynomial in a"),
         ("F7", "expected Z, Q, Fp:, Fq: or NR:"),

@@ -530,3 +530,26 @@ def test_span_walk_over_q_rejects_every_basis_form_up_to_delta_three(monkeypatch
     assert res.delta is None and res.dimensions == [0, 0, 4, 14]
     assert res.candidates_checked == 4 + 10 + 14 + 10
     assert len(combos_checked) == 20
+
+
+def test_a_vanishing_span_combination_is_not_a_candidate(monkeypatch):
+    # over F_2 the four coefficients of a draw at delta 1 all vanish one
+    # time in sixteen: with seed 1 one of the ten draws does, so 1 + 4
+    # basis forms and 9 draws are checked, where seed 0 checks all 10
+    fol = three_component(GF(2))
+    reject_basis_forms(monkeypatch, reject_all=True)
+    for seed, checked in ((0, 15), (1, 14)):
+        result = distmin2(fol, delta_max=1, seed=seed)
+        assert result == distmin2_reference(fol, delta_max=1, seed=seed)
+        assert (result.dimensions, result.candidates_checked) == ([1, 4], checked)
+
+
+def test_subdistribution_space_guards_refuse_with_their_message():
+    affine = from_form(affine_chart(GF(5), 3).dx(0))
+    for fol, delta, message in (
+        (affine, 0, "the subdistribution search is projective"),
+        (three_component(GF(5)), -1, "delta must be nonnegative"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            subdistribution_space(fol, delta)
+        assert str(exc.value) == message

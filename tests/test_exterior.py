@@ -405,3 +405,45 @@ def test_pullback_numerator_clears_the_denominator():
                 n = form.max_coeff_degree() + 2 * form.q
                 lhs = pullback_form(form, [den * c for c in comps], a3, den)
                 assert lhs == pullback_form(form, comps, a3) * den**n
+
+
+# ---------------------------------------------------------------------------
+# guards a caller can reach
+
+A2 = affine_chart(GF(5), 2)
+A3 = affine_chart(GF(5), 3)
+DX, DY = A2.dx(0), A2.dx(1)
+
+FORM_GUARDS = [
+    (lambda: DX + A3.dx(0), ValueError, "forms on different charts"),
+    (lambda: DX + DX.wedge(DY), ValueError, "cannot add forms of different degrees"),
+    (lambda: DX * DY, TypeError, "use wedge() for products of forms"),
+    (lambda: DX.contract(VectorField(A3, [1, 0, 0])), ValueError,
+     "vector field on a different chart"),
+    (lambda: DiffForm(A2, 0, {(): A2.var(0)}).contract(VectorField(A2, [1, 0])), ValueError,
+     "cannot contract a 0-form"),
+    (lambda: DX.wedge(DY).pair(VectorField(A2, [1, 0])), ValueError, "pairing needs a 1-form"),
+    (lambda: A2.zero_form(1).content(), ValueError, "content of the zero form"),
+    (lambda: VectorField(A2, [1]), ValueError, "wrong number of components"),
+    (lambda: VectorField(A2, [1, 0]) + VectorField(A3, [1, 0, 0]), ValueError,
+     "vector fields on different charts"),
+    (lambda: VectorField(A2, [1, 0]).lie_bracket(VectorField(A3, [1, 0, 0])), ValueError,
+     "vector fields on different charts"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [pytest.param(*guard, id=f"{i}-{guard[2]}") for i, guard in enumerate(FORM_GUARDS)],
+)
+def test_form_guards_refuse_with_their_message(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_zero_form_edge_cases():
+    zero = A2.zero_form(1)
+    assert zero.max_coeff_degree() == -1
+    assert repr(zero) == "0"
+    assert DX != A2.var(0) and DX != 0

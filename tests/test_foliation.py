@@ -728,3 +728,43 @@ def test_analyze_takes_one_gcd_of_the_values(monkeypatch):
         report = analyze(fol)
         assert not report.p_closed and report.cartier_integrable is not None
         assert calls == [[val for val in fol.pcurvature.values if val]]
+
+
+# ---------------------------------------------------------------------------
+# guards a caller can reach
+
+F5 = GF(5)
+A2 = affine_chart(F5, 2)
+P2 = cone_chart(F5, 2)
+X, Y = A2.vars()
+
+FOLIATION_GUARDS = [
+    (lambda: Divisor.of_polynomial(MultiPoly.zero(F5, 2), A2), ValueError,
+     "divisor of the zero polynomial"),
+    (lambda: Divisor.of_homogeneous(MultiPoly.zero(F5, 3), P2), ValueError,
+     "divisor of the zero polynomial"),
+    (lambda: koszul_fields(A2.dx(0).wedge(A2.dx(1))), ValueError, "Koszul fields need a 1-form"),
+    (lambda: log_foliation([X], [1]), ValidationError,
+     "need matching components and weights, at least two"),
+    (lambda: log_foliation([X, A2.coerce(2)], [1, 1]), ValidationError,
+     "components must be non-constant"),
+    (lambda: log_foliation([X, Y], [1, 0]), ValidationError, "weights must be nonzero"),
+    (lambda: log_foliation([P2.var(0), P2.var(1) ** 2 + P2.var(2)], [1, 1], projective=True),
+     ValidationError, "projective components must be homogeneous"),
+    (lambda: p_kernel(from_form(Y * A2.dx(0) - X.scale(2) * A2.dx(1))), ValueError,
+     "the kernel distribution needs ambient dimension >= 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [pytest.param(*guard, id=f"{i}-{guard[2]}") for i, guard in enumerate(FOLIATION_GUARDS)],
+)
+def test_foliation_guards_refuse_with_their_message(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_a_divisor_is_never_equal_to_a_number():
+    assert Divisor.zero(A2) != 0

@@ -417,3 +417,40 @@ def test_rational_pullback_matches_chain_rule():
             assert pullback_foliation(phi, fol).form == cleared.saturate()
             checked += 1
     assert checked >= 6
+
+
+# ---------------------------------------------------------------------------
+# guards a caller can reach
+
+F5 = GF(5)
+A2, A3 = affine_chart(F5, 2), affine_chart(F5, 3)
+P2, P3 = cone_chart(F5, 2), cone_chart(F5, 3)
+X, Y = A2.vars()
+ID2 = RationalMap(A2, A2, [X, Y])
+
+MAP_GUARDS = [
+    (lambda: RationalMap(A2, A2, [X, A3.var(0)]), ValueError,
+     "components must live on the source chart"),
+    (lambda: RationalMap(P2, P2, [P2.var(0) ** 2 + P2.var(1), P2.var(1), P2.var(2)]),
+     ValueError, "projective maps need homogeneous components"),
+    (lambda: linear_hyperplane_embedding(P2, [1, 2]), ValueError,
+     "need one coefficient per homogeneous coordinate"),
+    (lambda: pullback(ID2, A3.dx(0)), ValueError, "form does not live on the target of the map"),
+    (lambda: pullback_divisor(RationalMap(A2, A2, [X, 0]), Divisor.of_polynomial(Y, A2)),
+     ValueError, "a component pulls back to zero (image inside it)"),
+    (lambda: ramification_divisor(RationalMap(A2, A3, [X, Y, 0])), ValueError,
+     "ramification needs an equal-dimensional map"),
+    (lambda: restrict_foliation(from_form(P3.var(1) * P3.dx(0) - P3.var(0) * P3.dx(1)),
+                                linear_hyperplane_embedding(P2, [1, 1, 1])),
+     ValueError, "embedding does not land in the foliated space"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [pytest.param(*guard, id=f"{i}-{guard[2]}") for i, guard in enumerate(MAP_GUARDS)],
+)
+def test_map_guards_refuse_with_their_message(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -444,3 +444,22 @@ def test_reduce_model_matches_from_form_on_the_reduced_form(make_model, pmax, ex
             if p in expected:
                 message = got if isinstance(got, str) else None
                 assert message == expected[p], (p, g)
+
+
+def test_model_guards_refuse_with_their_message():
+    chart = affine_chart(ZZ, 3)
+    x, y, z = chart.vars()
+    guards = [
+        (lambda: IntegralModel(chart.dx(0).wedge(chart.dx(1))),
+         "a defining form must be a 1-form"),
+        (lambda: reduction_field(log_model(), 3),
+         "a factor of the minimal polynomial mod p is required"),
+        (lambda: integrability_defect_integer(affine_chart(GF(5), 3).dx(0)),
+         "the integer defect is computed over Z"),
+        (lambda: integrability_defect_integer(affine_chart(ZZ, 2).dx(0)),
+         "expected a polynomial 1-form in three variables"),
+    ]
+    for call, message in guards:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message

@@ -805,3 +805,56 @@ def test_squarefree_and_gcd_list_match_the_pure_prs_route(ring, monkeypatch):
                 for polys in ([f, f.deriv(nvars - 2), f.deriv(nvars - 1)], [f * s, f * t]):
                     assert gcd_list(polys) == pure_prs(monkeypatch, gcd_list, polys)
     assert settled >= 8
+
+
+# ---------------------------------------------------------------------------
+# guards and edge cases a caller can reach
+
+F5 = GF(5)
+X5, Y5 = MultiPoly.var(F5, 2, 0), MultiPoly.var(F5, 2, 1)
+ZERO5 = MultiPoly.zero(F5, 2)
+
+POLY_GUARDS = [
+    (lambda: MultiPoly(F5, 2, {(1,): 1}), ValueError, "exponent tuple of wrong length"),
+    (lambda: X5 + MultiPoly.var(F5, 3, 0), ValueError, "polynomials over different contexts"),
+    (lambda: X5.constant_value(), ValueError, "not a constant"),
+    (lambda: ZERO5.leading(), ValueError, "zero polynomial has no leading term"),
+    (lambda: X5**-1, ValueError, "exponent must be a nonnegative integer"),
+    (lambda: X5.divmod_poly(ZERO5), ZeroDivisionError, "polynomial division by zero"),
+    (lambda: X5.exact_div(Y5), ArithmeticError, "inexact polynomial division"),
+    (lambda: MultiPoly.var(ZZ, 2, 0).scale(2).monic(), ArithmeticError,
+     "cannot normalize over a non-field"),
+    (lambda: (X5 * X5).homogenize(0, 1), ValueError, "target degree below total degree"),
+    (lambda: pth_root_poly(MultiPoly.var(QQ, 2, 0)), ArithmeticError,
+     "p-th roots need positive characteristic"),
+    (lambda: pth_root_poly(X5), ArithmeticError, "not a p-th power: bad exponent"),
+    (lambda: squarefree_decomposition(ZERO5), ValueError, "squarefree decomposition of zero"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", [pytest.param(*guard, id=guard[2]) for guard in POLY_GUARDS]
+)
+def test_polynomial_guards_refuse_with_their_message(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_zero_polynomial_edge_cases():
+    assert ZERO5.monic() is ZERO5
+    assert repr(ZERO5) == "0"
+    assert gcd_multi(X5.scale(3), ZERO5) == X5
+    # an operand of no ring is refused by Python, and is never equal
+    for bad in ("x", object()):
+        assert X5 != bad
+        for op in (lambda: X5 + bad, lambda: X5 - bad, lambda: X5 * bad):
+            with pytest.raises(TypeError):
+                op()
+
+
+def test_division_over_a_number_ring_by_a_non_unit_leaves_a_remainder():
+    # 2 is no unit of Z[a]/(a^2 + 1): x / (2x) leaves all of x
+    R = NumberRing([1, 0, 1])
+    x = MultiPoly.var(R, 2, 0)
+    assert x.divmod_poly(x.scale(2)) == (MultiPoly.zero(R, 2), x)

@@ -58,6 +58,7 @@ def test_p_token_substitution():
     x, y = chart.vars()
     assert parse_scalar("x^(p-1)", chart) == (x**4, 1)
     assert parse_scalar("y^(2p+1)", chart) == (y**11, 1)
+    assert parse_scalar("x^(2p)", chart) == parse_scalar("x^(2*p)", chart) == (x**10, 1)
     chart0 = affine_chart(QQ, 2)
     with pytest.raises(ParseError):
         parse_scalar("x^p", chart0)
@@ -106,6 +107,8 @@ def test_rational_coefficients():
     assert parse_expr("(x^2 - y^2)/(x + y)*dx", chart) == (
         chart.dx(0) * (x * x - y * y), x + y
     )
+    # two nonconstant denominators multiply
+    assert parse_expr("(1/x)*(1/y)*dx", chart) == (chart.dx(0), x * y)
 
 
 def test_rational_function_reduction():
@@ -147,6 +150,7 @@ def test_nonfield_denominators_rejected():
         parse_scalar("x/(y - y)", chart)
     # a unit denominator and a zero numerator are accepted
     assert parse_scalar("x/(-1)", chart) == (-x, 1)
+    assert parse_scalar("x/1", chart) == (x, 1)
     assert parse_scalar("(x - x)/y", chart) == (0, 1)
 
 
@@ -164,6 +168,8 @@ def test_parse_errors():
         parse_form("x + y", chart)  # scalar where a form is expected
     with pytest.raises(ParseError):
         parse_form("dz", chart)  # undeclared variable
+    with pytest.raises(ParseError, match="expected a scalar expression"):
+        parse_scalar("x*dy", chart)
 
 
 def test_print_parse_roundtrip_random():
@@ -182,6 +188,10 @@ def test_print_parse_roundtrip_random():
                 (1, 2): random_poly(ring, 3, rng),
             })
             assert parse_form(repr(form), chart) == form
+    # a coefficient 1 is printed as the bare differential
+    form = parse_form("dx + x*dy", affine_chart(GF(5), 2))
+    assert repr(form) == "dx + (x)*dy"
+    assert parse_form(repr(form), form.chart) == form
 
 
 def test_document_parsing():
@@ -204,6 +214,9 @@ def test_document_parsing():
     assert len(comps) == 3 and den == 1
     assert doc.the_hyperplane().total_degree() == 1
     assert doc.weights["lam"][0] == GF(3, 2).generator()
+    # with no vars line past four variables, they are x0, x1, ...
+    doc = parse_document("field Fp:5\nambient affine 5\n")
+    assert doc.chart.names == ("x0", "x1", "x2", "x3", "x4")
 
 
 def test_document_map_has_one_common_denominator():
@@ -234,6 +247,9 @@ def test_document_errors():
         parse_document(
             "field Fp:5\nambient proj 2\nvars x y\nform f = x*dy\n"
         )  # wrong variable count
+    doc = parse_document("field Fp:5\nambient proj 2\n")
+    with pytest.raises(ParseError, match="exactly one hyperplane"):
+        doc.the_hyperplane()
 
 
 BAD_NAME_DOCS = [

@@ -2,10 +2,13 @@ import functools
 import itertools
 import random
 
+from fractions import Fraction
+
 import pytest
 
 import up_reference
 from pfol import rings
+from pfol.exterior import affine_chart
 from pfol.models import IntegralModel, prime_scan
 from pfol.parsing import parse_descriptor, parse_document, parse_int_poly
 from pfol.rings import (
@@ -35,6 +38,9 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to the bases
+    # 2, 3, 5 and 7: base 11 exposes it
+    assert not is_prime(3215031751)
 
 
 def test_primes_upto():
@@ -598,3 +604,64 @@ def test_a_cold_scan_keeps_no_extension_field_and_a_second_stays_bounded(empty_t
     assert [str(r) for r in prime_scan(model, 260)] == [str(r) for r in rows]
     assert held_elements() <= TABLE_LIMIT
     assert (127, 2, (1, 0, 1)) in {key for key, F in rings._FIELDS.items() if F is not None}
+
+
+# ---------------------------------------------------------------------------
+# elements meet ints and polynomials on either side of an operator
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(3, 2)], ids=["GF5", "GF9"])
+def test_field_elements_mix_with_ints_and_polynomials(field):
+    chart = affine_chart(field, 2)
+    x, _ = chart.vars()
+    dx = chart.dx(0)
+    c = field.generator() + 1
+    assert c * x == x * c == x.scale(c)
+    assert c + x == x + c
+    assert c - x == -(x - c)
+    assert 3 - c == field.coerce(3) - c
+    assert 1 / c == c.inverse() == field.one() / c
+    assert x * dx == dx * x
+
+
+def test_number_ring_elements_mix_with_ints_and_polynomials():
+    R = NumberRing([1, 0, 1])
+    chart = affine_chart(R, 2)
+    X, _ = chart.vars()
+    a = R.generator()
+    assert a * X == X * a == X.scale(a)
+    assert a - X == -(X - a)
+    assert 3 - a == R.coerce(3) - a
+    assert -1 == a * a and 3 != a
+    assert hash(R.generator()) == hash(a)
+    assert hash(NumberRing([1, 0, 1])) == hash(R)
+    assert X * chart.dx(0) == chart.dx(0) * X
+    # Z[a]/(a - 3) is Z, with a = 3
+    assert NumberRing([-3, 1]).generator() == 3
+
+
+R2 = NumberRing([1, 0, 1])
+
+RING_GUARDS = [
+    (lambda: up_divmod([1, 1], [], 5), ZeroDivisionError, "univariate division by zero"),
+    (lambda: GF(5, 2, [2, 0, 2]), ValueError, "modulus must be monic of degree k"),
+    (lambda: GF(5).coerce(Fraction(1, 5)), ZeroDivisionError, "denominator divisible by p"),
+    (lambda: ZZ.coerce(Fraction(1, 2)), TypeError, "cannot coerce Fraction(1, 2) into Z"),
+    (lambda: QQ.coerce(0.5), TypeError, "cannot coerce 0.5 into Q"),
+    (lambda: R2.generator() + NumberRing([2, 0, 1]).generator(), ValueError,
+     "elements of different number rings"),
+    (lambda: R2.generator() ** -1, ValueError, "negative powers are not defined in a ring"),
+    (lambda: NumberRing([1, 2]), ValueError, "minimal polynomial must be monic of degree >= 1"),
+    (lambda: R2.coerce(NumberRing([2, 0, 1]).one()), ValueError,
+     "element of a different number ring"),
+    (lambda: factor_mod_p([5, 10], 5), ValueError, "polynomial vanishes modulo p"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", [pytest.param(*guard, id=guard[2]) for guard in RING_GUARDS]
+)
+def test_ring_guards_refuse_with_their_message(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
