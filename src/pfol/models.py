@@ -40,30 +40,6 @@ the model's; and the row has passed its content check first, so the
 reduced form is saturated and is the form ``from_form`` would validate.
 Homogeneity stays a check on the reduced form, since reduction can drop the
 terms that break it.
-
-The Kronecker probe asks at each prime p <= pmax whether f mod p has a
-root, and serves all primes from one power ladder.  Let f have degree k
-and leading coefficient L, and let g(y) = L^(k-1) f(y/L) = sum_i f_i
-L^(k-1-i) y^i, monic over Z.  Since L^(k-1) f(x) = g(Lx), for p not
-dividing L the map x -> Lx takes the roots of f mod p one to one onto
-those of g mod p; and g mod p has a root exactly when gcd(y^p - y, g) is
-nonconstant over F_p, y^p - y being the product of the y - c for c in F_p.
-The probe keeps y^m mod g over Z and raises m by one per step: pop the top
-coefficient c, shift, subtract c * g.  Since g is monic, this commutes
-with reduction mod p, so y^p mod (p, g) is the ladder at m = p, reduced.
-The primes that divide L keep the distinct-degree test of f mod p.  The
-ladder stays exact until its top coefficient, which every coefficient
-becomes within k steps, has more bits than M, the product of the primes
-not dividing L from p on; then every coefficient is reduced mod M.  That
-is exact, since every later read is mod a prime dividing M, and it bounds
-the coefficients by M times the growth of k steps.  Until then they grow
-by about log2 of the largest absolute value of a root of g per step.  A
-probe thus makes pmax steps of k products of a small integer by a number
-of at most about log2 M bits, where powering x^p mod f afresh costs about
-log2 p products of polynomials at each prime.  Since log2 M falls from
-about 1.44 pmax, the ladder's bit operations grow like pmax^2: it is the
-faster route up to pmax in the tens of thousands, and slower beyond, the
-sooner the larger the roots of g.
 """
 
 from __future__ import annotations
@@ -94,13 +70,10 @@ from .rings import (
     NRElem,
     NumberRing,
     ZZ,
-    _distinct_degree,
     factor_mod_p,
     format_up,
     is_prime,
     primes_upto,
-    up_gcd,
-    up_sub,
     up_trim,
 )
 
@@ -332,43 +305,58 @@ def scan_to_json(rows: list[ScanRow]) -> str:
     return json.dumps([asdict(r) for r in rows], indent=2)
 
 
+PROBE_BLOCK = 64
+
+
 def kronecker_probe(minpoly, pmax: int) -> dict:
     """Fraction of good primes <= pmax where the minimal polynomial has a
     root; density one characterizes (the reduction behavior of) a rational.
-    One power ladder serves every prime that does not divide the leading
-    coefficient (see the module docstring)."""
+
+    f mod p has a root in F_p exactly when p divides f(x) for some integer
+    x, and x = 0, ..., p - 1 meet every residue class mod p.  So a good
+    prime p, one not dividing gcd(f_1, ..., f_k) so that f mod p is
+    nonconstant, has a root exactly when p divides the product of f(x) over
+    x < p, or over any longer run of x from 0; and so exactly when p
+    divides that product reduced mod any q that p divides.  An integer root
+    makes the product 0, and then every good prime has a root.
+
+    The primes are cut into blocks of ``PROBE_BLOCK``, and each block keeps
+    one accumulator modulo q, the product of its primes.  The values of f
+    are streamed in chunks of ``PROBE_BLOCK`` consecutive x from 0; the
+    product of a chunk is multiplied into the accumulator of every block
+    whose largest prime is above the chunk's first x.  A good p has a root
+    when p divides its block's accumulator.  The probe holds the block
+    moduli and accumulators, about 2.9 pmax bits, and no value of f beyond
+    a chunk.  Its cost grows like pmax^2: about pmax / PROBE_BLOCK chunks,
+    each multiplied into up to pi(pmax) / PROBE_BLOCK accumulators of a
+    bounded size.
+    """
     f = up_trim(list(minpoly))
     if len(f) < 2:
         raise ValueError("minimal polynomial must be nonconstant")
-    k, lead = len(f) - 1, f[-1]
-    # g(y) = lead^(k-1) f(y / lead), monic
-    g = [c * lead ** (k - 1 - i) for i, c in enumerate(f[:-1])] + [1]
-    g0, rest = g[0], g[1:k]
+    content = math.gcd(*f[1:])  # f mod p is constant for p dividing it
     primes = primes_upto(pmax)
-    ahead = math.prod(p for p in primes if lead % p)
-    bits = ahead.bit_length()
-    ladder, m = [1] + [0] * (k - 1), 0  # y^m mod g
+    blocks = [primes[i:i + PROBE_BLOCK] for i in range(0, len(primes), PROBE_BLOCK)]
+    moduli = [math.prod(block) for block in blocks]
+    accs = [1] * len(blocks)
+    lead, rest = f[-1], f[-2::-1]
+    first = 0  # the blocks before it need no x this large
+    for start in range(0, primes[-1] if primes else 0, PROBE_BLOCK):
+        while blocks[first][-1] <= start:
+            first += 1
+        xs = range(start, start + PROBE_BLOCK)
+        values = [lead] * PROBE_BLOCK
+        for c in rest:
+            values = [v * x + c for v, x in zip(values, xs)]
+        chunk = math.prod(values)
+        for i in range(first, len(accs)):
+            accs[i] = accs[i] * chunk % moduli[i]
     good = with_root = 0
-    for p in primes:
-        if lead % p:
-            for _ in range(m, p):
-                c = ladder[-1]
-                ladder = [-c * g0, *[a - c * b for a, b in zip(ladder, rest)]]
-                if c.bit_length() > bits:
-                    ladder = [a % ahead for a in ladder]
-            m = p
-            ahead //= p
-            bits = ahead.bit_length()
-            h = up_sub(up_trim([a % p for a in ladder]), [0, 1], p)
-            root = len(up_gcd(h, [c % p for c in g], p)) > 1
-        else:
-            fp = up_trim([c % p for c in f])
-            if len(fp) < 2:
-                continue  # degree drop to a constant: bad prime
-            # f has a root iff its first distinct-degree part has d = 1
-            root = next(_distinct_degree(fp, p))[0] == 1
-        good += 1
-        with_root += root
+    for block, acc in zip(blocks, accs):
+        for p in block:
+            if content % p:
+                good += 1
+                with_root += acc % p == 0
     if not good:
         raise ValueError("no good prime up to pmax")
     return {

@@ -376,7 +376,11 @@ class MultiPoly:
             if r:
                 raise ArithmeticError("inexact coefficient division")
             return q
-        raise ArithmeticError("cannot divide coefficients in this ring")
+        # a refusal, not an ArithmeticError that ``_divide`` would read as
+        # "does not divide": no coefficient of a number ring is divided
+        raise ValueError(
+            f"polynomial division over {self.ring.descriptor()} is not supported"
+        )
 
     def _divide(self, g: "MultiPoly", exact: bool):
         """The quotient and remainder terms of the division by g.
@@ -435,7 +439,7 @@ class MultiPoly:
     def divides(self, f: "MultiPoly") -> bool:
         """Whether self divides f exactly: the division of f by self, stopped
         at the first remainder term (over Z, a coefficient that does not
-        divide is one)."""
+        divide is one).  Over a number ring it raises ValueError."""
         if self.is_zero:
             return f.is_zero
         return f._divide(self, True) is not None

@@ -26,12 +26,11 @@ products as plain ints and reduces each coefficient mod p once: ``up_mul``
 after all products, ``up_divmod`` after working down from the top
 coefficient.  ``up_pow_mod`` makes the modulus monic once and powers left
 to right.  The gcds with x^(p^d) - x are taken in one loop,
-``_distinct_degree``, which serves the irreducibility test, the
-factorization mod p and the root test of the Kronecker probe.  The
-factorization splits each distinct-degree part by the gcds of
-``_equal_degree`` (Cantor and Zassenhaus, with a deterministic sequence of
-trial elements) and counts multiplicities by division, so it needs no
-squarefree decomposition of its own.
+``_distinct_degree``, which serves the irreducibility test and the
+factorization mod p.  The factorization splits each distinct-degree part
+by the gcds of ``_equal_degree`` (Cantor and Zassenhaus, with a
+deterministic sequence of trial elements) and counts multiplicities by
+division, so it needs no squarefree decomposition of its own.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ against, row by row and value by value.
 ``reference_reduce_model`` validates each reduced form with ``from_form``,
 where the package reads the reductions of the model's identities, and
 ``reference_kronecker_probe`` tests each prime with a fresh distinct-degree
-split of f mod p, where the package reads one power ladder over Z.
+split of f mod p, where the package reads whether p divides a product of
+values of f.
 """
 
 from pfol.exterior import Chart, DiffForm

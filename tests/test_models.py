@@ -166,7 +166,9 @@ def probe_outcome(probe, f, pmax):
         return str(exc)
 
 
-@pytest.mark.parametrize("pmax", [2, 3, 60, 3000])
+# 64 and 65 sit on a chunk edge, 311 and 313 (the 64th and 65th primes) on
+# a block edge; at 193 = 3 * 64 + 1 the last chunk holds x = p - 1 alone
+@pytest.mark.parametrize("pmax", [2, 3, 60, 64, 65, 193, 311, 313, 1087, 3000])
 def test_kronecker_probe_matches_the_per_prime_route(pmax):
     rng = random.Random(11)
     drawn = [
@@ -177,11 +179,15 @@ def test_kronecker_probe_matches_the_per_prime_route(pmax):
     special = [
         [-3, 2],              # 2a - 3: degree 1
         [7, 1],               # a + 7: degree 1, monic
+        [1, 1],               # a + 1: its root mod p is x = p - 1
         [1, 1, 0, 6],         # 6a^3 + a + 1: leading coefficient 6
         [-2, 0, 5, 15],       # 15a^3 + 5a^2 - 2: leading coefficient 15
-        # a^2 - 10^40: the ladder's coefficients grow by 133 bits every
-        # second step, past the product of the primes within 70 steps
+        # a^2 - 10^40: values of 133 bits, so that a chunk's product is
+        # many times as wide as the modulus of a block
         [-10**40, 0, 1],
+        [-6000, -1997, 1],    # (a - 2000)(a + 3): the product is 0 from x = 2000
+        [-5000, 1],           # a - 5000: an integer root beyond pmax
+        [12, 6, 0, 6],        # 6a^3 + 6a + 12: 2 and 3 are bad primes
     ]
     for f in PROBE_MINPOLYS + drawn + special:
         expected = probe_outcome(reference_kronecker_probe, f, pmax)

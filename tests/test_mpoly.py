@@ -853,8 +853,12 @@ def test_zero_polynomial_edge_cases():
                 op()
 
 
-def test_division_over_a_number_ring_by_a_non_unit_leaves_a_remainder():
-    # 2 is no unit of Z[a]/(a^2 + 1): x / (2x) leaves all of x
+def test_division_over_a_number_ring_is_refused():
+    # no coefficient of Z[a]/(a^2 + 1) is divided, not even by 1: a division
+    # that went on would answer wrong (x.divides(x^2) read False)
     R = NumberRing([1, 0, 1])
     x = MultiPoly.var(R, 2, 0)
-    assert x.divmod_poly(x.scale(2)) == (MultiPoly.zero(R, 2), x)
+    with pytest.raises(ValueError, match=r"over NR:a\^2\+1 is not supported"):
+        x.divmod_poly(x.scale(2))
+    with pytest.raises(ValueError, match="over NR:"):
+        x.divides(x**2)
