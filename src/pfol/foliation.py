@@ -37,6 +37,7 @@ from .exterior import (
 from .mpoly import (
     MultiPoly,
     _quotient_by_gcd,
+    _shift,
     gcd_list,
     gcd_multi,
     poly_str,
@@ -57,49 +58,61 @@ class PClosedError(ArithmeticError):
 # divisors
 
 
-def coprime_basis(polys) -> list[MultiPoly]:
-    """A pairwise coprime monic squarefree basis generating the given polys.
+def _by_degree_and_name(items):
+    """Refined items sorted as a divisor keeps them."""
+    return sorted(items, key=lambda fm: (fm[0].total_degree(), poly_str(fm[0])))
 
-    Every input (assumed squarefree) is a unit times a product of basis
-    elements.
+
+def coprime_basis(items, base=()) -> list[tuple[MultiPoly, int]]:
+    """Refine pairs (f, m), f squarefree, into ``base``, a list of pairs
+    that is already refined: monic, squarefree, pairwise coprime
+    polynomials.  Returns the refined pairs, sorted as a divisor keeps them.
+
+    A piece g that meets f in a nonconstant d = gcd(f, g) splits into d and
+    g / d, and m is added to every piece split off f.  A piece whose
+    multiplicity sums to 0 is kept, since it still splits what comes later:
+    so refining into an earlier result is refining into its inputs, and
+    (x*y) - (x) + (x*z) gives (x), (y), (z) step by step as at once, not
+    (y), (x*z).
     """
     stage = "foliation.coprime_basis"
-    basis: list[MultiPoly] = []
-
-    def insert(f: MultiPoly):
+    basis = list(base)
+    for f, m in items:
         f = f.monic()
-        if f.is_constant:
-            return
-        for i, g in enumerate(basis):
+        # a piece split off g is coprime to f, so only the old pieces are met
+        for i in range(len(basis)):
+            if f.is_constant:
+                break
+            g, k = basis[i]
             d = gcd_multi(f, g)
             if d.is_constant:
                 continue
-            if d == g:
-                insert(_quotient_by_gcd(f, d, stage))
-                return
-            basis[i] = d
-            basis.append(_quotient_by_gcd(g, d, stage))
-            insert(_quotient_by_gcd(f, d, stage))
-            return
-        basis.append(f)
-
-    for f in polys:
-        insert(f)
-    basis.sort(key=lambda g: (g.total_degree(), poly_str(g)))
-    return basis
+            if d != g:
+                basis.append((_quotient_by_gcd(g, d, stage), k))
+            basis[i] = (d, k + m)
+            f = _quotient_by_gcd(f, d, stage)
+        if not f.is_constant:
+            basis.append((f, m))
+    return _by_degree_and_name(basis)
 
 
 class Divisor:
     """A formal Z-linear combination of hypersurfaces, given by polynomials
     on ``chart``: an affine chart, or the cone over P^n, where the
     components are homogeneous.  Divisors on different charts do not mix.
+
+    A divisor is refined when it is built: ``items`` is a sorted list of
+    monic, squarefree, pairwise coprime pieces with multiplicities, as
+    ``coprime_basis`` returns it, pieces of multiplicity 0 included.  A sum
+    refines the pieces of one term into the other's, and a multiple scales
+    the multiplicities.
     """
 
     def __init__(self, chart: Chart, items):
         self.chart = chart
-        self.items = [(f, int(m)) for f, m in items if m != 0 and not f.is_constant]
-        self._normal = None
-        self._squarefree = False  # items known monic and squarefree
+        self.items = coprime_basis(
+            (g, k * m) for f, m in items for g, k in squarefree_decomposition(f)
+        )
 
     @classmethod
     def zero(cls, chart: Chart) -> "Divisor":
@@ -107,12 +120,10 @@ class Divisor:
 
     @classmethod
     def _normalized(cls, chart: Chart, items) -> "Divisor":
-        """A divisor whose components are already pairwise coprime, monic
-        and squarefree; they are kept as its normal form."""
-        div = cls(chart, items)
-        div._normal = sorted(
-            div.items, key=lambda fm: (fm[0].total_degree(), poly_str(fm[0]))
-        )
+        """A divisor whose items are already refined and sorted, kept as
+        they are."""
+        div = cls.__new__(cls)
+        div.chart, div.items = chart, items
         return div
 
     @classmethod
@@ -127,39 +138,27 @@ class Divisor:
         """The divisor of zeros of a nonzero form f on P^n, as the standard
         charts {x_j != 0} glue it.  A coordinate hyperplane x_j is seen only
         from the other charts, so it is split off the squarefree parts of f
-        as a component of its own."""
+        as a component of its own: x_j is a factor of a squarefree part
+        exactly when every term has x_j, and then once."""
         if f.is_zero:
             raise ValueError("divisor of the zero polynomial")
         coords = chart.vars()
         items = []
         for comp, m in squarefree_decomposition(f):
-            for x_j in coords:
-                if x_j.divides(comp):
-                    items.append((x_j, m))
-                    comp = comp.exact_div(x_j)
-            items.append((comp, m))
-        return cls._normalized(chart, items)
+            low = tuple(map(min, zip(*comp.terms)))
+            rest = _shift(comp, tuple(-k for k in low))
+            items += [(x_j, m) for x_j, k in zip(coords, low) if k]
+            if not rest.is_constant:
+                items.append((rest, m))
+        return cls._normalized(chart, _by_degree_and_name(items))
 
     def _check(self, other: "Divisor"):
         if other.chart != self.chart:
             raise ValueError("divisors on different ambient spaces")
 
-    def _parts(self):
-        """(items, whether they are known monic and squarefree), read off
-        the normal form when there is one."""
-        if self._normal is not None:
-            return self._normal, True
-        return self.items, self._squarefree
-
-    def _with(self, items, squarefree: bool) -> "Divisor":
-        div = Divisor(self.chart, items)
-        div._squarefree = squarefree
-        return div
-
     def __add__(self, other: "Divisor") -> "Divisor":
         self._check(other)
-        (a, sa), (b, sb) = self._parts(), other._parts()
-        return self._with(a + b, sa and sb)
+        return Divisor._normalized(self.chart, coprime_basis(other.items, self.items))
 
     def __neg__(self) -> "Divisor":
         return -1 * self
@@ -168,31 +167,21 @@ class Divisor:
         return self + (-other)
 
     def __rmul__(self, k: int) -> "Divisor":
-        if self._normal is not None:
-            return Divisor._normalized(self.chart, [(f, k * m) for f, m in self._normal])
-        return self._with([(f, k * m) for f, m in self.items], self._squarefree)
+        return Divisor._normalized(self.chart, [(f, k * m) for f, m in self.items])
 
     __mul__ = __rmul__
 
     def normalize(self) -> list[tuple[MultiPoly, int]]:
-        """Pairwise coprime monic squarefree components with multiplicities,
-        computed on first use and kept.
+        """The pieces of nonzero multiplicity, sorted by degree and then by
+        how they print.
 
-        The components form a coprime basis of the squarefree parts of the
-        items, not a factorization into irreducibles: a component may be
-        reducible, so one divisor can print differently when it is reached
-        by different routes (``(x*y*z)`` beside ``(x)`` and ``(y*z)``).
-        A sum of normalized divisors starts from their normal forms.
+        They form a coprime basis of the squarefree parts of the
+        polynomials the divisor was built from, not a factorization into
+        irreducibles: a piece may be reducible, so one divisor can print
+        differently when it is reached by different routes (``(x*y*z)``
+        beside ``(x)`` and ``(y*z)``).
         """
-        if self._normal is None:
-            expanded = self.items if self._squarefree else [
-                (g, k * m) for f, m in self.items for g, k in squarefree_decomposition(f)
-            ]
-            # coprime_basis sorts its output as the normal form is sorted
-            basis = coprime_basis([g for g, _ in expanded])
-            mults = [sum(m for g, m in expanded if b.divides(g)) for b in basis]
-            self._normal = [(b, m) for b, m in zip(basis, mults) if m]
-        return list(self._normal)
+        return [(f, m) for f, m in self.items if m]
 
     def is_effective(self) -> bool:
         return all(m > 0 for _, m in self.normalize())
@@ -242,12 +231,12 @@ def koszul_fields(form: DiffForm) -> list[VectorField]:
     out = []
     for i in range(n):
         for j in range(i + 1, n):
+            if not (a[i] or a[j]):
+                continue  # the field would vanish
             comps = [0] * n
             comps[i] = a[j]
             comps[j] = -a[i]
-            v = VectorField(chart, comps)
-            if v:
-                out.append(v)
+            out.append(VectorField(chart, comps))
     return out
 
 

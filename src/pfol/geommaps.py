@@ -78,11 +78,18 @@ def linear_hyperplane_embedding(target: Chart, coeffs) -> RationalMap:
 
     Parametrized by solving for the last coordinate with a nonzero
     coefficient; the source is P^(n-1) with the remaining coordinates.
+    P^1, whose hyperplanes are points, and the zero form are refused.
     """
     ring, n = target.ring, target.nvars - 1
     coeffs = [ring.coerce(c) for c in coeffs]
     if len(coeffs) != n + 1:
         raise ValueError("need one coefficient per homogeneous coordinate")
+    if n < 2:
+        raise ValueError(
+            "a hyperplane of P^1 is a point; restriction needs P^n with n >= 2"
+        )
+    if not any(coeffs):
+        raise ValueError("the zero linear form cuts out no hyperplane")
     pivot = max(i for i, c in enumerate(coeffs) if c)
     source = cone_chart(ring, n - 1, tuple(f"y{i}" for i in range(n)))
     comps = []
@@ -260,27 +267,27 @@ def verify_pullback_degeneracy(phi: RationalMap, fol: Foliation) -> dict:
     theta = None
     if chart.nvars >= 3:
         theta = p_kernel(pb).two_form
-    correction = Divisor.zero(chart)
+    correction = []
     components = []
     for h, r in ram.normalize():
         f_inv = is_invariant_hypersurface(pb.form, h)
         k_inv = (
             is_invariant_hypersurface(theta, h) if theta is not None else None
         )
-        term = Divisor._normalized(chart, [(h, r)])
+        c = 0  # neither invariant: +p*r - p*r = 0
         if f_inv:
-            correction = correction - term
+            c = -1
             if k_inv is False:
-                correction = correction - p * term
-        else:
-            if k_inv:
-                correction = correction + p * term
-            # neither invariant: +p*r - p*r = 0
+                c = -1 - p
+        elif k_inv:
+            c = p
+        correction.append((h, c * r))
         components.append(
             {"component": h, "ram_mult": r, "f_invariant": f_inv,
              "kernel_invariant": k_inv}
         )
-    predicted = phi_delta_g + correction
+    # the pieces of ram stay refined whatever their multiplicities
+    predicted = phi_delta_g + Divisor._normalized(chart, correction)
     return {
         "pullback": pb,
         "delta_pullback": delta_f,

@@ -92,7 +92,7 @@ from __future__ import annotations
 from operator import add, le, sub
 
 from . import InternalError
-from .rings import GF, GFElem, NRElem, _power, up_gcd, up_trim
+from .rings import GF, _power, up_gcd, up_trim
 
 # unlucky points a certificate tries before it gives up (see the docstring)
 CERTIFICATE_MISSES = 4
@@ -497,19 +497,11 @@ class MultiPoly:
     def __repr__(self):
         return poly_str(self)
 
-    def __str__(self):
-        return poly_str(self)
-
 
 def default_names(nvars: int) -> tuple[str, ...]:
     if nvars <= 4:
         return ("x", "y", "z", "w")[:nvars]
     return tuple(f"x{i}" for i in range(nvars))
-
-
-def _coeff_str(c) -> str:
-    s = repr(c) if isinstance(c, (GFElem, NRElem)) else str(c)
-    return s
 
 
 def poly_str(f: MultiPoly, names=None) -> str:
@@ -523,7 +515,7 @@ def poly_str(f: MultiPoly, names=None) -> str:
             for i, k in enumerate(e)
             if k > 0
         )
-        cs = _coeff_str(c)
+        cs = str(c)
         if mono:
             if cs == "1":
                 term = mono

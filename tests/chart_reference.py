@@ -63,7 +63,7 @@ def glue_chart_divisors(ring, n: int, chart_fns: dict) -> Divisor:
             for comp, _ in squarefree_decomposition(poly):
                 candidates.append(comp.homogenize(j))
     items = []
-    for h in coprime_basis(candidates):
+    for h, _ in coprime_basis((c, 1) for c in candidates):
         mults = set()
         for j, (num, den) in chart_fns.items():
             h_aff = h.set_var_one(j)

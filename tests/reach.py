@@ -35,7 +35,7 @@ ALLOWED = [
      'raise ArithmeticError("no irreducible polynomial found")  # pragma: no cover',
      "every degree k >= 1 has a monic irreducible over F_p, and the loop tries "
      "all p^k monic candidates"),
-    ("geommaps", "verify_pullback_degeneracy", "correction = correction - p * term",
+    ("geommaps", "verify_pullback_degeneracy", "c = -1 - p",
      "needs a ramification component h with h^2 | omega /\\ eta; no example is known"),
     # Cartier's formula C(a)(v)^p = a(v^p) - v^(p-1)(a(v)) for a closed
     # 1-form a and a derivation v, with a = omega / f or omega / G closed

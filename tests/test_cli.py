@@ -614,6 +614,10 @@ def test_restrict_on_the_plane_computes_no_degeneracy_divisor(monkeypatch, capsy
             "the zero form defines no foliation",
         ),
         (
+            "field Fp:5\nambient proj 1\nform omega = x1*dx0 - x0*dx1\nhyperplane Y = x0 + x1\n",
+            "a hyperplane of P^1 is a point; restriction needs P^n with n >= 2",
+        ),
+        (
             RESTRICT.replace("proj 3", "flat 3"),
             "ambient must be 'affine <n>' or 'proj <n>' at line 2",
         ),

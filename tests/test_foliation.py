@@ -36,8 +36,12 @@ def test_coprime_basis():
     F = GF(5)
     x = MultiPoly.var(F, 2, 0)
     y = MultiPoly.var(F, 2, 1)
-    basis = coprime_basis([x * y, y * (x + y)])
-    assert sorted(map(str, basis)) == ["x", "x + y", "y"]
+    basis = coprime_basis([(x * y, 2), (y * (x + y), -1)])
+    assert [(str(g), m) for g, m in basis] == [("x", 2), ("x + y", -1), ("y", 1)]
+    # refining into a refined base adds to the pieces it splits, and a piece
+    # whose multiplicity sums to 0 stays
+    assert [(str(g), m) for g, m in coprime_basis([(x, -2)], basis)] == [
+        ("x", 0), ("x + y", -1), ("y", 1)]
 
 
 def test_glue_chart_divisors():
@@ -139,6 +143,36 @@ def test_divisor_sums_start_from_kept_normal_forms(monkeypatch):
     assert d1 != d3
     assert [d.normalize() for d in combos] == fresh
     assert calls == []
+
+
+def test_divisor_sums_print_as_their_raw_items_at_once():
+    # a sum refined step by step prints as all its raw items refined at
+    # once, because pieces whose multiplicity cancels to 0 are kept
+    F = GF(5)
+    chart = affine_chart(F, 3)
+    x, y, z = chart.vars()
+    d = Divisor.of_polynomial(x * y, chart) - Divisor.of_polynomial(x, chart)
+    assert d.normalize() == [(y, 1)]
+    d = d + Divisor.of_polynomial(x * z, chart)
+    assert d.normalize() == [(x, 1), (y, 1), (z, 1)]
+    linear = [x, y, z, x + y, y + 2 * z, x + z + 1]
+    rng = random.Random(11)
+    for _ in range(30):
+        acc, raw = Divisor.zero(chart), []
+        for _ in range(rng.randint(1, 5)):
+            items = [(f * g, rng.randint(-2, 2))
+                     for f, g in (rng.sample(linear, 2) for _ in range(rng.randint(1, 3)))]
+            # a repeat of an earlier term, so that some multiplicities cancel
+            if raw and rng.random() < 0.5:
+                items = [rng.choice(raw)]
+            k = rng.choice([1, -1, rng.randint(-2, 3)])
+            term = k * Divisor(chart, items)
+            if rng.random() < 0.5:
+                acc, k = acc - term, -k
+            else:
+                acc = acc + term
+            raw += [(f, k * m) for f, m in items]
+            assert acc.normalize() == Divisor(chart, raw).normalize()
 
 
 def test_divisor_equality_matches_the_difference_route():
@@ -465,6 +499,26 @@ def test_analyze_takes_one_pth_power_per_cone_koszul_field(monkeypatch):
     assert calls == fields
 
 
+def test_koszul_fields_builds_only_nonzero_fields(monkeypatch):
+    # on A^30, x0*dx1 + dx0 has 435 pairs i < j and 57 nonzero Koszul fields
+    built = []
+
+    class Counting(VectorField):
+        __slots__ = ()
+
+        def __init__(self, chart, comps):
+            built.append(comps)
+            super().__init__(chart, comps)
+
+    monkeypatch.setattr(pfol.foliation, "VectorField", Counting)
+    chart = affine_chart(GF(5), 30)
+    fields = koszul_fields(chart.var(0) * chart.dx(1) + chart.dx(0))
+    assert len(built) == len(fields) == 57
+    # the pairs (0, 1), then (0, j) and (1, j) for j >= 2, in that order
+    supports = [tuple(k for k, c in enumerate(v.comps) if c) for v in fields]
+    assert supports == [(0, 1)] + [(j,) for j in range(2, 30)] * 2
+
+
 def chart_degeneracy_reference(fol):
     """The projective degeneracy divisor by the per-chart route: on each
     standard chart {x_j != 0}, restrict omega to x_j = 1 (dropping dx_j),
@@ -574,9 +628,9 @@ def test_analyze_builds_no_coprime_basis(monkeypatch):
     calls = []
     basis = pfol.foliation.coprime_basis
 
-    def counting(polys):
-        calls.append(polys)
-        return basis(polys)
+    def counting(items, base=()):
+        calls.append(items)
+        return basis(items, base)
 
     monkeypatch.setattr(pfol.foliation, "coprime_basis", counting)
     for fol in (w1_foliation(3, 1), w2_foliations(5, random.Random(5), 1)[0]):

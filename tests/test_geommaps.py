@@ -435,6 +435,8 @@ MAP_GUARDS = [
      ValueError, "projective maps need homogeneous components"),
     (lambda: linear_hyperplane_embedding(P2, [1, 2]), ValueError,
      "need one coefficient per homogeneous coordinate"),
+    (lambda: linear_hyperplane_embedding(P2, [0, 0, 0]), ValueError,
+     "the zero linear form cuts out no hyperplane"),
     (lambda: pullback(ID2, A3.dx(0)), ValueError, "form does not live on the target of the map"),
     (lambda: pullback_divisor(RationalMap(A2, A2, [X, 0]), Divisor.of_polynomial(Y, A2)),
      ValueError, "a component pulls back to zero (image inside it)"),
